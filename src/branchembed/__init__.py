@@ -20,7 +20,6 @@ from .cluster import (
     correlation_dissimilarity,
     euclidean_dissimilarity,
     linkage,
-    naive_linkage_oracle,
 )
 from .datasets import (
     LabeledData,
@@ -56,6 +55,7 @@ from .errors import (
     BranchEmbedError,
     ConstantColumn,
     DendrogramError,
+    DissimilarityOverflow,
     DuplicateChild,
     ForwardReference,
     IoError,
@@ -89,6 +89,7 @@ __all__ = [
     "DEFAULT_THETAS",
     "Dendrogram",
     "DendrogramError",
+    "DissimilarityOverflow",
     "DISSIMILARITY_KINDS",
     "DuplicateChild",
     "Embedding",
@@ -126,7 +127,6 @@ __all__ = [
     "line_embed",
     "linkage",
     "load_csv",
-    "naive_linkage_oracle",
     "parse_merge_table",
     "pearson_upper",
     "render_svg_scatter",

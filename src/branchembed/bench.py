@@ -58,6 +58,20 @@ def default_strategies(swap: bool = True) -> tuple[AngleStrategy, ...]:
     return (AngleStrategy.random(0),) + fixed + (AngleStrategy.even(),)
 
 
+def check_condition(kind: str, method: str) -> None:
+    """Reject an unknown dissimilarity kind or linkage method, and ward
+    on correlation dissimilarities, which it is not defined for."""
+    if kind not in DISSIMILARITY_KINDS:
+        raise ValueError(f"unknown dissimilarity {kind!r}")
+    if method not in LINKAGE_METHODS:
+        raise ValueError(f"unknown linkage method {method!r}")
+    if kind == "correlation" and method == "ward":
+        raise ValueError(
+            "ward requires Euclidean dissimilarities; "
+            "the (correlation, ward) condition is not supported"
+        )
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     trials: int = 200
@@ -77,15 +91,7 @@ class BenchConfig:
         object.__setattr__(self, "conditions", tuple(self.conditions))
         object.__setattr__(self, "strategies", tuple(self.strategies))
         for kind, method in self.conditions:
-            if kind not in DISSIMILARITY_KINDS:
-                raise ValueError(f"unknown dissimilarity {kind!r}")
-            if method not in LINKAGE_METHODS:
-                raise ValueError(f"unknown linkage method {method!r}")
-            if kind == "correlation" and method == "ward":
-                raise ValueError(
-                    "ward requires Euclidean dissimilarities; "
-                    "the (correlation, ward) condition is not benchmarked"
-                )
+            check_condition(kind, method)
             if kind == "correlation" and self.cols < 2:
                 raise ValueError("correlation needs at least 2 columns")
 
@@ -166,8 +172,8 @@ def run_table_experiment(cfg: BenchConfig) -> BenchTable:
                     emb = branching_embed(original, strategy)
                     converted = convert_dendrogram(emb, method, kind)
                     conv_coph, conv_kin = _pair_matrices(converted, True, True)
-                    sum_rc[ci, si] += _pearson_vec(orig_coph, conv_coph)
-                    sum_rk[ci, si] += _pearson_vec(orig_kin, conv_kin)
+                    sum_rc[ci, si] += _pearson_vec(orig_coph.copy(), conv_coph)
+                    sum_rk[ci, si] += _pearson_vec(orig_kin.copy(), conv_kin)
                     counts[ci, si] += 1
                 except BranchEmbedError:
                     failures[ci, si] += 1

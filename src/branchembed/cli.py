@@ -20,7 +20,12 @@ import sys
 
 import numpy as np
 
-from .bench import BenchConfig, default_strategies, run_table_experiment
+from .bench import (
+    BenchConfig,
+    check_condition,
+    default_strategies,
+    run_table_experiment,
+)
 from .cluster import (
     DISSIMILARITY_KINDS,
     LINKAGE_METHODS,
@@ -97,6 +102,9 @@ def _cmd_embed(args) -> int:
     if args.dendrogram is not None:
         original = parse_merge_table(_read_text(args.dendrogram))
     else:
+        for method in (args.linkage, args.converted_linkage):
+            if method is not None:
+                check_condition(args.metric, method)
         loaded = load_csv(args.input, has_header=args.has_header,
                           label_column=args.label_column)
         data = rescale_minmax(loaded.data) if args.rescale else loaded.data

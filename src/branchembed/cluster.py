@@ -9,10 +9,18 @@ every method.  Ties on the minimum are broken toward the lexicographically
 smallest (smaller id, larger id) pair of cluster ids, which makes the
 output deterministic for any input.
 
-``naive_linkage_oracle`` recomputes every inter-cluster dissimilarity from
-the raw pairwise values at each step, straight from the method definitions.
-It shares no update logic with :func:`linkage` on purpose: the two routes
-must stay independent so one can check the other.
+The closest pair is found from a cached minimum per matrix row, as in the
+"generic" algorithm of Muellner (arXiv:1109.2378): the global minimum is
+the smallest cached value, and the tie-break reads only the ids of the
+rows holding it and the one row it picks.  After a merge, a row is
+rescanned only if its minimum sat in one of the two merged columns and
+the merged entry is larger than it.  A step with m active clusters
+therefore costs O(m) plus O(m) per rescanned row, so typical inputs take
+O(n^2) time, however many pairs tie; an input that makes most rows stale
+at most steps (complete or average linkage can) takes up to O(n^3).
+Memory is one n x n float64 matrix.  The merge arithmetic and the
+tie-break are those of the stepwise full-matrix scan, so the merge tables
+are equal to its, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import math
 import numpy as np
 
 from .dendrogram import CondensedMatrix, Dendrogram, validate_dendrogram
-from .errors import ZeroVarianceRow
+from .errors import DissimilarityOverflow, ZeroVarianceRow
 
 LINKAGE_METHODS = ("single", "complete", "average", "ward")
 DISSIMILARITY_KINDS = ("euclidean", "correlation")
@@ -43,15 +51,27 @@ def _check_data(x) -> np.ndarray:
 
 
 def euclidean_dissimilarity(x) -> CondensedMatrix:
-    """Condensed Euclidean distances between the rows of ``x``."""
+    """Condensed Euclidean distances between the rows of ``x``.
+
+    Raises :class:`DissimilarityOverflow` if the squared distance between
+    two rows exceeds the float64 range.
+    """
     x = _check_data(x)
     n = x.shape[0]
     out = np.empty(n * (n - 1) // 2)
     pos = 0
-    for i in range(n - 1):
-        diff = x[i + 1:] - x[i]
-        out[pos:pos + n - 1 - i] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        pos += n - 1 - i
+    with np.errstate(over="ignore"):
+        for i in range(n - 1):
+            diff = x[i + 1:] - x[i]
+            out[pos:pos + n - 1 - i] = np.sqrt(
+                np.einsum("ij,ij->i", diff, diff))
+            pos += n - 1 - i
+    # Finite rows give no NaN, so an overflow shows as an infinite maximum.
+    if math.isinf(out.max()):
+        k = int(np.argmax(out))
+        starts = np.arange(n - 1) * (2 * n - np.arange(n - 1) - 1) // 2
+        i = int(np.searchsorted(starts, k, side="right")) - 1
+        raise DissimilarityOverflow(i, k - int(starts[i]) + i + 1)
     return CondensedMatrix(n, out)
 
 
@@ -92,11 +112,15 @@ def _lw_combine(method: str, row_i, row_j, ni: int, nj: int,
     return ((ni + nk) * row_i + (nj + nk) * row_j - nk * d_ij) / (ni + nj + nk)
 
 
+
+
 def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     """Agglomerative clustering of ``d0`` under the given linkage method.
 
     Returns a validated :class:`Dendrogram` whose records list the smaller
-    child id first.  Ward heights assume Euclidean input distances.
+    child id first.  Ward heights assume Euclidean input distances; the
+    function sees only the matrix, not how it was made, so it does not
+    reject ward on correlation dissimilarities.
     """
     if method not in LINKAGE_METHODS:
         raise ValueError(f"unknown linkage method {method!r}")
@@ -105,6 +129,8 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     if method == "ward":
         dm *= dm
     np.fill_diagonal(dm, np.inf)
+    # row_min[r] is the smallest entry of row r over the active columns.
+    row_min = dm.min(axis=1)
 
     # Active clusters live in slots 0..m-1; a merge frees one slot, which
     # is refilled by the last active slot so scans shrink as we go.
@@ -113,26 +139,34 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     merges = []
     m = n
     for step in range(n - 1):
-        sub = dm[:m, :m]
-        val = sub.min()
-        ti, tj = np.nonzero(sub == val)
-        ids_i = node_of[ti]
-        ids_j = node_of[tj]
-        lo = np.minimum(ids_i, ids_j)
-        hi = np.maximum(ids_i, ids_j)
-        # Rank pairs by (lo, hi); ids stay below 2n so this never overflows.
-        pick = int(np.argmin(lo * np.int64(2 * n) + hi))
-        best = (int(lo[pick]), int(hi[pick]))
-        pi = int(ti[pick])
-        pj = int(tj[pick])
+        mins = row_min[:m]
+        val = mins.min()
+        # Every row whose minimum is val holds a pair at val, and (the
+        # matrix being symmetric) its partner is such a row too.  So the
+        # tie-break's smaller id is the smallest id among those rows, and
+        # its larger id the smallest id among that row's partners.
+        rows = (mins == val).nonzero()[0]
+        pi = int(rows[node_of[rows].argmin()])
+        cols = (dm[pi, :m] == val).nonzero()[0]
+        pj = int(cols[node_of[cols].argmin()])
+        best = (int(node_of[pi]), int(node_of[pj]))
         if pi > pj:
             pi, pj = pj, pi
 
         ni = int(sizes[pi])
         nj = int(sizes[pj])
-        new_row = _lw_combine(method, dm[pi, :m], dm[pj, :m],
-                              ni, nj, sizes[:m], val)
+        row_i = dm[pi, :m]
+        row_j = dm[pj, :m]
+        new_row = _lw_combine(method, row_i, row_j, ni, nj, sizes[:m], val)
         new_row[pi] = np.inf
+        # Columns pi and pj leave every row and the merged entry takes
+        # their place.  A row whose minimum sat in one of them (a minimum
+        # is never above an entry, so it equals the smaller of the two)
+        # and whose merged entry is larger must be rescanned; for every
+        # other row the new minimum is the smaller of the old one and
+        # the entry.
+        stale = (mins == np.minimum(row_i, row_j)) & (new_row > mins)
+        np.minimum(mins, new_row, out=mins)
         dm[pi, :m] = new_row
         dm[:m, pi] = new_row
 
@@ -143,69 +177,15 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
             dm[pj, pj] = np.inf
             node_of[pj] = node_of[last]
             sizes[pj] = sizes[last]
+            row_min[pj] = row_min[last]
+            stale[pj] = stale[last]
         m = last
+        stale[pi] = True
+        redo = stale[:m].nonzero()[0]
+        row_min[redo] = dm[redo, :m].min(axis=1)
 
         h = math.sqrt(val) if method == "ward" else float(val)
         merges.append((best[0], best[1], h, ni + nj))
         node_of[pi] = n + step
         sizes[pi] = ni + nj
-    return validate_dendrogram(merges, n)
-
-
-def _within_ss(sq_dist: np.ndarray, members: list[int]) -> float:
-    """Total squared deviation from the centroid of ``members``, computed
-    from squared pairwise distances alone."""
-    if len(members) < 2:
-        return 0.0
-    block = sq_dist[np.ix_(members, members)]
-    return float(block.sum()) / (2.0 * len(members))
-
-
-def _naive_cost(method: str, dist, sq_dist, a: list[int], b: list[int]) -> float:
-    cross = dist[np.ix_(a, b)]
-    if method == "single":
-        return float(cross.min())
-    if method == "complete":
-        return float(cross.max())
-    if method == "average":
-        return float(cross.mean())
-    gain = (_within_ss(sq_dist, a + b)
-            - _within_ss(sq_dist, a) - _within_ss(sq_dist, b))
-    return math.sqrt(max(0.0, 2.0 * gain))
-
-
-def naive_linkage_oracle(d0: CondensedMatrix, method: str) -> Dendrogram:
-    """Reference clusterer: recompute every inter-cluster dissimilarity
-    from raw pairs at each step.  Same tie-break as :func:`linkage`.
-
-    Quadratic per pair and cubic overall, so it is capped at 64 items.
-    """
-    if method not in LINKAGE_METHODS:
-        raise ValueError(f"unknown linkage method {method!r}")
-    n = d0.n
-    if n > 64:
-        raise ValueError(f"oracle is limited to 64 items, got {n}")
-    dist = d0.to_square()
-    sq_dist = dist * dist
-    clusters: list[tuple[int, list[int]]] = [(i, [i]) for i in range(n)]
-    merges = []
-    for step in range(n - 1):
-        best_cost = None
-        best_key = None
-        best_at = None
-        for ia in range(len(clusters)):
-            id_a, members_a = clusters[ia]
-            for ib in range(ia + 1, len(clusters)):
-                id_b, members_b = clusters[ib]
-                cost = _naive_cost(method, dist, sq_dist, members_a, members_b)
-                key = (id_a, id_b) if id_a < id_b else (id_b, id_a)
-                if (best_cost is None or cost < best_cost
-                        or (cost == best_cost and key < best_key)):
-                    best_cost, best_key, best_at = cost, key, (ia, ib)
-        ia, ib = best_at
-        merged = clusters[ia][1] + clusters[ib][1]
-        del clusters[ib]
-        del clusters[ia]
-        clusters.append((n + step, merged))
-        merges.append((best_key[0], best_key[1], best_cost, len(merged)))
     return validate_dendrogram(merges, n)

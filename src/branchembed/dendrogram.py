@@ -82,10 +82,14 @@ class CondensedMatrix:
 
     def to_square(self) -> np.ndarray:
         """Full symmetric matrix with a zero diagonal."""
-        sq = np.zeros((self.n, self.n))
-        iu, ju = np.triu_indices(self.n, 1)
-        sq[iu, ju] = self.values
-        sq[ju, iu] = self.values
+        n = self.n
+        sq = np.zeros((n, n))
+        pos = 0
+        for i in range(n - 1):
+            row = self.values[pos:pos + n - 1 - i]
+            sq[i, i + 1:] = row
+            sq[i + 1:, i] = row
+            pos += n - 1 - i
         return sq
 
     @classmethod
@@ -246,9 +250,16 @@ def _pair_matrices(d: Dendrogram, want_coph: bool, want_kin: bool):
         b = leafsets[d.right[k]]
         ii = a[:, None]
         jj = b[None, :]
+        # idx = lo * (2n - lo - 1) // 2 + (hi - lo - 1), built in place so
+        # that at most three a x b integer arrays are alive at once.
         lo = np.minimum(ii, jj)
-        hi = np.maximum(ii, jj)
-        idx = lo * (two_n - lo - 1) // 2 + (hi - lo - 1)
+        idx = np.maximum(ii, jj)
+        idx -= lo
+        idx -= 1
+        lo *= two_n - 1 - lo
+        lo //= 2
+        idx += lo
+        del lo
         if want_coph:
             coph[idx] = d.height[k]
         if want_kin:

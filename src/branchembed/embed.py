@@ -142,7 +142,8 @@ def division_step(target, sister, height, n1, n2,
     (None at the root), ``height`` the merge height and ``n1``/``n2`` the
     child leaf counts (child 1 is the record's left child).  Returns the
     pair of child positions.  The random strategy draws its angle from
-    ``rng`` (a one-shot stream seeded from the strategy is used if absent).
+    ``rng``, which it requires: pass one stream shared by all the splits
+    of an embedding, such as ``SplitMix64(strategy.seed)``.
 
     Child 1 travels ``height * n2 / (n1 + n2)`` along the division axis and
     child 2 travels ``height * n1 / (n1 + n2)`` the opposite way, so the
@@ -161,7 +162,7 @@ def division_step(target, sister, height, n1, n2,
 
     if kind == "random":
         if rng is None:
-            rng = SplitMix64(strategy.seed)
+            raise ValueError("the random strategy needs an rng stream")
         ang = _TWO_PI * rng.next_uniform()
         ux = math.cos(ang)
         uy = math.sin(ang)

@@ -54,6 +54,20 @@ class ZeroVarianceRow(BranchEmbedError, ValueError):
         self.row = row
 
 
+class DissimilarityOverflow(BranchEmbedError, ValueError):
+    """A Euclidean distance between finite rows overflows float64: the
+    sum of squared differences exceeds the float64 range.
+
+    ``rows`` is the first such pair of 0-based row indices, in condensed
+    order.
+    """
+
+    def __init__(self, i, j):
+        super().__init__(
+            f"distance between rows {i} and {j} overflows float64")
+        self.rows = (i, j)
+
+
 class ZeroVariance(BranchEmbedError, ValueError):
     """A value vector is constant, so Pearson correlation is undefined."""
 

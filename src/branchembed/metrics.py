@@ -37,11 +37,13 @@ from .errors import SizeMismatch, ZeroVariance
 
 
 def _pearson_vec(a: np.ndarray, b: np.ndarray) -> float:
+    """Pearson correlation of two vectors, centring both in place: pass
+    arrays the caller no longer needs, or copies."""
     if np.all(a == a[0]) or np.all(b == b[0]):
         raise ZeroVariance("correlation of a constant vector is undefined")
-    da = a - a.mean()
-    db = b - b.mean()
-    r = float(da @ db) / float(np.sqrt((da @ da) * (db @ db)))
+    a -= a.mean()
+    b -= b.mean()
+    r = float(a @ b) / float(np.sqrt((a @ a) * (b @ b)))
     return min(1.0, max(-1.0, r))
 
 
@@ -50,7 +52,7 @@ def pearson_upper(a: CondensedMatrix, b: CondensedMatrix) -> float:
     items, treating the upper-triangle entries as paired samples."""
     if a.n != b.n:
         raise SizeMismatch(f"matrices disagree on item count: {a.n} != {b.n}")
-    return _pearson_vec(a.values, b.values)
+    return _pearson_vec(a.values.copy(), b.values.copy())
 
 
 def _coords_of(coords: Union[Embedding, np.ndarray]) -> np.ndarray:

@@ -1,13 +1,19 @@
 """Shared test utilities: dendrogram generators and brute-force oracles.
 
 The oracles here deliberately use a different algorithm than the package
-(parent-pointer walks instead of leaf-set accumulation), so agreement is
-meaningful.
+(parent-pointer walks instead of leaf-set accumulation, definition-based
+cluster costs instead of Lance-Williams updates), so agreement is
+meaningful.  ``stepwise_linkage`` is the exception: it is the full-matrix
+scan the package's cached-minimum ``linkage`` replaced, with the same
+arithmetic, so the two must agree exactly.
 """
+
+import math
 
 import numpy as np
 
-from branchembed import Dendrogram, validate_dendrogram
+from branchembed import LINKAGE_METHODS, Dendrogram, validate_dendrogram
+from branchembed.cluster import _lw_combine
 
 
 def random_dendrogram(n, rng, max_step=1.0):
@@ -117,3 +123,118 @@ def brute_kinship(d: Dendrogram):
             out[pos] = depth[i] + depth[j] - 2 * depth[lca]
             pos += 1
     return out
+
+
+def stepwise_linkage(d0, method):
+    """Reference clusterer: rescan the whole active block for the minimum
+    at every merge.  Same Lance-Williams updates, slot moves and
+    (smaller id, larger id) tie-break as ``linkage``; O(n^3)."""
+    if method not in LINKAGE_METHODS:
+        raise ValueError(f"unknown linkage method {method!r}")
+    n = d0.n
+    dm = d0.to_square()
+    if method == "ward":
+        dm *= dm
+    np.fill_diagonal(dm, np.inf)
+
+    node_of = np.arange(n, dtype=np.int64)
+    sizes = np.ones(n, dtype=np.int64)
+    merges = []
+    m = n
+    for step in range(n - 1):
+        sub = dm[:m, :m]
+        val = sub.min()
+        ti, tj = np.nonzero(sub == val)
+        ids_i = node_of[ti]
+        ids_j = node_of[tj]
+        lo = np.minimum(ids_i, ids_j)
+        hi = np.maximum(ids_i, ids_j)
+        pick = int(np.argmin(lo * np.int64(2 * n) + hi))
+        best = (int(lo[pick]), int(hi[pick]))
+        pi = int(ti[pick])
+        pj = int(tj[pick])
+        if pi > pj:
+            pi, pj = pj, pi
+
+        ni = int(sizes[pi])
+        nj = int(sizes[pj])
+        new_row = _lw_combine(method, dm[pi, :m], dm[pj, :m],
+                              ni, nj, sizes[:m], val)
+        new_row[pi] = np.inf
+        dm[pi, :m] = new_row
+        dm[:m, pi] = new_row
+
+        last = m - 1
+        if pj != last:
+            dm[pj, :m] = dm[last, :m]
+            dm[:m, pj] = dm[:m, last]
+            dm[pj, pj] = np.inf
+            node_of[pj] = node_of[last]
+            sizes[pj] = sizes[last]
+        m = last
+
+        h = math.sqrt(val) if method == "ward" else float(val)
+        merges.append((best[0], best[1], h, ni + nj))
+        node_of[pi] = n + step
+        sizes[pi] = ni + nj
+    return validate_dendrogram(merges, n)
+
+
+def _within_ss(sq_dist, members):
+    """Total squared deviation from the centroid of ``members``, computed
+    from squared pairwise distances alone."""
+    if len(members) < 2:
+        return 0.0
+    block = sq_dist[np.ix_(members, members)]
+    return float(block.sum()) / (2.0 * len(members))
+
+
+def _naive_cost(method, dist, sq_dist, a, b):
+    cross = dist[np.ix_(a, b)]
+    if method == "single":
+        return float(cross.min())
+    if method == "complete":
+        return float(cross.max())
+    if method == "average":
+        return float(cross.mean())
+    gain = (_within_ss(sq_dist, a + b)
+            - _within_ss(sq_dist, a) - _within_ss(sq_dist, b))
+    return math.sqrt(max(0.0, 2.0 * gain))
+
+
+def naive_linkage_oracle(d0, method):
+    """Reference clusterer: recompute every inter-cluster dissimilarity
+    from raw pairs at each step, straight from the method definitions.
+    Same tie-break as ``linkage``, but no shared update logic.
+
+    Quadratic per pair and cubic overall, so it is capped at 64 items.
+    """
+    if method not in LINKAGE_METHODS:
+        raise ValueError(f"unknown linkage method {method!r}")
+    n = d0.n
+    if n > 64:
+        raise ValueError(f"oracle is limited to 64 items, got {n}")
+    dist = d0.to_square()
+    sq_dist = dist * dist
+    clusters = [(i, [i]) for i in range(n)]
+    merges = []
+    for step in range(n - 1):
+        best_cost = None
+        best_key = None
+        best_at = None
+        for ia in range(len(clusters)):
+            id_a, members_a = clusters[ia]
+            for ib in range(ia + 1, len(clusters)):
+                id_b, members_b = clusters[ib]
+                cost = _naive_cost(method, dist, sq_dist, members_a, members_b)
+                key = (id_a, id_b) if id_a < id_b else (id_b, id_a)
+                if (best_cost is None or cost < best_cost
+                        or (cost == best_cost and key < best_key)):
+                    best_cost, best_key, best_at = cost, key, (ia, ib)
+        ia, ib = best_at
+        merged = clusters[ia][1] + clusters[ib][1]
+        del clusters[ib]
+        del clusters[ia]
+        clusters.append((n + step, merged))
+        merges.append((best_key[0], best_key[1], best_cost, len(merged)))
+    return validate_dendrogram(merges, n)

@@ -34,11 +34,14 @@ from branchembed import (
     line_embed,
     linkage,
     load_csv,
-    naive_linkage_oracle,
     run_table_experiment,
     s_curve,
 )
-from helpers import balanced_dendrogram, random_dendrogram
+from helpers import (
+    balanced_dendrogram,
+    naive_linkage_oracle,
+    random_dendrogram,
+)
 
 TOL_TABLE = 0.05
 R_C_ANCHORS = (

@@ -292,6 +292,19 @@ class TestCliEmbed:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--linkage", "--converted-linkage"])
+    def test_rejects_ward_on_correlation(self, data_csv, tmp_path, capsys,
+                                         flag):
+        out = tmp_path / "o.csv"
+        code = main(["embed", "--input", str(data_csv),
+                     "--metric", "correlation", flag, "ward",
+                     "--out", str(out), "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        with pytest.raises(ValueError) as bench_err:
+            BenchConfig(conditions=(("correlation", "ward"),))
+        assert capsys.readouterr().err == f"error: {bench_err.value}\n"
+        assert not out.exists()
+
     def test_input_and_dendrogram_exclusive(self, data_csv, table_csv,
                                             tmp_path, capsys):
         with pytest.raises(SystemExit):

@@ -1,13 +1,16 @@
 """Tests for dissimilarities and agglomerative clustering.
 
-The linkage implementation (Lance-Williams updates on a shrinking matrix)
-is checked against naive_linkage_oracle, which recomputes every
-inter-cluster value from raw pairs at every step; the two routes share no
-code beyond the dissimilarity input.  Small fixed instances were worked
-out by hand.
+The linkage implementation (Lance-Williams updates on a shrinking matrix,
+closest pair found from cached row minima) is checked two ways: against
+naive_linkage_oracle, which recomputes every inter-cluster value from raw
+pairs at every step and shares no code with it beyond the dissimilarity
+input, and against stepwise_linkage, the full-matrix scan with the same
+arithmetic, for exact equality of the merge tables.  Small fixed
+instances were worked out by hand.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,15 +18,19 @@ import pytest
 from branchembed import (
     DISSIMILARITY_KINDS,
     LINKAGE_METHODS,
+    AngleStrategy,
+    BranchEmbedError,
     CondensedMatrix,
+    DissimilarityOverflow,
     ZeroVarianceRow,
+    branching_embed,
     cophenetic_matrix,
     correlation_dissimilarity,
     euclidean_dissimilarity,
     linkage,
-    naive_linkage_oracle,
     validate_dendrogram,
 )
+from helpers import naive_linkage_oracle, stepwise_linkage
 
 EPS = 1e-9
 
@@ -78,6 +85,17 @@ class TestEuclidean:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             euclidean_dissimilarity(np.array([[0.0, np.inf], [1.0, 2.0]]))
+
+    def test_overflow_is_named(self):
+        x = np.array([[0.0, 0.0], [3.0, 4.0], [1e200, -1e200],
+                      [-1e200, 1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DissimilarityOverflow) as err:
+                euclidean_dissimilarity(x)
+        assert err.value.rows == (0, 2)
+        assert isinstance(err.value, BranchEmbedError)
+        assert isinstance(err.value, ValueError)
 
     def test_rejects_one_row(self):
         with pytest.raises(ValueError):
@@ -272,3 +290,80 @@ class TestLinkageProperties:
         again = validate_dendrogram(
             np.column_stack([d.left, d.right, d.height, d.size]), 12)
         assert again == d
+
+
+def _grid(rng, n):
+    """Points on a tiny integer grid: many coincident points and equal
+    distances, so most steps tie at the minimum."""
+    side = int(rng.integers(2, 5))
+    dims = int(rng.integers(1, 4))
+    return rng.integers(0, side, size=(n, dims)).astype(float)
+
+
+def _stepwise_corpus(family, count, seed):
+    """``count`` condensed inputs of one family, all from one seed."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(2, 48))
+        if family == "gaussian":
+            out.append(euclidean_dissimilarity(rng.normal(size=(n, 3))))
+        elif family == "grid":
+            out.append(euclidean_dissimilarity(_grid(rng, n)))
+        elif family == "correlation":
+            out.append(correlation_dissimilarity(rng.normal(size=(n, 5))))
+        else:
+            # Reclustering inputs: 2-D embeddings of a Gaussian tree,
+            # under Euclidean and under row-correlation dissimilarity.
+            n = max(n, 3)
+            tree = linkage(euclidean_dissimilarity(rng.normal(size=(n, 4))),
+                           "average")
+            for strategy in (AngleStrategy.fixed(0.0),
+                             AngleStrategy.fixed(90.0), AngleStrategy.even()):
+                coords = branching_embed(tree, strategy).coords
+                out.append(euclidean_dissimilarity(coords))
+                out.append(correlation_dissimilarity(coords))
+    return out[:count]
+
+
+# 240 grids out of 460 inputs, each run under the 4 methods: 1,840 cases.
+STEPWISE_FAMILIES = (("grid", 240, 1), ("gaussian", 80, 2),
+                     ("correlation", 60, 3), ("embedded", 80, 4))
+
+
+class TestAgainstStepwise:
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    @pytest.mark.parametrize("family,count,seed", STEPWISE_FAMILIES)
+    def test_merge_tables_equal(self, family, count, seed, method):
+        corpus = _stepwise_corpus(family, count, seed)
+        for k, d0 in enumerate(corpus):
+            assert linkage(d0, method) == stepwise_linkage(d0, method), \
+                f"{family} input {k} (n={d0.n})"
+
+    def test_corpus_is_mostly_ties(self):
+        _, grids, seed = STEPWISE_FAMILIES[0]
+        assert grids * 2 > sum(c for _, c, _ in STEPWISE_FAMILIES)
+        tied = 0
+        for d0 in _stepwise_corpus("grid", grids, seed):
+            vals = np.sort(d0.values)
+            tied += bool(np.any(vals[1:] == vals[:-1]))
+        assert tied >= 0.9 * grids
+
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    def test_large_gaussian(self, method):
+        rng = np.random.default_rng(1000)
+        d0 = euclidean_dissimilarity(rng.normal(size=(1000, 5)))
+        assert linkage(d0, method) == stepwise_linkage(d0, method)
+
+
+class TestAgainstScipy:
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    def test_heights_and_cophenetic(self, method):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        rng = np.random.default_rng(300)
+        d0 = euclidean_dissimilarity(rng.normal(size=(300, 4)))
+        ours = linkage(d0, method)
+        ref = hierarchy.linkage(d0.values, method)
+        assert np.allclose(ours.height, ref[:, 2], rtol=1e-12, atol=0)
+        assert np.allclose(cophenetic_matrix(ours).values,
+                           hierarchy.cophenet(ref), rtol=1e-12, atol=0)

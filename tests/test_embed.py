@@ -14,6 +14,7 @@ import pytest
 from branchembed import (
     AngleStrategy,
     SplitEvent,
+    SplitMix64,
     branching_embed,
     cophenetic_matrix,
     division_step,
@@ -156,6 +157,19 @@ class TestDivisionStep:
         with pytest.raises(ValueError):
             division_step((0.0, 0.0), None, -1.0, 1, 1, AngleStrategy.even())
 
+    def test_random_requires_rng(self):
+        strat = AngleStrategy.random(5)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="rng"):
+                division_step((0.0, 0.0), (2.0, 0.0), 1.0, 1, 1, strat)
+
+    def test_random_shared_stream_draws_fresh_angles(self):
+        strat = AngleStrategy.random(5)
+        rng = SplitMix64(strat.seed)
+        pairs = {division_step((0.0, 0.0), (2.0, 0.0), 1.0, 1, 1, strat, rng)
+                 for _ in range(3)}
+        assert len(pairs) == 3
+
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     @pytest.mark.parametrize("seed", range(5))
     def test_separation_and_ratio(self, strategy, seed):
@@ -164,7 +178,8 @@ class TestDivisionStep:
         sister = tuple(rng.uniform(-5, 5, size=2))
         h = float(rng.uniform(0.1, 4.0))
         n1, n2 = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        c1, c2 = division_step(target, sister, h, n1, n2, strategy)
+        c1, c2 = division_step(target, sister, h, n1, n2, strategy,
+                               SplitMix64(seed))
         c1 = np.asarray(c1)
         c2 = np.asarray(c2)
         assert np.linalg.norm(c1 - c2) == pytest.approx(h, abs=EPS)
