@@ -18,12 +18,12 @@ from .cluster import (
     DISSIMILARITY_KINDS,
     LINKAGE_METHODS,
     correlation_dissimilarity,
+    dissimilarity,
     euclidean_dissimilarity,
     linkage,
 )
 from .datasets import (
     LabeledData,
-    RngSpec,
     blobs,
     gaussian_matrix,
     iris,
@@ -59,6 +59,7 @@ from .errors import (
     DuplicateChild,
     ForwardReference,
     IoError,
+    LinkageOverflow,
     NegativeHeight,
     NonMonotonic,
     ParseError,
@@ -98,13 +99,13 @@ __all__ = [
     "IoError",
     "LabeledData",
     "LINKAGE_METHODS",
+    "LinkageOverflow",
     "MergeRecord",
     "NegativeHeight",
     "NonMonotonic",
     "PALETTE",
     "ParseError",
     "RaggedRow",
-    "RngSpec",
     "SizeMismatch",
     "SplitEvent",
     "SplitMix64",
@@ -116,6 +117,7 @@ __all__ = [
     "cophenetic_matrix",
     "correlation_dissimilarity",
     "default_strategies",
+    "dissimilarity",
     "division_step",
     "euclidean_dissimilarity",
     "evaluate_embedding",

@@ -11,29 +11,23 @@ columns.
 Ward is only meaningful on Euclidean distances, so a (correlation, ward)
 condition is rejected up front.  Trial t uses the data stream seeded with
 ``seed + t``; the random angle strategy gets an unrelated per-trial stream
-so angles never correlate with data.
+so angles never correlate with data.  Cells are scored exactly as
+:func:`~branchembed.evaluate_embedding` scores them, by one shared
+scorer per trial and condition.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .cluster import (
-    DISSIMILARITY_KINDS,
-    LINKAGE_METHODS,
-    correlation_dissimilarity,
-    euclidean_dissimilarity,
-    linkage,
-)
-from .datasets import RngSpec, gaussian_matrix
-from .dendrogram import _pair_matrices
+from .cluster import check_condition, dissimilarity, linkage
+from .datasets import gaussian_matrix
 from .embed import AngleStrategy, branching_embed
 from .errors import BranchEmbedError
-from .metrics import _pearson_vec, convert_dendrogram
+from .metrics import _Scorer, convert_dendrogram
 
 DEFAULT_CONDITIONS = (
     ("euclidean", "single"),
@@ -56,20 +50,6 @@ def default_strategies(swap: bool = True) -> tuple[AngleStrategy, ...]:
     then even.  ``swap`` applies to every fixed strategy."""
     fixed = tuple(AngleStrategy.fixed(t, swap=swap) for t in DEFAULT_THETAS)
     return (AngleStrategy.random(0),) + fixed + (AngleStrategy.even(),)
-
-
-def check_condition(kind: str, method: str) -> None:
-    """Reject an unknown dissimilarity kind or linkage method, and ward
-    on correlation dissimilarities, which it is not defined for."""
-    if kind not in DISSIMILARITY_KINDS:
-        raise ValueError(f"unknown dissimilarity {kind!r}")
-    if method not in LINKAGE_METHODS:
-        raise ValueError(f"unknown linkage method {method!r}")
-    if kind == "correlation" and method == "ward":
-        raise ValueError(
-            "ward requires Euclidean dissimilarities; "
-            "the (correlation, ward) condition is not supported"
-        )
 
 
 @dataclass(frozen=True)
@@ -133,12 +113,6 @@ class BenchTable:
         return out.getvalue()
 
 
-def _dissimilarity(kind: str, data: np.ndarray):
-    if kind == "euclidean":
-        return euclidean_dissimilarity(data)
-    return correlation_dissimilarity(data)
-
-
 def run_table_experiment(cfg: BenchConfig) -> BenchTable:
     """Run the full sweep and return the mean-score table.
 
@@ -153,15 +127,14 @@ def run_table_experiment(cfg: BenchConfig) -> BenchTable:
     sum_rk = np.zeros((n_cond, n_strat))
     counts = np.zeros((n_cond, n_strat), dtype=np.int64)
     failures = np.zeros((n_cond, n_strat), dtype=np.int64)
-    base = RngSpec(cfg.seed)
 
     for trial in range(cfg.trials):
-        data = gaussian_matrix(cfg.rows, cfg.cols, base.stream(trial))
+        data = gaussian_matrix(cfg.rows, cfg.cols, cfg.seed + trial)
         angle_seed = (cfg.seed + _ANGLE_STREAM_OFFSET + trial) & ((1 << 64) - 1)
         for ci, (kind, method) in enumerate(cfg.conditions):
             try:
-                original = linkage(_dissimilarity(kind, data), method)
-                orig_coph, orig_kin = _pair_matrices(original, True, True)
+                original = linkage(dissimilarity(kind, data), method)
+                scorer = _Scorer(original)
             except BranchEmbedError:
                 failures[ci, :] += 1
                 continue
@@ -170,13 +143,14 @@ def run_table_experiment(cfg: BenchConfig) -> BenchTable:
                     strategy = AngleStrategy.random(angle_seed + strategy.seed)
                 try:
                     emb = branching_embed(original, strategy)
-                    converted = convert_dendrogram(emb, method, kind)
-                    conv_coph, conv_kin = _pair_matrices(converted, True, True)
-                    sum_rc[ci, si] += _pearson_vec(orig_coph.copy(), conv_coph)
-                    sum_rk[ci, si] += _pearson_vec(orig_kin.copy(), conv_kin)
-                    counts[ci, si] += 1
+                    r_c, r_k = scorer.scores(
+                        convert_dendrogram(emb, method, kind))
                 except BranchEmbedError:
                     failures[ci, si] += 1
+                    continue
+                sum_rc[ci, si] += r_c
+                sum_rk[ci, si] += r_k
+                counts[ci, si] += 1
 
     with np.errstate(invalid="ignore"):
         mean_rc = sum_rc / counts

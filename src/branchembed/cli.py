@@ -20,17 +20,12 @@ import sys
 
 import numpy as np
 
-from .bench import (
-    BenchConfig,
-    check_condition,
-    default_strategies,
-    run_table_experiment,
-)
+from .bench import BenchConfig, default_strategies, run_table_experiment
 from .cluster import (
     DISSIMILARITY_KINDS,
     LINKAGE_METHODS,
-    correlation_dissimilarity,
-    euclidean_dissimilarity,
+    check_condition,
+    dissimilarity,
     linkage,
 )
 from .datasets import load_csv, rescale_minmax
@@ -97,7 +92,7 @@ def _parse_coords_csv(text: str, origin: str) -> np.ndarray:
 
 def _cmd_embed(args) -> int:
     labels = None
-    dissimilarity = None
+    kind = None
     original_method = None
     if args.dendrogram is not None:
         original = parse_merge_table(_read_text(args.dendrogram))
@@ -109,13 +104,9 @@ def _cmd_embed(args) -> int:
                           label_column=args.label_column)
         data = rescale_minmax(loaded.data) if args.rescale else loaded.data
         labels = loaded.labels
-        dissimilarity = args.metric
+        kind = args.metric
         original_method = args.linkage
-        if args.metric == "euclidean":
-            d0 = euclidean_dissimilarity(data)
-        else:
-            d0 = correlation_dissimilarity(data)
-        original = linkage(d0, args.linkage)
+        original = linkage(dissimilarity(kind, data), args.linkage)
 
     strategy = _strategy_from_args(args)
     emb = branching_embed(original, strategy)
@@ -123,9 +114,8 @@ def _cmd_embed(args) -> int:
     if args.report is not None:
         report = evaluate_embedding(
             original, emb, args.converted_linkage or args.linkage,
-            converted_dissimilarity=dissimilarity or "euclidean",
             original_method=original_method,
-            dissimilarity=dissimilarity,
+            dissimilarity=kind,
             strategy=strategy,
         )
         _write_text(args.report, report.to_json())

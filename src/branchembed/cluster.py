@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .dendrogram import CondensedMatrix, Dendrogram, validate_dendrogram
-from .errors import DissimilarityOverflow, ZeroVarianceRow
+from .errors import DissimilarityOverflow, LinkageOverflow, ZeroVarianceRow
 
 LINKAGE_METHODS = ("single", "complete", "average", "ward")
 DISSIMILARITY_KINDS = ("euclidean", "correlation")
@@ -98,6 +98,29 @@ def correlation_dissimilarity(x) -> CondensedMatrix:
     return CondensedMatrix(n, np.clip(1.0 - corr[iu, ju], 0.0, 2.0))
 
 
+def dissimilarity(kind: str, x) -> CondensedMatrix:
+    """Condensed ``"euclidean"`` or ``"correlation"`` dissimilarities."""
+    if kind == "euclidean":
+        return euclidean_dissimilarity(x)
+    if kind == "correlation":
+        return correlation_dissimilarity(x)
+    raise ValueError(f"unknown dissimilarity {kind!r}")
+
+
+def check_condition(kind: str, method: str) -> None:
+    """Reject an unknown dissimilarity kind or linkage method, and ward
+    on correlation dissimilarities, which it is not defined for."""
+    if kind not in DISSIMILARITY_KINDS:
+        raise ValueError(f"unknown dissimilarity {kind!r}")
+    if method not in LINKAGE_METHODS:
+        raise ValueError(f"unknown linkage method {method!r}")
+    if kind == "correlation" and method == "ward":
+        raise ValueError(
+            "ward requires Euclidean dissimilarities; "
+            "the (correlation, ward) condition is not supported"
+        )
+
+
 def _lw_combine(method: str, row_i, row_j, ni: int, nj: int,
                 sizes, d_ij: float) -> np.ndarray:
     """New dissimilarity row for the cluster formed from slots i and j."""
@@ -112,15 +135,19 @@ def _lw_combine(method: str, row_i, row_j, ni: int, nj: int,
     return ((ni + nk) * row_i + (nj + nk) * row_j - nk * d_ij) / (ni + nj + nk)
 
 
-
-
+# Ward squares its inputs, and average and ward add weighted rows, so
+# large finite inputs can overflow.  An overflowed entry stays inf until
+# its two clusters merge, so every overflow shows as a non-finite minimum.
+@np.errstate(over="ignore", invalid="ignore")
 def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     """Agglomerative clustering of ``d0`` under the given linkage method.
 
     Returns a validated :class:`Dendrogram` whose records list the smaller
     child id first.  Ward heights assume Euclidean input distances; the
     function sees only the matrix, not how it was made, so it does not
-    reject ward on correlation dissimilarities.
+    reject ward on correlation dissimilarities (:func:`check_condition`
+    does).  Raises :class:`LinkageOverflow` if a merged dissimilarity
+    (for ward, a squared one) exceeds the float64 range.
     """
     if method not in LINKAGE_METHODS:
         raise ValueError(f"unknown linkage method {method!r}")
@@ -141,6 +168,8 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     for step in range(n - 1):
         mins = row_min[:m]
         val = mins.min()
+        if not math.isfinite(val):
+            raise LinkageOverflow(method, step)
         # Every row whose minimum is val holds a pair at val, and (the
         # matrix being symmetric) its partner is such a row too.  So the
         # tie-break's smaller id is the smallest id among those rows, and

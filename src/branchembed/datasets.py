@@ -1,9 +1,10 @@
 """Data generators, the bundled iris table, and CSV ingestion.
 
-All generators draw from :class:`~branchembed.rng.SplitMix64` streams (see
-that module for the exact word-to-variate mapping), so a given
-:class:`RngSpec` reproduces the same matrix everywhere.  Multi-trial
-experiments derive the stream for trial t by adding t to the base seed.
+All generators take an integer seed and draw from the
+:class:`~branchembed.rng.SplitMix64` stream it names (see that module for
+the exact word-to-variate mapping; seeds are taken modulo 2**64), so a
+given seed reproduces the same matrix everywhere.  Multi-trial
+experiments seed trial t with the base seed plus t.
 """
 
 from __future__ import annotations
@@ -23,20 +24,6 @@ _BLOB_RANGE = (-10.0, 10.0)
 
 
 @dataclass(frozen=True)
-class RngSpec:
-    """A 64-bit seed naming one generator stream."""
-
-    seed: int = 0
-
-    def stream(self, index: int) -> "RngSpec":
-        """Spec for sub-stream ``index`` (trial seeds are seed + index)."""
-        return RngSpec((self.seed + index) & ((1 << 64) - 1))
-
-    def generator(self) -> SplitMix64:
-        return SplitMix64(self.seed)
-
-
-@dataclass(frozen=True)
 class LabeledData:
     """A float data matrix with optional integer class labels per row."""
 
@@ -53,15 +40,14 @@ class LabeledData:
             object.__setattr__(self, "labels", labels)
 
 
-def gaussian_matrix(rows: int, cols: int, rng: Union[RngSpec, int]) -> np.ndarray:
+def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     """A rows x cols matrix of independent standard normal values."""
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
-    spec = rng if isinstance(rng, RngSpec) else RngSpec(rng)
-    return spec.generator().normals(rows * cols).reshape(rows, cols)
+    return SplitMix64(seed).normals(rows * cols).reshape(rows, cols)
 
 
-def blobs(n: int, rng: Union[RngSpec, int]) -> LabeledData:
+def blobs(n: int, seed: int) -> LabeledData:
     """Three 2-D Gaussian clusters totalling ``n`` points.
 
     Cluster centers are uniform in [-10, 10]^2 (drawn first, x then y per
@@ -71,8 +57,7 @@ def blobs(n: int, rng: Union[RngSpec, int]) -> LabeledData:
     """
     if n < 3:
         raise ValueError("need at least 3 points for 3 clusters")
-    spec = rng if isinstance(rng, RngSpec) else RngSpec(rng)
-    gen = spec.generator()
+    gen = SplitMix64(seed)
     lo, hi = _BLOB_RANGE
     centers = lo + (hi - lo) * gen.uniforms(6).reshape(3, 2)
     offsets = gen.normals(2 * n).reshape(n, 2)
@@ -88,7 +73,7 @@ def blobs(n: int, rng: Union[RngSpec, int]) -> LabeledData:
     return LabeledData(data, labels)
 
 
-def s_curve(n: int, rng: Union[RngSpec, int]) -> np.ndarray:
+def s_curve(n: int, seed: int) -> np.ndarray:
     """``n`` points on the classic 3-D S-shaped sheet.
 
     With t uniform in [-3pi/2, 3pi/2) and v uniform in [0, 2) (all t drawn
@@ -96,8 +81,7 @@ def s_curve(n: int, rng: Union[RngSpec, int]) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least 1 point")
-    spec = rng if isinstance(rng, RngSpec) else RngSpec(rng)
-    gen = spec.generator()
+    gen = SplitMix64(seed)
     t = (3.0 * np.pi) * gen.uniforms(n) - 1.5 * np.pi
     v = 2.0 * gen.uniforms(n)
     return np.column_stack((np.sin(t), v, np.sign(t) * (np.cos(t) - 1.0)))

@@ -127,12 +127,6 @@ class Dendrogram:
                 float(self.height[k]), int(self.size[k]),
             )
 
-    def node_sizes(self) -> np.ndarray:
-        """Leaf count per node id (leaves count 1)."""
-        sizes = np.ones(self.n_nodes, dtype=np.int64)
-        sizes[self.n_leaves:] = self.size
-        return sizes
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dendrogram):
             return NotImplemented

@@ -68,6 +68,18 @@ class DissimilarityOverflow(BranchEmbedError, ValueError):
         self.rows = (i, j)
 
 
+class LinkageOverflow(BranchEmbedError, ValueError):
+    """A merged dissimilarity inside :func:`~branchembed.linkage`
+    overflows float64.  ``method`` is the linkage method and ``step`` the
+    0-based merge step whose closest pair is at an overflowed value."""
+
+    def __init__(self, method, step):
+        super().__init__(
+            f"{method} linkage overflows float64 at merge step {step}")
+        self.method = method
+        self.step = step
+
+
 class ZeroVariance(BranchEmbedError, ValueError):
     """A value vector is constant, so Pearson correlation is undefined."""
 

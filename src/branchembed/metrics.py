@@ -5,15 +5,16 @@ on the 2-D coordinates, cluster them the same way the original data was
 clustered, and correlate the resulting cophenetic and kinship matrices
 with the original dendrogram's, entry by entry over the strict upper
 triangle.  The two Pearson scores are called r_c (cophenetic) and r_k
-(kinship).  Reclustering defaults to Euclidean distances; when the
-original dendrogram came from row correlations, pass
-``dissimilarity="correlation"`` so the converted dendrogram mirrors the
-original clustering rule (row correlation of 2-vectors is degenerate,
-all values 0 or 2, which is exactly why mirroring it matters when
-comparing against such a baseline).  For Euclidean reclustering both
-scores are invariant under rigid motions and uniform scaling of the
-coordinates, since the distances change at most by a common factor and
-Pearson correlation ignores affine changes.
+(kinship).  :func:`evaluate_embedding` and the benchmark share one
+scorer, which fills and centres the original tree's two vectors once.
+
+Reclustering uses the dissimilarity kind that built the original tree
+(Euclidean unless ``dissimilarity="correlation"``).  Row correlation of
+2-vectors is degenerate, all values 0 or 2, which is exactly why
+mirroring it matters when comparing against such a baseline.  For
+Euclidean reclustering both scores are invariant under rigid motions and
+uniform scaling of the coordinates, since the distances change at most
+by a common factor and Pearson correlation ignores affine changes.
 """
 
 from __future__ import annotations
@@ -24,27 +25,43 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cluster import (
-    DISSIMILARITY_KINDS,
-    LINKAGE_METHODS,
-    correlation_dissimilarity,
-    euclidean_dissimilarity,
-    linkage,
-)
+from .cluster import check_condition, linkage
+from .cluster import dissimilarity as _dissimilarity
 from .dendrogram import CondensedMatrix, Dendrogram, _pair_matrices
 from .embed import AngleStrategy, Embedding
 from .errors import SizeMismatch, ZeroVariance
 
 
-def _pearson_vec(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation of two vectors, centring both in place: pass
-    arrays the caller no longer needs, or copies."""
-    if np.all(a == a[0]) or np.all(b == b[0]):
+def _centred(v: np.ndarray) -> np.ndarray:
+    """``v`` centred in place (pass an array the caller no longer needs,
+    or a copy); a constant ``v`` has no correlation and is rejected."""
+    if np.all(v == v[0]):
         raise ZeroVariance("correlation of a constant vector is undefined")
-    a -= a.mean()
-    b -= b.mean()
+    v -= v.mean()
+    return v
+
+
+def _pearson_vec(a: np.ndarray, b: np.ndarray) -> float:
+    """Pearson correlation of two vectors already passed through
+    :func:`_centred`."""
     r = float(a @ b) / float(np.sqrt((a @ a) * (b @ b)))
     return min(1.0, max(-1.0, r))
+
+
+class _Scorer:
+    """r_c and r_k of converted trees against one original tree, whose
+    cophenetic and kinship vectors are filled and centred once."""
+
+    def __init__(self, original: Dendrogram):
+        coph, kin = _pair_matrices(original, True, True)
+        self._coph = _centred(coph)
+        self._kin = _centred(kin)
+
+    def scores(self, converted: Dendrogram) -> tuple[float, float]:
+        """``(r_c, r_k)`` of ``converted``, a tree over the same leaves."""
+        coph, kin = _pair_matrices(converted, True, True)
+        return (_pearson_vec(self._coph, _centred(coph)),
+                _pearson_vec(self._kin, _centred(kin)))
 
 
 def pearson_upper(a: CondensedMatrix, b: CondensedMatrix) -> float:
@@ -52,7 +69,8 @@ def pearson_upper(a: CondensedMatrix, b: CondensedMatrix) -> float:
     items, treating the upper-triangle entries as paired samples."""
     if a.n != b.n:
         raise SizeMismatch(f"matrices disagree on item count: {a.n} != {b.n}")
-    return _pearson_vec(a.values.copy(), b.values.copy())
+    return _pearson_vec(_centred(a.values.copy()),
+                        _centred(b.values.copy()))
 
 
 def _coords_of(coords: Union[Embedding, np.ndarray]) -> np.ndarray:
@@ -64,16 +82,11 @@ def _coords_of(coords: Union[Embedding, np.ndarray]) -> np.ndarray:
 def convert_dendrogram(coords: Union[Embedding, np.ndarray],
                        method: str,
                        dissimilarity: str = "euclidean") -> Dendrogram:
-    """Recluster embedded points: pairwise dissimilarities on the
-    coordinates, then the given linkage method."""
-    if dissimilarity not in DISSIMILARITY_KINDS:
-        raise ValueError(f"unknown dissimilarity {dissimilarity!r}")
-    pts = _coords_of(coords)
-    if dissimilarity == "euclidean":
-        d0 = euclidean_dissimilarity(pts)
-    else:
-        d0 = correlation_dissimilarity(pts)
-    return linkage(d0, method)
+    """Recluster embedded points: pairwise dissimilarities of the given
+    kind on the coordinates, then the given linkage method.  Ward on
+    correlation dissimilarities is rejected (:func:`check_condition`)."""
+    check_condition(dissimilarity, method)
+    return linkage(_dissimilarity(dissimilarity, _coords_of(coords)), method)
 
 
 @dataclass(frozen=True)
@@ -111,18 +124,15 @@ def evaluate_embedding(original: Dendrogram,
                        coords: Union[Embedding, np.ndarray],
                        converted_method: str,
                        *,
-                       converted_dissimilarity: str = "euclidean",
                        original_method: Optional[str] = None,
                        dissimilarity: Optional[str] = None,
                        strategy: Optional[AngleStrategy] = None) -> EvalReport:
-    """Recluster ``coords`` with ``converted_method`` over
-    ``converted_dissimilarity`` and correlate the converted dendrogram's
-    cophenetic and kinship matrices against the original's.  The other
-    keyword arguments are carried into the report as provenance only; they
-    do not affect the scores.
+    """Recluster ``coords`` with ``converted_method`` over the
+    ``dissimilarity`` kind that built ``original`` (Euclidean when None)
+    and correlate the converted dendrogram's cophenetic and kinship
+    matrices against the original's.  The report records every keyword
+    argument as given; the others do not affect the scores.
     """
-    if converted_method not in LINKAGE_METHODS:
-        raise ValueError(f"unknown linkage method {converted_method!r}")
     pts = _coords_of(coords)
     if pts.shape[0] != original.n_leaves:
         raise SizeMismatch(
@@ -130,11 +140,8 @@ def evaluate_embedding(original: Dendrogram,
             f"{original.n_leaves} leaves"
         )
     converted = convert_dendrogram(pts, converted_method,
-                                   converted_dissimilarity)
-    orig_coph, orig_kin = _pair_matrices(original, True, True)
-    conv_coph, conv_kin = _pair_matrices(converted, True, True)
-    r_c = _pearson_vec(orig_coph, conv_coph)
-    r_k = _pearson_vec(orig_kin, conv_kin)
+                                   dissimilarity or "euclidean")
+    r_c, r_k = _Scorer(original).scores(converted)
     return EvalReport(
         r_c=r_c,
         r_k=r_k,

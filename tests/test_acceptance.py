@@ -23,7 +23,6 @@ import conftest
 from branchembed import (
     AngleStrategy,
     BenchConfig,
-    RngSpec,
     blobs,
     branching_embed,
     convert_dendrogram,
@@ -131,7 +130,7 @@ class TestCaseStudies:
     def test_criterion_5_blobs(self):
         rc, rk = [], []
         for seed in range(20):
-            got = blobs(500, RngSpec(seed))
+            got = blobs(500, seed)
             d = linkage(euclidean_dissimilarity(got.data), "average")
             emb = branching_embed(d, AngleStrategy.fixed(15.0))
             rep = evaluate_embedding(d, emb, "average")
@@ -146,7 +145,7 @@ class TestCaseStudies:
     def test_criterion_6_s_curve(self):
         rc = []
         for seed in range(20):
-            x = s_curve(500, RngSpec(seed))
+            x = s_curve(500, seed)
             d = linkage(euclidean_dissimilarity(x), "average")
             emb = branching_embed(d, AngleStrategy.fixed(90.0))
             rc.append(evaluate_embedding(d, emb, "average").r_c)

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from branchembed import (
+    DEFAULT_CONDITIONS,
     AngleStrategy,
     BenchConfig,
     BenchTable,
-    RngSpec,
     branching_embed,
     default_strategies,
+    dissimilarity,
     evaluate_embedding,
     euclidean_dissimilarity,
     gaussian_matrix,
@@ -25,6 +26,7 @@ from branchembed import (
     parse_merge_table,
     run_table_experiment,
 )
+from branchembed.bench import _ANGLE_STREAM_OFFSET
 from branchembed.cli import main
 from branchembed.svgplot import PALETTE, render_svg_scatter
 
@@ -110,21 +112,25 @@ class TestRunTableExperiment:
         assert not np.array_equal(other.mean_r_c, tiny_table.mean_r_c)
 
     def test_matches_public_evaluation_path(self):
-        # one condition, one fixed strategy, one trial: the table cell must
-        # equal what the evaluation API reports for the same pipeline
-        strat = AngleStrategy.fixed(30.0)
-        cfg = BenchConfig(trials=1, rows=15, cols=4,
-                          conditions=(("euclidean", "average"),),
-                          strategies=(strat,), seed=77)
+        # every default condition and strategy, one trial: each table cell
+        # must equal, bit for bit, what the evaluation API reports for the
+        # same pipeline
+        cfg = BenchConfig(trials=1, rows=15, cols=4, seed=77)
         table = run_table_experiment(cfg)
-        data = gaussian_matrix(15, 4, RngSpec(77).stream(0))
-        original = linkage(euclidean_dissimilarity(data), "average")
-        rep = evaluate_embedding(original, branching_embed(original, strat),
-                                 "average")
-        assert table.cell("euclidean", "average", "30", "r_c") == \
-            pytest.approx(rep.r_c, abs=1e-12)
-        assert table.cell("euclidean", "average", "30", "r_k") == \
-            pytest.approx(rep.r_k, abs=1e-12)
+        assert table.conditions == DEFAULT_CONDITIONS
+        data = gaussian_matrix(15, 4, 77)
+        for kind, method in DEFAULT_CONDITIONS:
+            original = linkage(dissimilarity(kind, data), method)
+            for strat in default_strategies():
+                if strat.kind == "random":
+                    strat = AngleStrategy.random(
+                        77 + _ANGLE_STREAM_OFFSET + strat.seed)
+                rep = evaluate_embedding(
+                    original, branching_embed(original, strat), method,
+                    dissimilarity=kind)
+                label = strat.label()
+                assert table.cell(kind, method, label, "r_c") == rep.r_c
+                assert table.cell(kind, method, label, "r_k") == rep.r_k
 
     def test_single_condition_subset(self):
         cfg = BenchConfig(trials=2, rows=10, cols=3,

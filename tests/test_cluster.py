@@ -22,10 +22,12 @@ from branchembed import (
     BranchEmbedError,
     CondensedMatrix,
     DissimilarityOverflow,
+    LinkageOverflow,
     ZeroVarianceRow,
     branching_embed,
     cophenetic_matrix,
     correlation_dissimilarity,
+    dissimilarity,
     euclidean_dissimilarity,
     linkage,
     validate_dendrogram,
@@ -176,6 +178,25 @@ class TestLinkageSmallInstances:
         with pytest.raises(ValueError):
             linkage(points_0_1_10, "median")
 
+    @pytest.mark.parametrize("method, values, step", [
+        # ward squares 1e160 past the float64 range before the first merge
+        ("ward", [1e160, 2e160, 3e160], 0),
+        # merging (0, 1) adds 1.5e308 + 1e308 and 1.7e308 + 1.2e308; the
+        # root would merge at those overflowed averages
+        ("average", [1e308, 1.5e308, 1.7e308, 1e308, 1.2e308, 1.6e308], 2),
+    ])
+    def test_overflow_is_named(self, method, values, step):
+        n = round((1 + math.sqrt(1 + 8 * len(values))) / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(LinkageOverflow) as err:
+                linkage(CondensedMatrix(n, np.array(values)), method)
+        assert (err.value.method, err.value.step) == (method, step)
+        assert f"{method} linkage" in str(err.value)
+        assert f"step {step}" in str(err.value)
+        assert isinstance(err.value, BranchEmbedError)
+        assert isinstance(err.value, ValueError)
+
 
 class TestTieBreaking:
     # unit square: four edges of length 1 force repeated exact ties
@@ -209,10 +230,18 @@ class TestTieBreaking:
                    [r[:2] for r in b.records()]
 
 
-def _random_dissimilarity(kind, n, rng):
-    if kind == "euclidean":
-        return euclidean_dissimilarity(rng.normal(size=(n, 3)))
-    return correlation_dissimilarity(rng.normal(size=(n, 6)))
+_DIRECT = {"euclidean": euclidean_dissimilarity,
+           "correlation": correlation_dissimilarity}
+
+
+def _random_data(kind, n, rng):
+    return rng.normal(size=(n, 3 if kind == "euclidean" else 6))
+
+
+class TestDissimilarityDispatch:
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown dissimilarity"):
+            dissimilarity("cosine", np.eye(3))
 
 
 class TestAgainstNaiveOracle:
@@ -224,7 +253,9 @@ class TestAgainstNaiveOracle:
             pytest.skip("not a benchmarked combination")
         rng = np.random.default_rng(seed * 97 + 17)
         n = int(rng.integers(2, 13))
-        d0 = _random_dissimilarity(kind, n, rng)
+        x = _random_data(kind, n, rng)
+        d0 = _DIRECT[kind](x)
+        assert np.array_equal(dissimilarity(kind, x).values, d0.values)
         fast = linkage(d0, method)
         slow = naive_linkage_oracle(d0, method)
         assert np.allclose(np.sort(fast.height), np.sort(slow.height),

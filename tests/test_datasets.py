@@ -9,7 +9,7 @@ from branchembed import (
     LabeledData,
     ParseError,
     RaggedRow,
-    RngSpec,
+    SplitMix64,
     blobs,
     gaussian_matrix,
     iris,
@@ -19,69 +19,52 @@ from branchembed import (
 )
 
 
-class TestRngSpec:
-    def test_stream_offsets_seed(self):
-        spec = RngSpec(100)
-        assert spec.stream(0) == RngSpec(100)
-        assert spec.stream(7) == RngSpec(107)
-
-    def test_stream_wraps_at_64_bits(self):
-        spec = RngSpec((1 << 64) - 1)
-        assert spec.stream(2) == RngSpec(1)
-
-    def test_generator_reproducible(self):
-        a = RngSpec(5).generator().uniforms(10)
-        b = RngSpec(5).generator().uniforms(10)
-        assert np.array_equal(a, b)
-
-
 class TestGaussianMatrix:
     def test_shape_and_dtype(self):
-        x = gaussian_matrix(100, 5, RngSpec(0))
+        x = gaussian_matrix(100, 5, 0)
         assert x.shape == (100, 5) and x.dtype == np.float64
 
     def test_accepts_bare_seed(self):
         assert np.array_equal(gaussian_matrix(4, 3, 9),
-                              gaussian_matrix(4, 3, RngSpec(9)))
+                              SplitMix64(9).normals(12).reshape(4, 3))
 
     def test_reproducible(self):
-        assert np.array_equal(gaussian_matrix(20, 4, RngSpec(1)),
-                              gaussian_matrix(20, 4, RngSpec(1)))
+        assert np.array_equal(gaussian_matrix(20, 4, 1),
+                              gaussian_matrix(20, 4, 1))
 
     def test_streams_differ(self):
-        base = RngSpec(3)
-        a = gaussian_matrix(10, 2, base.stream(0))
-        b = gaussian_matrix(10, 2, base.stream(1))
+        a = gaussian_matrix(10, 2, 3)
+        b = gaussian_matrix(10, 2, 4)
         assert not np.array_equal(a, b)
 
     def test_moments(self):
-        x = gaussian_matrix(400, 100, RngSpec(12))
+        x = gaussian_matrix(400, 100, 12)
         assert abs(x.mean()) < 0.02
         assert abs(x.std() - 1.0) < 0.02
         assert abs(np.mean(x ** 3)) < 0.05  # symmetric
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            gaussian_matrix(0, 5, RngSpec(0))
+            gaussian_matrix(0, 5, 0)
 
 
 class TestBlobs:
     def test_sizes_as_even_as_possible(self):
-        got = blobs(500, RngSpec(0))
+        got = blobs(500, 0)
         counts = np.bincount(got.labels)
         assert counts.tolist() == [167, 167, 166]
 
     def test_exact_thirds(self):
-        counts = np.bincount(blobs(9, RngSpec(1)).labels)
+        counts = np.bincount(blobs(9, 1).labels)
         assert counts.tolist() == [3, 3, 3]
 
     def test_shape(self):
-        got = blobs(50, RngSpec(2))
+        got = blobs(50, 2)
         assert got.data.shape == (50, 2)
         assert got.labels.shape == (50,)
 
     def test_points_near_their_centers(self):
-        got = blobs(3000, RngSpec(3))
+        got = blobs(3000, 3)
         for k, sd in enumerate((0.5, 0.8, 1.0)):
             pts = got.data[got.labels == k]
             center = pts.mean(axis=0)
@@ -90,22 +73,22 @@ class TestBlobs:
             assert spread == pytest.approx(sd, rel=0.15)
 
     def test_reproducible(self):
-        a = blobs(30, RngSpec(4))
-        b = blobs(30, RngSpec(4))
+        a = blobs(30, 4)
+        b = blobs(30, 4)
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(a.labels, b.labels)
 
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
-            blobs(2, RngSpec(0))
+            blobs(2, 0)
 
 
 class TestSCurve:
     def test_shape(self):
-        assert s_curve(120, RngSpec(0)).shape == (120, 3)
+        assert s_curve(120, 0).shape == (120, 3)
 
     def test_column_ranges(self):
-        x = s_curve(4000, RngSpec(1))
+        x = s_curve(4000, 1)
         assert np.all(np.abs(x[:, 0]) <= 1.0)
         assert np.all((x[:, 1] >= 0.0) & (x[:, 1] < 2.0))
         assert np.all(np.abs(x[:, 2]) <= 2.0)
@@ -113,12 +96,12 @@ class TestSCurve:
     def test_on_the_sheet(self):
         # first and third columns trace (sin t, sign(t)(cos t - 1)):
         # therefore (|z| - 1)^2 + x^2 = 1 for every point
-        x = s_curve(500, RngSpec(2))
+        x = s_curve(500, 2)
         radius = (np.abs(x[:, 2]) - 1.0) ** 2 + x[:, 0] ** 2
         assert radius == pytest.approx(np.ones(500), abs=1e-12)
 
     def test_reproducible(self):
-        assert np.array_equal(s_curve(64, RngSpec(3)), s_curve(64, RngSpec(3)))
+        assert np.array_equal(s_curve(64, 3), s_curve(64, 3))
 
 
 class TestIris:

@@ -15,6 +15,7 @@ import pytest
 
 from branchembed import (
     AngleStrategy,
+    BenchConfig,
     CondensedMatrix,
     EvalReport,
     SizeMismatch,
@@ -113,6 +114,14 @@ class TestConvertDendrogram:
         with pytest.raises(ValueError):
             convert_dendrogram(np.zeros((3, 2)), "single", "cosine")
 
+    def test_rejects_ward_on_correlation(self):
+        coords = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, -1.0]])
+        with pytest.raises(ValueError) as bench_err:
+            BenchConfig(conditions=(("correlation", "ward"),))
+        with pytest.raises(ValueError) as err:
+            convert_dendrogram(coords, "ward", "correlation")
+        assert str(err.value) == str(bench_err.value)
+
 
 class TestEvaluateEmbedding:
     def test_line_embed_perfect_r_c(self):
@@ -138,6 +147,15 @@ class TestEvaluateEmbedding:
         d = validate_dendrogram([(0, 1, 1.0, 2), (3, 2, 2.0, 3)], 3)
         with pytest.raises(ValueError):
             evaluate_embedding(d, np.zeros((3, 2)), "centroid")
+
+    def test_rejects_ward_on_correlation(self):
+        d = validate_dendrogram([(0, 1, 1.0, 2), (3, 2, 2.0, 3)], 3)
+        emb = branching_embed(d, AngleStrategy.even())
+        with pytest.raises(ValueError) as bench_err:
+            BenchConfig(conditions=(("correlation", "ward"),))
+        with pytest.raises(ValueError) as err:
+            evaluate_embedding(d, emb, "ward", dissimilarity="correlation")
+        assert str(err.value) == str(bench_err.value)
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(5)
