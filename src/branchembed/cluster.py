@@ -29,7 +29,12 @@ import math
 
 import numpy as np
 
-from .dendrogram import CondensedMatrix, Dendrogram, validate_dendrogram
+from .dendrogram import (
+    CondensedMatrix,
+    Dendrogram,
+    _upper_mask,
+    validate_dendrogram,
+)
 from .errors import DissimilarityOverflow, LinkageOverflow, ZeroVarianceRow
 
 LINKAGE_METHODS = ("single", "complete", "average", "ward")
@@ -93,9 +98,9 @@ def correlation_dissimilarity(x) -> CondensedMatrix:
     centered = x - x.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
     unit = centered / norms[:, None]
-    corr = unit @ unit.T
-    iu, ju = np.triu_indices(n, 1)
-    return CondensedMatrix(n, np.clip(1.0 - corr[iu, ju], 0.0, 2.0))
+    values = (unit @ unit.T)[_upper_mask(n)]
+    np.subtract(1.0, values, out=values)
+    return CondensedMatrix(n, np.clip(values, 0.0, 2.0, out=values))
 
 
 def dissimilarity(kind: str, x) -> CondensedMatrix:

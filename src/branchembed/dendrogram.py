@@ -14,6 +14,7 @@ the cophenetic matrix derived here is an ultrametric.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -32,6 +33,14 @@ from .errors import (
 # Relative slack when checking parent >= child heights; round-off in
 # weighted-average cluster updates can undershoot by a few ulps.
 _HEIGHT_SLACK = 1e-12
+
+
+def _upper_mask(n: int) -> np.ndarray:
+    """Boolean n x n mask of the strict upper triangle.  Boolean indexing
+    reads row-major, so ``square[_upper_mask(n)]`` is in condensed order;
+    the mask costs n^2 bytes where ``triu_indices`` costs 8 n^2."""
+    idx = np.arange(n)
+    return idx[:, None] < idx
 
 
 class MergeRecord(NamedTuple):
@@ -97,8 +106,7 @@ class CondensedMatrix:
         sq = np.asarray(square, dtype=np.float64)
         if sq.ndim != 2 or sq.shape[0] != sq.shape[1]:
             raise ValueError("expected a square matrix")
-        iu, ju = np.triu_indices(sq.shape[0], 1)
-        return cls(sq.shape[0], sq[iu, ju])
+        return cls(sq.shape[0], sq[_upper_mask(sq.shape[0])])
 
 
 @dataclass(frozen=True)
@@ -217,48 +225,124 @@ def validate_dendrogram(merges: Sequence, n_leaves: int) -> Dendrogram:
     return Dendrogram(n_leaves, left, right, height, size)
 
 
-def _pair_matrices(d: Dendrogram, want_coph: bool, want_kin: bool):
-    """Fill cophenetic and/or kinship condensed vectors in one traversal.
+# Pairs per chunk of the condensed fill in _pair_matrices; a chunk holds
+# whole rows, so a row longer than this is one chunk on its own.
+_PAIR_CHUNK = 8192
 
-    Every leaf pair (i, j) meets at exactly one merge record (their lowest
-    common ancestor), so iterating records and writing all cross pairs of
-    the two child leaf sets touches each condensed slot exactly once.
+
+def _layout(d: Dendrogram):
+    """Depth-first leaf layout from one top-down pass over the records.
+
+    The left child comes first.  Returns, as int64 arrays, each leaf's
+    position in the leaf order, each node's depth (edges below the root)
+    and, for each of the n - 1 gaps between adjacent positions, the
+    record whose left and right leaf blocks meet there.  A record's
+    blocks meet at exactly one gap, so every record owns exactly one.
+    """
+    n = d.n_leaves
+    left = d.left.tolist()
+    right = d.right.tolist()
+    size = [1] * n + d.size.tolist()
+    start = [0] * (2 * n - 1)
+    depth = [0] * (2 * n - 1)
+    gap_record = [0] * (n - 1)
+    for k in range(n - 2, -1, -1):
+        node = n + k
+        a = left[k]
+        b = right[k]
+        mid = start[node] + size[a]
+        start[a] = start[node]
+        start[b] = mid
+        gap_record[mid - 1] = k
+        depth[a] = depth[b] = depth[node] + 1
+    return (np.array(start[:n], dtype=np.int64),
+            np.array(depth, dtype=np.int64),
+            np.array(gap_record, dtype=np.int64))
+
+
+def _pair_matrices(d: Dendrogram, want_coph: bool, want_kin: bool):
+    """Fill cophenetic and/or kinship condensed vectors.
+
+    The lowest common ancestor of leaves i and j is the record owning the
+    shallowest gap between their leaf positions (see :func:`_layout`).
+    That gap is unique: two gaps of equal depth in the range would have
+    the gap of their own common ancestor between them, at a smaller
+    depth.  Each gap gets the key ``depth * n + record``, a sparse table
+    holds the minimum key of every range of 2**j gaps, and each pair
+    costs two table lookups (Bender & Farach-Colton, *The LCA Problem
+    Revisited*, 2000).  The pairs are filled row-major in chunks of whole
+    rows, each chunk with a fixed number of numpy calls, so the cost is
+    O(n^2) time with two condensed vectors plus O(n log n) and chunk
+    temporaries of memory.  Cophenetic values are the stored merge
+    heights and kinship values the integer path lengths
+    ``depth[i] + depth[j] - 2 * depth[lca]``, exactly.
     """
     n = d.n_leaves
     m = n * (n - 1) // 2
     coph = np.empty(m) if want_coph else None
     kin = np.empty(m) if want_kin else None
-    depth = None
-    if want_kin:
-        depth = np.zeros(d.n_nodes, dtype=np.int64)
-        for k in range(n - 2, -1, -1):
-            parent_depth = depth[n + k] + 1
-            depth[d.left[k]] = parent_depth
-            depth[d.right[k]] = parent_depth
+    pos, depth, gap_record = _layout(d)
+    leaf_depth = depth[:n]
 
-    leafsets: list = [np.array([i], dtype=np.int64) for i in range(n)]
-    leafsets.extend([None] * (n - 1))
-    two_n = 2 * n
-    for k in range(n - 1):
-        a = leafsets[d.left[k]]
-        b = leafsets[d.right[k]]
-        ii = a[:, None]
-        jj = b[None, :]
-        # idx = lo * (2n - lo - 1) // 2 + (hi - lo - 1), built in place so
-        # that at most three a x b integer arrays are alive at once.
-        lo = np.minimum(ii, jj)
-        idx = np.maximum(ii, jj)
-        idx -= lo
-        idx -= 1
-        lo *= two_n - 1 - lo
-        lo //= 2
-        idx += lo
-        del lo
+    # Level j of the sparse table holds the minimum key over the 2**j
+    # gaps starting at each gap; the levels are stored back to back.
+    level = depth[n:][gap_record]
+    level *= n
+    level += gap_record
+    levels = [level]
+    width = 1
+    while 2 * width <= n - 1:
+        level = np.minimum(level[:-width], level[width:])
+        levels.append(level)
+        width *= 2
+    table = np.concatenate(levels)
+    # A range of L gaps starting at gap lo is covered by two level-j
+    # blocks, j = floor(log2 L): the one starting at lo and the one ending
+    # at lo + L - 1.  Their indices in ``table`` are lo + first[L] and
+    # lo + second[L].
+    first = np.empty(n, dtype=np.int64)
+    second = np.empty(n, dtype=np.int64)
+    base = 0
+    for power, lev in enumerate(levels):
+        lengths = np.arange(1 << power, min(2 << power, n))
+        first[lengths] = base
+        second[lengths] = base + lengths - (1 << power)
+        base += lev.size
+
+    row_start = [i * (2 * n - i - 1) // 2 for i in range(n)]
+    starts = np.array(row_start, dtype=np.int64)
+    r0 = 0
+    while r0 < n - 1:
+        r1 = max(r0 + 1,
+                 bisect.bisect_right(row_start, row_start[r0] + _PAIR_CHUNK)
+                 - 1)
+        s, e = row_start[r0], row_start[r1]
+        counts = np.arange(n - 1 - r0, n - 1 - r1, -1)
+        # Leaf j of each pair: its offset in the chunk, shifted per row.
+        j = np.repeat(np.arange(r0 + 1, r1 + 1) - (starts[r0:r1] - s),
+                      counts)
+        j += np.arange(e - s)
+        pj = pos.take(j)
+        pi = np.repeat(pos[r0:r1], counts)
+        lo = np.minimum(pi, pj)
+        np.subtract(pi, pj, out=pi)
+        span = np.abs(pi, out=pi)
+        np.take(second, span, out=pj)
+        pj += lo
+        key = first.take(span)
+        key += lo
+        del lo, pi, span
+        key = table.take(key)
+        np.minimum(key, table.take(pj), out=key)
         if want_coph:
-            coph[idx] = d.height[k]
+            np.take(d.height, key % n, out=coph[s:e])
         if want_kin:
-            kin[idx] = depth[a][:, None] + depth[b][None, :] - 2 * depth[n + k]
-        leafsets[n + k] = np.concatenate((a, b))
+            key //= n
+            key *= -2
+            key += leaf_depth.take(j)
+            key += np.repeat(leaf_depth[r0:r1], counts)
+            kin[s:e] = key
+        r0 = r1
     return coph, kin
 
 
@@ -276,47 +360,26 @@ def kinship_matrix(d: Dendrogram) -> CondensedMatrix:
     return CondensedMatrix(d.n_leaves, kin)
 
 
-def _dfs_leaves_and_gaps(d: Dendrogram):
-    """Depth-first leaf order plus, for each adjacent pair in that order,
-    the height of the node separating them."""
-    n = d.n_leaves
-    order: list[int] = []
-    gaps: list[float] = []
-    # Work stack holds leaf/internal ids and (gap marker, height) entries;
-    # the marker pops exactly between a node's left and right leaf blocks.
-    stack: list = [d.root]
-    left, right, height = d.left, d.right, d.height
-    while stack:
-        item = stack.pop()
-        if isinstance(item, tuple):
-            gaps.append(item[1])
-        elif item < n:
-            order.append(item)
-        else:
-            k = item - n
-            stack.append(int(right[k]))
-            stack.append((None, float(height[k])))
-            stack.append(int(left[k]))
-    return order, gaps
-
-
 def leaf_order(d: Dendrogram) -> list[int]:
     """Left-to-right leaf ids from a depth-first walk that always visits
     the ``left`` child first."""
-    order, _ = _dfs_leaves_and_gaps(d)
-    return order
+    pos, _, _ = _layout(d)
+    order = np.empty(d.n_leaves, dtype=np.int64)
+    order[pos] = np.arange(d.n_leaves)
+    return order.tolist()
 
 
 def parse_merge_table(text: str) -> Dendrogram:
     """Parse the plain-text merge format: one ``left,right,height,size``
     record per line, k-th line creating node ``n + k``.
 
-    Blank lines are ignored.  Raises :class:`ParseError` with the 1-based
-    line number on malformed records, then validates the table.
+    Everything from ``#`` to the end of a line is a comment; blank and
+    comment-only lines are ignored.  Raises :class:`ParseError` with the
+    1-based line number on malformed records, then validates the table.
     """
     records = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
+        stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         parts = stripped.split(",")

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dendrogram import Dendrogram, _dfs_leaves_and_gaps
+from .dendrogram import Dendrogram, _layout
 from .rng import SplitMix64
 
 STRATEGY_KINDS = ("random", "fixed", "even")
@@ -267,12 +267,12 @@ def line_embed(d: Dendrogram) -> Embedding:
     linkage reproduces the original cophenetic matrix.  The layout is
     centered so the coordinates sum to zero.
     """
-    order, gaps = _dfs_leaves_and_gaps(d)
+    pos, _, gap_record = _layout(d)
     n = d.n_leaves
     x = np.empty(n)
     x[0] = 0.0
-    np.cumsum(gaps, out=x[1:])
+    np.cumsum(d.height[gap_record], out=x[1:])
     x -= x.mean()
     coords = np.zeros((n, 2))
-    coords[np.asarray(order), 0] = x
+    coords[:, 0] = x[pos]
     return Embedding(coords, None)

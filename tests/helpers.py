@@ -3,9 +3,12 @@
 The oracles here deliberately use a different algorithm than the package
 (parent-pointer walks instead of leaf-set accumulation, definition-based
 cluster costs instead of Lance-Williams updates), so agreement is
-meaningful.  ``stepwise_linkage`` is the exception: it is the full-matrix
-scan the package's cached-minimum ``linkage`` replaced, with the same
-arithmetic, so the two must agree exactly.
+meaningful.  The exceptions are references the package's faster code
+replaced and must agree with exactly: ``stepwise_linkage``, the
+full-matrix scan behind the cached-minimum ``linkage`` (same arithmetic);
+``scatter_pair_matrices``, the per-record scatter behind the
+range-minimum ``_pair_matrices``; and ``stack_leaves_and_gaps``, the
+stack walk behind the top-down leaf layout.
 """
 
 import math
@@ -123,6 +126,55 @@ def brute_kinship(d: Dendrogram):
             out[pos] = depth[i] + depth[j] - 2 * depth[lca]
             pos += 1
     return out
+
+
+def scatter_pair_matrices(d: Dendrogram, want_coph, want_kin):
+    """Reference cophenetic/kinship fill: every leaf pair meets at exactly
+    one merge record, so writing all cross pairs of each record's two
+    child leaf sets touches each condensed slot once.  Same
+    ``(coph, kin)`` return as ``dendrogram._pair_matrices``."""
+    n = d.n_leaves
+    m = n * (n - 1) // 2
+    coph = np.empty(m) if want_coph else None
+    kin = np.empty(m) if want_kin else None
+    depth = np.zeros(d.n_nodes, dtype=np.int64)
+    for k in range(n - 2, -1, -1):
+        depth[d.left[k]] = depth[d.right[k]] = depth[n + k] + 1
+    leafsets = [np.array([i], dtype=np.int64) for i in range(n)]
+    for k in range(n - 1):
+        a = leafsets[d.left[k]]
+        b = leafsets[d.right[k]]
+        lo = np.minimum(a[:, None], b[None, :])
+        hi = np.maximum(a[:, None], b[None, :])
+        idx = lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
+        if want_coph:
+            coph[idx] = d.height[k]
+        if want_kin:
+            kin[idx] = depth[a][:, None] + depth[b][None, :] - 2 * depth[n + k]
+        leafsets.append(np.concatenate((a, b)))
+    return coph, kin
+
+
+def stack_leaves_and_gaps(d: Dendrogram):
+    """Reference depth-first walk (left child first): the leaf order and,
+    for each adjacent pair in it, the height of the node separating
+    them."""
+    n = d.n_leaves
+    order, gaps = [], []
+    # Gap markers pop exactly between a node's left and right leaf blocks.
+    stack = [d.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            gaps.append(item[1])
+        elif item < n:
+            order.append(item)
+        else:
+            k = item - n
+            stack.append(int(d.right[k]))
+            stack.append((None, float(d.height[k])))
+            stack.append(int(d.left[k]))
+    return order, gaps
 
 
 def stepwise_linkage(d0, method):

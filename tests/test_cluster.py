@@ -143,6 +143,20 @@ class TestCorrelation:
         got = correlation_dissimilarity(x).values
         assert got == pytest.approx(brute_correlation(x), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 40, 300])
+    def test_matches_index_gather(self, n):
+        # The triangle used to be gathered with triu_indices; the boolean
+        # mask must give the same values in the same order.
+        rng = np.random.default_rng(4300 + n)
+        x = rng.normal(size=(n, 5))
+        centered = x - x.mean(axis=1, keepdims=True)
+        unit = centered / np.sqrt(np.einsum("ij,ij->i", centered,
+                                            centered))[:, None]
+        corr = unit @ unit.T
+        iu, ju = np.triu_indices(n, 1)
+        expected = np.clip(1.0 - corr[iu, ju], 0.0, 2.0)
+        assert np.array_equal(correlation_dissimilarity(x).values, expected)
+
     def test_symmetric_square(self):
         rng = np.random.default_rng(43)
         sq = correlation_dissimilarity(rng.normal(size=(8, 4))).to_square()

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from branchembed import (
+    LINKAGE_METHODS,
+    AngleStrategy,
     CondensedMatrix,
     Dendrogram,
     DendrogramError,
@@ -20,14 +22,28 @@ from branchembed import (
     NonMonotonic,
     ParseError,
     SizeMismatch,
+    branching_embed,
     cophenetic_matrix,
+    correlation_dissimilarity,
+    euclidean_dissimilarity,
     kinship_matrix,
     leaf_order,
+    line_embed,
+    linkage,
     parse_merge_table,
     serialize_merge_table,
     validate_dendrogram,
 )
-from helpers import brute_cophenetic, brute_kinship, random_dendrogram
+from branchembed import dendrogram
+from branchembed.dendrogram import _pair_matrices
+from helpers import (
+    balanced_dendrogram,
+    brute_cophenetic,
+    brute_kinship,
+    random_dendrogram,
+    scatter_pair_matrices,
+    stack_leaves_and_gaps,
+)
 
 EPS = 1e-12
 
@@ -135,6 +151,15 @@ class TestCondensedMatrix:
         back = CondensedMatrix.from_square(cm.to_square())
         assert np.array_equal(back.values, vals)
 
+    @pytest.mark.parametrize("n", [2, 3, 17, 64])
+    def test_from_square_matches_index_gather(self, n):
+        rng = np.random.default_rng(n)
+        sq = rng.normal(size=(n, n))
+        iu, ju = np.triu_indices(n, 1)
+        for square in (sq, np.asfortranarray(sq), sq.T):
+            got = CondensedMatrix.from_square(square).values
+            assert np.array_equal(got, square[iu, ju])
+
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             CondensedMatrix(4, np.zeros(5))
@@ -217,6 +242,106 @@ class TestKinship:
                         assert sq[i, j] <= sq[i, k] + sq[k, j]
 
 
+def _caterpillar(n, left_spine=True):
+    """Chain tree of depth n - 1: each record adds one leaf to the spine,
+    which is the left child (or the right one)."""
+    records, spine = [], 0
+    for k in range(n - 1):
+        pair = (spine, k + 1) if left_spine else (k + 1, spine)
+        records.append(pair + (float(k + 1), k + 2))
+        spine = n + k
+    return validate_dendrogram(records, n)
+
+
+def _reclustered_trees(seed):
+    """Trees from reclustering 2-D embeddings of a Gaussian tree under
+    fixed 0, fixed 90 and even, with Euclidean and correlation
+    dissimilarities (the latter all 0 or 2, so nearly every merge ties)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 80))
+    tree = linkage(euclidean_dissimilarity(rng.normal(size=(n, 4))),
+                   "average")
+    for strategy in (AngleStrategy.fixed(0.0), AngleStrategy.fixed(90.0),
+                     AngleStrategy.even()):
+        coords = branching_embed(tree, strategy).coords
+        for method in LINKAGE_METHODS:
+            yield linkage(euclidean_dissimilarity(coords), method)
+            if method != "ward":
+                yield linkage(correlation_dissimilarity(coords), method)
+
+
+class TestPairMatrices:
+    """The range-minimum fill equals the per-record scatter it replaced,
+    bit for bit, and the brute-force LCA walks."""
+
+    @staticmethod
+    def check(d, brute=True):
+        coph, kin = _pair_matrices(d, True, True)
+        ref_coph, ref_kin = scatter_pair_matrices(d, True, True)
+        assert np.array_equal(coph, ref_coph)
+        assert np.array_equal(kin, ref_kin)
+        assert np.array_equal(_pair_matrices(d, True, False)[0], coph)
+        assert np.array_equal(_pair_matrices(d, False, True)[1], kin)
+        assert _pair_matrices(d, True, False)[1] is None
+        assert _pair_matrices(d, False, True)[0] is None
+        if brute:
+            assert np.array_equal(coph, brute_cophenetic(d))
+            assert np.array_equal(kin, brute_kinship(d))
+
+    def test_two_leaves(self):
+        self.check(validate_dendrogram([(1, 0, 0.5, 2)], 2))
+
+    @pytest.mark.parametrize("records", [
+        [(0, 1, 1.0, 2), (3, 2, 2.0, 3)],
+        [(2, 0, 1.0, 2), (1, 3, 2.0, 3)],
+        [(1, 2, 1.0, 2), (3, 0, 1.0, 3)],
+        [(0, 2, 0.0, 2), (1, 3, 0.0, 3)],
+    ])
+    def test_three_leaves(self, records):
+        self.check(validate_dendrogram(records, 3))
+
+    @pytest.mark.parametrize("left_spine", [True, False])
+    def test_caterpillar_depth_n_minus_1(self, left_spine):
+        d = _caterpillar(60, left_spine)
+        self.check(d)
+        # The two leaves of record 0 sit 59 edges down; the last leaf
+        # added hangs one edge below the root.
+        assert _pair_matrices(d, False, True)[1].max() == 59 + 1
+
+    @pytest.mark.parametrize("n", [4, 7, 16, 33, 100])
+    def test_balanced(self, n):
+        self.check(balanced_dendrogram(n))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tie_heavy_linkage(self, seed):
+        rng = np.random.default_rng(1700 + seed)
+        n = int(rng.integers(2, 70))
+        x = rng.integers(0, 3, size=(n, 2)).astype(float)
+        for method in LINKAGE_METHODS:
+            self.check(linkage(euclidean_dissimilarity(x), method))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reclustered_embeddings(self, seed):
+        for d in _reclustered_trees(1800 + seed):
+            self.check(d)
+
+    def test_large_tree(self):
+        rng = np.random.default_rng(1900)
+        self.check(random_dendrogram(600, rng), brute=False)
+
+    # 1: a chunk per row.  7: single rows, then several short rows per
+    # chunk.  60: rows 0-1 (29 + 28 pairs), then chunks that stop before
+    # the row that would overflow them, and a last partial chunk.
+    @pytest.mark.parametrize("chunk", [1, 7, 60])
+    def test_chunking(self, monkeypatch, chunk):
+        rng = np.random.default_rng(2000 + chunk)
+        trees = [random_dendrogram(30, rng), _caterpillar(30),
+                 balanced_dendrogram(30)]
+        monkeypatch.setattr(dendrogram, "_PAIR_CHUNK", chunk)
+        for d in trees:
+            self.check(d)
+
+
 class TestLeafOrder:
     def test_two_block(self, two_block):
         assert leaf_order(two_block) == [0, 1, 2, 3]
@@ -235,6 +360,23 @@ class TestLeafOrder:
         n = int(rng.integers(2, 60))
         order = leaf_order(random_dendrogram(n, rng))
         assert sorted(order) == list(range(n))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_stack_walk(self, seed):
+        rng = np.random.default_rng(450 + seed)
+        trees = [random_dendrogram(int(rng.integers(2, 80)), rng),
+                 _caterpillar(40, left_spine=bool(seed % 2)),
+                 balanced_dendrogram(int(rng.integers(2, 80)))]
+        trees.extend(_reclustered_trees(460 + seed))
+        for d in trees:
+            order, gaps = stack_leaves_and_gaps(d)
+            assert leaf_order(d) == order
+            x = np.zeros(d.n_leaves)
+            np.cumsum(gaps, out=x[1:])
+            x -= x.mean()
+            expected = np.zeros((d.n_leaves, 2))
+            expected[order, 0] = x
+            assert np.array_equal(line_embed(d).coords, expected)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_adjacent_pairs_are_closest_across_their_boundary(self, seed):
@@ -265,6 +407,25 @@ class TestMergeTableText:
         d = parse_merge_table(text)
         assert d.n_leaves == 4
         assert d.height.tolist() == [1.5, 2.0, 3.25]
+
+    def test_parse_skips_whole_line_comments(self):
+        text = "# merge table\n0,1,1.5,2\n  # indented\n2,3,2,2\n4,5,3.25,4\n"
+        d = parse_merge_table(text)
+        assert d == parse_merge_table("0,1,1.5,2\n2,3,2,2\n4,5,3.25,4\n")
+
+    def test_parse_skips_trailing_comments(self):
+        d = parse_merge_table("0,1,1.0,2 # first\n3,2,2.0,3#second\n")
+        assert list(d.records()) == [MergeRecord(0, 1, 1.0, 2),
+                                     MergeRecord(3, 2, 2.0, 3)]
+
+    def test_parse_line_numbers_count_comments(self):
+        with pytest.raises(ParseError) as err:
+            parse_merge_table("# header\n0,1,1.0,2\n3,2 # short\n")
+        assert err.value.line == 3
+
+    def test_parse_rejects_comment_only_file(self):
+        with pytest.raises(ParseError, match="no merge records found"):
+            parse_merge_table("# nothing here\n\n   # still nothing\n")
 
     def test_parse_rejects_field_count(self):
         with pytest.raises(ParseError) as err:

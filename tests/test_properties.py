@@ -1,5 +1,6 @@
 """Property tests: the cached-minimum ``linkage`` equals the stepwise
-full-matrix scan exactly, on generated inputs.
+full-matrix scan exactly, and the range-minimum cophenetic/kinship fill
+equals the per-record scatter exactly, on generated inputs.
 
 Integer grids make most steps tie at the minimum, which exercises the
 tie-break and the row-minimum refresh; float matrices exercise the
@@ -21,7 +22,12 @@ from branchembed import (  # noqa: E402
     euclidean_dissimilarity,
     linkage,
 )
-from helpers import stepwise_linkage  # noqa: E402
+from branchembed.dendrogram import _pair_matrices  # noqa: E402
+from helpers import (  # noqa: E402
+    random_dendrogram,
+    scatter_pair_matrices,
+    stepwise_linkage,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -48,3 +54,13 @@ def test_equal_to_stepwise_on_integer_grids(method, x):
 def test_equal_to_stepwise_on_float_matrices(method, x):
     d0 = euclidean_dissimilarity(x)
     assert linkage(d0, method) == stepwise_linkage(d0, method)
+
+
+@SETTINGS
+@given(n=st.integers(2, 120), seed=st.integers(0, 2**32 - 1))
+def test_pair_matrices_equal_to_scatter(n, seed):
+    d = random_dendrogram(n, np.random.default_rng(seed))
+    coph, kin = _pair_matrices(d, True, True)
+    ref_coph, ref_kin = scatter_pair_matrices(d, True, True)
+    assert np.array_equal(coph, ref_coph)
+    assert np.array_equal(kin, ref_kin)
