@@ -2,7 +2,7 @@
 
 Usage:
     python3 scripts/bench_compare.py PARENT_DIR CHANGE_DIR --topic T
-        --pairs N [--workloads W ...] [--seeds S ...] [--traced]
+        --pairs N [--workloads W ...] [--seeds S ...]
 
 PARENT_DIR and CHANGE_DIR are source checkouts, each with its own
 ``benchmarks/run.py`` and ``src/``.  For every workload and seed the
@@ -10,11 +10,12 @@ script runs ``python3 benchmarks/run.py --workload W --seed S`` N times
 in each checkout, alternating which side goes first, and records the
 JSON result each run prints as its last stdout line.  Workloads,
 end-to-end metrics and their bounds come from CHANGE_DIR's
-``BENCHMARK.json``.  With ``--traced`` one traced run per side and
-workload at the first seed adds the per-layer self times and call
-counts.  The file is written to the current directory; if it exists, its
-entries for other workloads and seeds are kept, so a held-out seed can be
-added by a second call.
+``BENCHMARK.json``.  One traced run per side and workload at the first
+seed adds the per-layer self times and call counts.  The file is written
+to the current directory; if it exists, its entries for other workloads
+and seeds, traced ones included, are kept, so a held-out seed can be
+added by a second call.  A file written on a host whose facts differ
+from this one's is not merged into: the script stops with an error.
 """
 
 from __future__ import annotations
@@ -119,7 +120,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--workloads", nargs="+")
     parser.add_argument("--seeds", nargs="+", type=int, default=[0])
-    parser.add_argument("--traced", action="store_true")
     args = parser.parse_args(argv)
 
     dirs = {"parent": args.parent_dir.resolve(),
@@ -127,10 +127,14 @@ def main(argv=None) -> int:
     spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     path = Path(f"BENCH_{args.topic}.json")
+    machine = machine_facts()
     out = json.loads(path.read_text()) if path.exists() else {"pairs": {}}
+    if out.get("machine", machine) != machine:
+        sys.exit(f"error: {path} was written on another host "
+                 f"({out['machine']}, here {machine}); move it away first")
     out.update({
         "topic": args.topic,
-        "machine": machine_facts(),
+        "machine": machine,
         "how": (
             "Each side is a checkout of its own commit in its own "
             "directory; each run is `python3 benchmarks/run.py --workload "
@@ -146,13 +150,11 @@ def main(argv=None) -> int:
             runs = run_pairs(dirs, workload, seed, args.pairs, trace=False)
             entry = out["pairs"].setdefault(workload, {})
             entry[f"seed {seed}"] = summarize(runs, spec["end_to_end"])
-    if args.traced:
-        seed = args.seeds[0]
-        traced = out[f"traced_seed{seed}"] = {}
-        for workload in workloads:
-            runs = run_pairs(dirs, workload, seed, 1, trace=True)
-            traced[workload] = {side: runs[side][0]["metrics"]
-                                for side in SIDES}
+    seed = args.seeds[0]
+    traced = out.setdefault(f"traced_seed{seed}", {})
+    for workload in workloads:
+        runs = run_pairs(dirs, workload, seed, 1, trace=True)
+        traced[workload] = {side: runs[side][0]["metrics"] for side in SIDES}
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     return 0
