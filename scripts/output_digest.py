@@ -15,6 +15,13 @@ checkout); the package is imported from there.  The digest covers:
 
 Two source trees that print the same digest write the same bytes for all
 of these.  A run takes about ten seconds, most of it the table.
+
+The correlation dissimilarity and the Pearson step go through BLAS, so
+the digest moves with the BLAS kernel and also with its thread count:
+numpy's bundled OpenBLAS gives one digest with its default threads and
+another with ``OPENBLAS_NUM_THREADS=1``, which is what
+``benchmarks/run.py`` sets.  Compare two trees only under the same
+environment.
 """
 
 from __future__ import annotations

@@ -72,7 +72,6 @@ from .metrics import (
     EvalReport,
     convert_dendrogram,
     evaluate_embedding,
-    pearson_upper,
 )
 from .rng import SplitMix64
 from .svgplot import PALETTE, render_svg_scatter
@@ -130,7 +129,6 @@ __all__ = [
     "linkage",
     "load_csv",
     "parse_merge_table",
-    "pearson_upper",
     "render_svg_scatter",
     "rescale_minmax",
     "run_table_experiment",

@@ -32,6 +32,7 @@ import numpy as np
 from .dendrogram import (
     CondensedMatrix,
     Dendrogram,
+    _pair_chunks,
     _upper_mask,
     validate_dendrogram,
 )
@@ -64,19 +65,17 @@ def euclidean_dissimilarity(x) -> CondensedMatrix:
     x = _check_data(x)
     n = x.shape[0]
     out = np.empty(n * (n - 1) // 2)
-    pos = 0
     with np.errstate(over="ignore"):
-        for i in range(n - 1):
-            diff = x[i + 1:] - x[i]
-            out[pos:pos + n - 1 - i] = np.sqrt(
-                np.einsum("ij,ij->i", diff, diff))
-            pos += n - 1 - i
-    # Finite rows give no NaN, so an overflow shows as an infinite maximum.
-    if math.isinf(out.max()):
-        k = int(np.argmax(out))
-        starts = np.arange(n - 1) * (2 * n - np.arange(n - 1) - 1) // 2
-        i = int(np.searchsorted(starts, k, side="right")) - 1
-        raise DissimilarityOverflow(i, k - int(starts[i]) + i + 1)
+        for s, e, i, j in _pair_chunks(n):
+            diff = x.take(j, axis=0)
+            diff -= x.take(i, axis=0)
+            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            # Finite rows give no NaN, so an overflow shows as an
+            # infinite maximum, and argmax finds its first pair.
+            if math.isinf(dist.max()):
+                k = int(np.argmax(dist))
+                raise DissimilarityOverflow(int(i[k]), int(j[k]))
+            out[s:e] = dist
     return CondensedMatrix(n, out)
 
 

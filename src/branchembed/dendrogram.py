@@ -91,14 +91,10 @@ class CondensedMatrix:
 
     def to_square(self) -> np.ndarray:
         """Full symmetric matrix with a zero diagonal."""
-        n = self.n
-        sq = np.zeros((n, n))
-        pos = 0
-        for i in range(n - 1):
-            row = self.values[pos:pos + n - 1 - i]
-            sq[i, i + 1:] = row
-            sq[i + 1:, i] = row
-            pos += n - 1 - i
+        sq = np.zeros((self.n, self.n))
+        mask = _upper_mask(self.n)
+        sq[mask] = self.values
+        sq.T[mask] = self.values
         return sq
 
     @classmethod
@@ -225,9 +221,31 @@ def validate_dendrogram(merges: Sequence, n_leaves: int) -> Dendrogram:
     return Dendrogram(n_leaves, left, right, height, size)
 
 
-# Pairs per chunk of the condensed fill in _pair_matrices; a chunk holds
-# whole rows, so a row longer than this is one chunk on its own.
+# Pairs per chunk of a condensed fill; a chunk holds whole rows, so a row
+# longer than this is one chunk on its own.
 _PAIR_CHUNK = 8192
+
+
+def _pair_chunks(n: int):
+    """Walk the pairs i < j of n items in condensed order, a chunk of
+    whole rows at a time.  Yields ``(s, e, i, j)``: the chunk's condensed
+    slice ``s:e`` and int64 arrays of its pairs' item ids."""
+    row_start = [r * (2 * n - r - 1) // 2 for r in range(n)]
+    starts = np.array(row_start, dtype=np.int64)
+    r0 = 0
+    while r0 < n - 1:
+        r1 = max(r0 + 1,
+                 bisect.bisect_right(row_start, row_start[r0] + _PAIR_CHUNK)
+                 - 1)
+        s, e = row_start[r0], row_start[r1]
+        counts = np.arange(n - 1 - r0, n - 1 - r1, -1)
+        i = np.repeat(np.arange(r0, r1), counts)
+        # Item j of each pair: its offset in the chunk, shifted per row.
+        j = np.repeat(np.arange(r0 + 1, r1 + 1) - (starts[r0:r1] - s),
+                      counts)
+        j += np.arange(e - s)
+        yield s, e, i, j
+        r0 = r1
 
 
 def _layout(d: Dendrogram):
@@ -270,10 +288,10 @@ def _pair_matrices(d: Dendrogram, want_coph: bool, want_kin: bool):
     depth.  Each gap gets the key ``depth * n + record``, a sparse table
     holds the minimum key of every range of 2**j gaps, and each pair
     costs two table lookups (Bender & Farach-Colton, *The LCA Problem
-    Revisited*, 2000).  The pairs are filled row-major in chunks of whole
-    rows, each chunk with a fixed number of numpy calls, so the cost is
-    O(n^2) time with two condensed vectors plus O(n log n) and chunk
-    temporaries of memory.  Cophenetic values are the stored merge
+    Revisited*, 2000).  The pairs are filled in the chunks of
+    :func:`_pair_chunks`, each with a fixed number of numpy calls, so the
+    cost is O(n^2) time with two condensed vectors plus O(n log n) and
+    chunk temporaries of memory.  Cophenetic values are the stored merge
     heights and kinship values the integer path lengths
     ``depth[i] + depth[j] - 2 * depth[lca]``, exactly.
     """
@@ -309,21 +327,9 @@ def _pair_matrices(d: Dendrogram, want_coph: bool, want_kin: bool):
         second[lengths] = base + lengths - (1 << power)
         base += lev.size
 
-    row_start = [i * (2 * n - i - 1) // 2 for i in range(n)]
-    starts = np.array(row_start, dtype=np.int64)
-    r0 = 0
-    while r0 < n - 1:
-        r1 = max(r0 + 1,
-                 bisect.bisect_right(row_start, row_start[r0] + _PAIR_CHUNK)
-                 - 1)
-        s, e = row_start[r0], row_start[r1]
-        counts = np.arange(n - 1 - r0, n - 1 - r1, -1)
-        # Leaf j of each pair: its offset in the chunk, shifted per row.
-        j = np.repeat(np.arange(r0 + 1, r1 + 1) - (starts[r0:r1] - s),
-                      counts)
-        j += np.arange(e - s)
+    for s, e, i, j in _pair_chunks(n):
         pj = pos.take(j)
-        pi = np.repeat(pos[r0:r1], counts)
+        pi = pos.take(i)
         lo = np.minimum(pi, pj)
         np.subtract(pi, pj, out=pi)
         span = np.abs(pi, out=pi)
@@ -340,9 +346,8 @@ def _pair_matrices(d: Dendrogram, want_coph: bool, want_kin: bool):
             key //= n
             key *= -2
             key += leaf_depth.take(j)
-            key += np.repeat(leaf_depth[r0:r1], counts)
+            key += leaf_depth.take(i)
             kin[s:e] = key
-        r0 = r1
     return coph, kin
 
 

@@ -20,14 +20,14 @@ by a common factor and Pearson correlation ignores affine changes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .cluster import check_condition, linkage
 from .cluster import dissimilarity as _dissimilarity
-from .dendrogram import CondensedMatrix, Dendrogram, _pair_matrices
+from .dendrogram import Dendrogram, _pair_matrices
 from .embed import AngleStrategy, Embedding
 from .errors import SizeMismatch, ZeroVariance
 
@@ -64,15 +64,6 @@ class _Scorer:
                 _pearson_vec(self._kin, _centred(kin)))
 
 
-def pearson_upper(a: CondensedMatrix, b: CondensedMatrix) -> float:
-    """Pearson correlation between two condensed matrices over the same
-    items, treating the upper-triangle entries as paired samples."""
-    if a.n != b.n:
-        raise SizeMismatch(f"matrices disagree on item count: {a.n} != {b.n}")
-    return _pearson_vec(_centred(a.values.copy()),
-                        _centred(b.values.copy()))
-
-
 def _coords_of(coords: Union[Embedding, np.ndarray]) -> np.ndarray:
     if isinstance(coords, Embedding):
         return coords.coords
@@ -104,17 +95,7 @@ class EvalReport:
     seed: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "r_c": self.r_c,
-            "r_k": self.r_k,
-            "original_linkage": self.original_linkage,
-            "converted_linkage": self.converted_linkage,
-            "dissimilarity": self.dissimilarity,
-            "strategy": self.strategy,
-            "theta": self.theta,
-            "swap": self.swap,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

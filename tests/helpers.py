@@ -6,9 +6,11 @@ cluster costs instead of Lance-Williams updates), so agreement is
 meaningful.  The exceptions are references the package's faster code
 replaced and must agree with exactly: ``stepwise_linkage``, the
 full-matrix scan behind the cached-minimum ``linkage`` (same arithmetic);
-``scatter_pair_matrices``, the per-record scatter behind the
-range-minimum ``_pair_matrices``; and ``stack_leaves_and_gaps``, the
-stack walk behind the top-down leaf layout.
+``rowloop_euclidean``, the per-row fill behind the chunked
+``euclidean_dissimilarity``; ``scatter_pair_matrices``, the per-record
+scatter behind the range-minimum ``_pair_matrices``; and
+``stack_leaves_and_gaps``, the stack walk behind the top-down leaf
+layout.
 """
 
 import math
@@ -125,6 +127,22 @@ def brute_kinship(d: Dendrogram):
             lca = brute_lca(parent, i, j)
             out[pos] = depth[i] + depth[j] - 2 * depth[lca]
             pos += 1
+    return out
+
+
+def rowloop_euclidean(x):
+    """Reference Euclidean fill: one row of condensed values at a time,
+    from the differences of row i to every later row."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    out = np.empty(n * (n - 1) // 2)
+    pos = 0
+    with np.errstate(over="ignore"):
+        for i in range(n - 1):
+            diff = x[i + 1:] - x[i]
+            out[pos:pos + n - 1 - i] = np.sqrt(
+                np.einsum("ij,ij->i", diff, diff))
+            pos += n - 1 - i
     return out
 
 

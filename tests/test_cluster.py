@@ -9,6 +9,7 @@ arithmetic, for exact equality of the merge tables.  Small fixed
 instances were worked out by hand.
 """
 
+import functools
 import math
 import warnings
 
@@ -32,7 +33,8 @@ from branchembed import (
     linkage,
     validate_dendrogram,
 )
-from helpers import naive_linkage_oracle, stepwise_linkage
+from branchembed import dendrogram
+from helpers import naive_linkage_oracle, rowloop_euclidean, stepwise_linkage
 
 EPS = 1e-9
 
@@ -99,6 +101,18 @@ class TestEuclidean:
         assert isinstance(err.value, BranchEmbedError)
         assert isinstance(err.value, ValueError)
 
+    def test_overflow_in_later_chunk(self, monkeypatch):
+        # Only rows 2 and 3 are far enough apart to overflow, so with one
+        # row per chunk the first overflowing pair lies in the third chunk.
+        monkeypatch.setattr(dendrogram, "_PAIR_CHUNK", 1)
+        x = np.array([[0.0, 0.0], [3.0, 4.0], [1e154, 0.0], [-1e154, 0.0],
+                      [5.0, 5.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DissimilarityOverflow) as err:
+                euclidean_dissimilarity(x)
+        assert err.value.rows == (2, 3)
+
     def test_rejects_one_row(self):
         with pytest.raises(ValueError):
             euclidean_dissimilarity(np.array([[1.0, 2.0]]))
@@ -106,6 +120,48 @@ class TestEuclidean:
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             euclidean_dissimilarity(np.array([1.0, 2.0]))
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_walk_corpus():
+    """400 data matrices, n from 2 to 300 and p in {1, 2, 3, 5, 11}: a
+    third are tie-heavy integer grids, the rest Gaussian scaled by up to
+    10**5 either way."""
+    rng = np.random.default_rng(2100)
+    out = []
+    for k in range(400):
+        n = int(rng.integers(2, 301))
+        p = int(rng.choice([1, 2, 3, 5, 11]))
+        if k % 3 == 0:
+            side = int(rng.integers(2, 5))
+            out.append(rng.integers(0, side, size=(n, p)).astype(float))
+        else:
+            out.append(rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-5, 5))
+    return out
+
+
+class TestPairWalk:
+    """The chunked Euclidean fill and ``to_square`` equal the per-row
+    fill and a ``triu_indices`` scatter, bit for bit."""
+
+    # 1: a chunk per row.  7 and 60: single long rows, then several
+    # short rows per chunk.  None: the default chunk size.
+    @pytest.mark.parametrize("chunk", [1, 7, 60, None])
+    def test_euclidean_equals_row_loop(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(dendrogram, "_PAIR_CHUNK", chunk)
+        for k, x in enumerate(_pair_walk_corpus()):
+            assert np.array_equal(euclidean_dissimilarity(x).values,
+                                  rowloop_euclidean(x)), f"input {k}"
+
+    def test_to_square_equals_scatter(self):
+        for k, x in enumerate(_pair_walk_corpus()):
+            d = euclidean_dissimilarity(x)
+            iu, ju = np.triu_indices(d.n, 1)
+            ref = np.zeros((d.n, d.n))
+            ref[iu, ju] = d.values
+            ref[ju, iu] = d.values
+            assert np.array_equal(d.to_square(), ref), f"input {k}"
 
 
 class TestCorrelation:

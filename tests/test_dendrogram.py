@@ -35,7 +35,7 @@ from branchembed import (
     validate_dendrogram,
 )
 from branchembed import dendrogram
-from branchembed.dendrogram import _pair_matrices
+from branchembed.dendrogram import _pair_chunks, _pair_matrices
 from helpers import (
     balanced_dendrogram,
     brute_cophenetic,
@@ -340,6 +340,30 @@ class TestPairMatrices:
         monkeypatch.setattr(dendrogram, "_PAIR_CHUNK", chunk)
         for d in trees:
             self.check(d)
+
+
+class TestPairChunks:
+    """The pair walk behind every condensed fill visits each pair once,
+    in condensed order, a chunk of whole rows at a time."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 60, None])
+    def test_every_pair_once_in_condensed_order(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(dendrogram, "_PAIR_CHUNK", chunk)
+        limit = dendrogram._PAIR_CHUNK
+        for n in range(2, 71):
+            chunks = list(_pair_chunks(n))
+            iu, ju = np.triu_indices(n, 1)
+            assert np.array_equal(np.concatenate([c[2] for c in chunks]), iu)
+            assert np.array_equal(np.concatenate([c[3] for c in chunks]), ju)
+            assert [c[0] for c in chunks] == [0] + [c[1] for c in chunks[:-1]]
+            assert chunks[-1][1] == iu.size
+            for s, e, i, j in chunks:
+                assert i.size == j.size == e - s
+                rows = np.unique(i)
+                # Whole rows, and more than one only if they fit.
+                assert e - s == sum(n - 1 - r for r in rows)
+                assert rows.size == 1 or e - s <= limit
 
 
 class TestLeafOrder:

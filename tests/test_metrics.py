@@ -1,5 +1,5 @@
-"""Tests for embedding evaluation: condensed-matrix Pearson, reclustering,
-and the report object.
+"""Tests for embedding evaluation: the scorer's Pearson step,
+reclustering, and the report object.
 
 The anchor here is the constructive guarantee that a straight-line layout
 reclustered with single linkage gives back the original cophenetic matrix,
@@ -16,7 +16,6 @@ import pytest
 from branchembed import (
     AngleStrategy,
     BenchConfig,
-    CondensedMatrix,
     EvalReport,
     SizeMismatch,
     ZeroVariance,
@@ -25,17 +24,16 @@ from branchembed import (
     cophenetic_matrix,
     evaluate_embedding,
     line_embed,
-    pearson_upper,
     validate_dendrogram,
 )
+from branchembed.metrics import _centred, _pearson_vec
 from helpers import random_dendrogram
 
 
-def _cm(values):
-    values = np.asarray(values, dtype=float)
-    m = len(values)
-    n = round((1 + math.sqrt(1 + 8 * m)) / 2)
-    return CondensedMatrix(n, values)
+def _pearson(a, b):
+    """The scorer's Pearson step on copies of two vectors."""
+    return _pearson_vec(_centred(np.array(a, dtype=float)),
+                        _centred(np.array(b, dtype=float)))
 
 
 def _rotate(coords, degrees):
@@ -46,39 +44,34 @@ def _rotate(coords, degrees):
 
 
 class TestPearsonUpper:
+    """The Pearson step every r_c and r_k score goes through."""
+
     def test_self_correlation(self):
-        a = _cm([1.0, 2.0, 3.0])
-        assert pearson_upper(a, a) == 1.0
+        assert _pearson([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
 
     def test_anti_correlation(self):
-        a = _cm([1.0, 2.0, 3.0])
-        b = _cm([5.0, 4.0, 3.0])  # b = -a + 6
-        assert pearson_upper(a, b) == -1.0
+        # b = -a + 6
+        assert _pearson([1.0, 2.0, 3.0], [5.0, 4.0, 3.0]) == -1.0
 
     def test_hand_value(self):
-        assert pearson_upper(_cm([1.0, 2.0, 3.0]),
-                             _cm([1.0, 3.0, 2.0])) == pytest.approx(0.5)
+        assert _pearson([1.0, 2.0, 3.0],
+                        [1.0, 3.0, 2.0]) == pytest.approx(0.5)
 
     def test_symmetric(self):
         rng = np.random.default_rng(1)
-        a = _cm(rng.uniform(size=6))
-        b = _cm(rng.uniform(size=6))
-        assert pearson_upper(a, b) == pytest.approx(pearson_upper(b, a))
+        a = rng.uniform(size=6)
+        b = rng.uniform(size=6)
+        assert _pearson(a, b) == pytest.approx(_pearson(b, a))
 
     def test_constant_vector_rejected(self):
-        a = _cm([2.0])  # a 2-leaf matrix has a single pair
         with pytest.raises(ZeroVariance):
-            pearson_upper(a, a)
-
-    def test_size_mismatch(self):
-        with pytest.raises(SizeMismatch):
-            pearson_upper(_cm([1.0, 2.0, 3.0]), _cm([1.0]))
+            _pearson([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_clamped_to_unit_interval(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             v = rng.normal(size=10)
-            r = pearson_upper(_cm(v), _cm(v * 3.0 + 1.0))
+            r = _pearson(v, v * 3.0 + 1.0)
             assert -1.0 <= r <= 1.0
             assert r == pytest.approx(1.0)
 

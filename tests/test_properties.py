@@ -1,6 +1,8 @@
 """Property tests: the cached-minimum ``linkage`` equals the stepwise
 full-matrix scan exactly, and the range-minimum cophenetic/kinship fill
-equals the per-record scatter exactly, on generated inputs.
+equals the per-record scatter exactly, on generated inputs.  Generated
+trees also survive the merge-table text round trip, and a single-field
+mutation of one record is rejected with the named error.
 
 Integer grids make most steps tie at the minimum, which exercises the
 tie-break and the row-minimum refresh; float matrices exercise the
@@ -19,8 +21,16 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from branchembed import (  # noqa: E402
     LINKAGE_METHODS,
+    DuplicateChild,
+    ForwardReference,
+    NegativeHeight,
+    NonMonotonic,
+    SizeMismatch,
     euclidean_dissimilarity,
     linkage,
+    parse_merge_table,
+    serialize_merge_table,
+    validate_dendrogram,
 )
 from branchembed.dendrogram import _pair_matrices  # noqa: E402
 from helpers import (  # noqa: E402
@@ -64,3 +74,52 @@ def test_pair_matrices_equal_to_scatter(n, seed):
     ref_coph, ref_kin = scatter_pair_matrices(d, True, True)
     assert np.array_equal(coph, ref_coph)
     assert np.array_equal(kin, ref_kin)
+
+
+@SETTINGS
+@given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+       max_step=st.floats(0.02, 1e6))
+def test_merge_table_text_round_trip(n, seed, max_step):
+    d = random_dendrogram(n, np.random.default_rng(seed), max_step)
+    assert parse_merge_table(serialize_merge_table(d)) == d
+
+
+def _mutation(error, d, data):
+    """``(record, field, value)``: one field of one record of ``d`` set
+    to a value that ``validate_dendrogram`` must reject with ``error``."""
+    n = d.n_leaves
+    child = data.draw(st.sampled_from((0, 1)))
+    if error is ForwardReference:
+        k = data.draw(st.integers(0, n - 2))
+        return k, child, data.draw(st.integers(n + k, 2 * n - 2))
+    if error is DuplicateChild:
+        k = data.draw(st.integers(1, n - 2))
+        earlier = data.draw(st.integers(0, k - 1))
+        used = data.draw(st.sampled_from((d.left[earlier], d.right[earlier])))
+        return k, child, int(used)
+    if error is SizeMismatch:
+        k = data.draw(st.integers(0, n - 2))
+        return k, 3, int(d.size[k]) + data.draw(st.sampled_from((-1, 1)))
+    if error is NegativeHeight:
+        k = data.draw(st.integers(0, n - 2))
+        return k, 2, -float(d.height[k])
+    # NonMonotonic: half the height of an internal child, far below it.
+    k = data.draw(st.sampled_from(
+        [k for k in range(n - 1) if max(d.left[k], d.right[k]) >= n]))
+    child_h = max(d.height[c - n] for c in (d.left[k], d.right[k]) if c >= n)
+    return k, 2, float(child_h) / 2
+
+
+@pytest.mark.parametrize("error", [ForwardReference, DuplicateChild,
+                                   SizeMismatch, NegativeHeight,
+                                   NonMonotonic])
+@SETTINGS
+@given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_validate_rejects_single_field_mutation(error, n, seed, data):
+    d = random_dendrogram(n, np.random.default_rng(seed))
+    records = [list(rec) for rec in d.records()]
+    k, field, value = _mutation(error, d, data)
+    records[k][field] = value
+    with pytest.raises(error) as err:
+        validate_dendrogram(records, n)
+    assert err.value.record == k
