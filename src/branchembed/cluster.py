@@ -21,6 +21,11 @@ at most steps (complete or average linkage can) takes up to O(n^3).
 Memory is one n x n float64 matrix.  The merge arithmetic and the
 tie-break are those of the stepwise full-matrix scan, so the merge tables
 are equal to its, bit for bit.
+
+At small n a step costs numpy call overhead rather than arithmetic, so
+the benchmark reclusters many problems of one n at once through
+:func:`_linkage_stack`: the same steps on a (B, n, n) stack of at most
+:data:`_STACK_BYTES`, whose trees equal :func:`linkage`'s.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import math
 
 import numpy as np
 
+from . import dendrogram as _dendrogram
 from .dendrogram import (
     CondensedMatrix,
     Dendrogram,
@@ -36,7 +42,12 @@ from .dendrogram import (
     _upper_mask,
     validate_dendrogram,
 )
-from .errors import DissimilarityOverflow, LinkageOverflow, ZeroVarianceRow
+from .errors import (
+    BranchEmbedError,
+    DissimilarityOverflow,
+    LinkageOverflow,
+    ZeroVarianceRow,
+)
 
 LINKAGE_METHODS = ("single", "complete", "average", "ward")
 DISSIMILARITY_KINDS = ("euclidean", "correlation")
@@ -63,10 +74,13 @@ def euclidean_dissimilarity(x) -> CondensedMatrix:
     two rows exceeds the float64 range.
     """
     x = _check_data(x)
-    n = x.shape[0]
+    n, p = x.shape
     out = np.empty(n * (n - 1) // 2)
+    # A chunk gathers two rows of p values per pair, so wide data gets
+    # proportionally fewer pairs per chunk.
+    pairs = _dendrogram._PAIR_CHUNK * 8 // max(p, 8)
     with np.errstate(over="ignore"):
-        for s, e, i, j in _pair_chunks(n):
+        for s, e, i, j in _pair_chunks(n, pairs):
             diff = x.take(j, axis=0)
             diff -= x.take(i, axis=0)
             dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -177,11 +191,17 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
         # Every row whose minimum is val holds a pair at val, and (the
         # matrix being symmetric) its partner is such a row too.  So the
         # tie-break's smaller id is the smallest id among those rows, and
-        # its larger id the smallest id among that row's partners.
+        # its larger id the smallest id among that row's partners.  If
+        # only two rows hold val, each is the other's partner.
         rows = (mins == val).nonzero()[0]
-        pi = int(rows[node_of[rows].argmin()])
-        cols = (dm[pi, :m] == val).nonzero()[0]
-        pj = int(cols[node_of[cols].argmin()])
+        if rows.size == 2:
+            pi, pj = int(rows[0]), int(rows[1])
+            if node_of[pi] > node_of[pj]:
+                pi, pj = pj, pi
+        else:
+            pi = int(rows[node_of[rows].argmin()])
+            cols = (dm[pi, :m] == val).nonzero()[0]
+            pj = int(cols[node_of[cols].argmin()])
         best = (int(node_of[pi]), int(node_of[pj]))
         if pi > pj:
             pi, pj = pj, pi
@@ -222,3 +242,141 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
         node_of[pi] = n + step
         sizes[pi] = ni + nj
     return validate_dendrogram(merges, n)
+
+
+# Bytes of float64 matrix one stack in _linkage_stack may hold: 13
+# problems at n=100, so every strategy of a benchmark table row fits.
+_STACK_BYTES = 1 << 20
+
+
+def _linkage_stack(ds, method: str) -> list:
+    """:func:`linkage` of every condensed matrix in ``ds`` (all over the
+    same n items), as a list holding one :class:`Dendrogram` per problem,
+    or the :class:`BranchEmbedError` that problem raised.
+
+    Problems are stacked up to :data:`_STACK_BYTES` of matrices at a
+    time and clustered by one loop whose numpy calls each serve the whole
+    stack, which at small n costs far less than a loop per problem.  A
+    stack of one goes to :func:`linkage` itself.  The trees equal
+    :func:`linkage`'s, bit for bit.
+    """
+    if method not in LINKAGE_METHODS:
+        raise ValueError(f"unknown linkage method {method!r}")
+    if not ds:
+        return []
+    n = ds[0].n
+    if any(d.n != n for d in ds):
+        raise ValueError("stacked problems must all have the same n")
+    per_stack = max(1, _STACK_BYTES // (8 * n * n))
+    out = []
+    for s in range(0, len(ds), per_stack):
+        part = ds[s:s + per_stack]
+        if len(part) > 1:
+            out += _stacked_linkage(part, method)
+            continue
+        try:
+            out.append(linkage(part[0], method))
+        except BranchEmbedError as err:
+            out.append(err)
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _stacked_linkage(ds, method: str) -> list:
+    """The steps of :func:`linkage` on a (B, n, n) stack of problems.
+
+    Each step takes the same cached row minima, the same tie-break (as a
+    masked ``argmin`` over node ids), the same Lance-Williams update and
+    the same slot moves as :func:`linkage`, for every problem at once.
+    The update reads the tie-break's rows in tie-break order, not slot
+    order, which changes no value: IEEE addition, multiplication, min
+    and max are commutative.  A problem whose minimum turns non-finite
+    gets its :class:`LinkageOverflow` and leaves the stack.
+    """
+    n = ds[0].n
+    mask = _upper_mask(n)
+    dm = np.empty((len(ds), n, n))
+    for sq, d in zip(dm, ds):
+        sq[mask] = d.values
+        sq.T[mask] = d.values
+    diag = np.arange(n)
+    dm[:, diag, diag] = np.inf
+    if method == "ward":
+        dm *= dm
+    row_min = dm.min(axis=2)
+    node_of = np.tile(np.arange(n, dtype=np.int64), (len(ds), 1))
+    sizes = np.ones((len(ds), n), dtype=np.int64)
+    # records[:, :, step] holds (left, right, size) of every problem's
+    # merge at that step, heights[:, step] its height.
+    records = np.empty((len(ds), 3, n - 1), dtype=np.int64)
+    heights = np.empty((len(ds), n - 1))
+    # live[k] is the position in ds of stacked problem k.
+    live = at = np.arange(len(ds))
+    out = [None] * len(ds)
+    no_id = np.int64(2 * n)   # above every node id
+    m = n
+    for step in range(n - 1):
+        mins = row_min[:, :m]
+        val = mins.min(axis=1)
+        bad = ~np.isfinite(val)
+        if bad.any():
+            for k in live[bad]:
+                out[k] = LinkageOverflow(method, step)
+            keep = ~bad
+            if not keep.any():
+                return out
+            live, dm, row_min, node_of, sizes, records, heights, val = (
+                a[keep] for a in (live, dm, row_min, node_of, sizes,
+                                  records, heights, val))
+            at = np.arange(live.size)
+            mins = row_min[:, :m]
+        col_val = val[:, None]
+        ids = node_of[:, :m]
+        # Slot pa holds the smallest id among the rows at val, slot pb
+        # the smallest id among that row's partners at val.
+        pa = np.where(mins == col_val, ids, no_id).argmin(axis=1)
+        row_a = dm[at, pa, :m]
+        pb = np.where(row_a == col_val, ids, no_id).argmin(axis=1)
+        row_b = dm[at, pb, :m]
+        na = sizes[at, pa][:, None]
+        nb = sizes[at, pb][:, None]
+        records[:, 0, step] = ids[at, pa]
+        records[:, 1, step] = ids[at, pb]
+        pi = np.minimum(pa, pb)
+        pj = np.maximum(pa, pb)
+
+        new_row = _lw_combine(method, row_a, row_b, na, nb, sizes[:, :m],
+                              col_val)
+        new_row[at, pi] = np.inf
+        stale = (mins == np.minimum(row_a, row_b)) & (new_row > mins)
+        np.minimum(mins, new_row, out=mins)
+        dm[at, pi, :m] = new_row
+        dm[at, :m, pi] = new_row
+
+        # Slot last moves into slot pj; where pj is last, in place.
+        last = m - 1
+        dm[at, pj, :m] = dm[:, last, :m]
+        dm[at, :m, pj] = dm[:, :m, last]
+        dm[at, pj, pj] = np.inf
+        node_of[at, pj] = node_of[:, last]
+        sizes[at, pj] = sizes[:, last]
+        row_min[at, pj] = row_min[:, last]
+        stale[at, pj] = stale[:, last]
+        m = last
+        stale[at, pi] = True
+        rb, rr = stale[:, :m].nonzero()
+        row_min[rb, rr] = dm[rb, rr, :m].min(axis=1)
+
+        merged = (na + nb)[:, 0]
+        records[:, 2, step] = merged
+        heights[:, step] = np.sqrt(val) if method == "ward" else val
+        node_of[at, pi] = n + step
+        sizes[at, pi] = merged
+
+    for k, rec, h in zip(live.tolist(), records.tolist(), heights.tolist()):
+        try:
+            out[k] = validate_dendrogram(list(zip(rec[0], rec[1], h, rec[2])),
+                                         n)
+        except BranchEmbedError as err:
+            out[k] = err
+    return out

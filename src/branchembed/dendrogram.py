@@ -226,16 +226,19 @@ def validate_dendrogram(merges: Sequence, n_leaves: int) -> Dendrogram:
 _PAIR_CHUNK = 8192
 
 
-def _pair_chunks(n: int):
+def _pair_chunks(n: int, pairs: int | None = None):
     """Walk the pairs i < j of n items in condensed order, a chunk of
-    whole rows at a time.  Yields ``(s, e, i, j)``: the chunk's condensed
-    slice ``s:e`` and int64 arrays of its pairs' item ids."""
+    whole rows of at most ``pairs`` pairs (default :data:`_PAIR_CHUNK`)
+    at a time.  Yields ``(s, e, i, j)``: the chunk's condensed slice
+    ``s:e`` and int64 arrays of its pairs' item ids."""
+    if pairs is None:
+        pairs = _PAIR_CHUNK
     row_start = [r * (2 * n - r - 1) // 2 for r in range(n)]
     starts = np.array(row_start, dtype=np.int64)
     r0 = 0
     while r0 < n - 1:
         r1 = max(r0 + 1,
-                 bisect.bisect_right(row_start, row_start[r0] + _PAIR_CHUNK)
+                 bisect.bisect_right(row_start, row_start[r0] + pairs)
                  - 1)
         s, e = row_start[r0], row_start[r1]
         counts = np.arange(n - 1 - r0, n - 1 - r1, -1)

@@ -8,17 +8,27 @@ replaced and must agree with exactly: ``stepwise_linkage``, the
 full-matrix scan behind the cached-minimum ``linkage`` (same arithmetic);
 ``rowloop_euclidean``, the per-row fill behind the chunked
 ``euclidean_dissimilarity``; ``scatter_pair_matrices``, the per-record
-scatter behind the range-minimum ``_pair_matrices``; and
+scatter behind the range-minimum ``_pair_matrices``;
 ``stack_leaves_and_gaps``, the stack walk behind the top-down leaf
-layout.
+layout; and ``percell_table``, the one-``linkage``-per-cell benchmark loop
+behind ``run_table_experiment``'s stacked reclustering.
 """
 
 import math
 
 import numpy as np
 
-from branchembed import LINKAGE_METHODS, Dendrogram, validate_dendrogram
+from branchembed import (
+    LINKAGE_METHODS,
+    AngleStrategy,
+    BenchTable,
+    Dendrogram,
+    validate_dendrogram,
+)
+from branchembed import bench
 from branchembed.cluster import _lw_combine
+from branchembed.errors import BranchEmbedError
+from branchembed.metrics import _Scorer, convert_dendrogram
 
 
 def random_dendrogram(n, rng, max_step=1.0):
@@ -308,3 +318,50 @@ def naive_linkage_oracle(d0, method):
         clusters.append((n + step, merged))
         merges.append((best_key[0], best_key[1], best_cost, len(merged)))
     return validate_dendrogram(merges, n)
+
+
+def percell_table(cfg):
+    """Reference benchmark loop: embed, recluster and score one cell at a
+    time, with one ``linkage`` per cell.  Same seeds, sums and failure
+    counts as ``run_table_experiment``.  The data generator and the
+    embedder are looked up on ``branchembed.bench`` at call time, so a
+    test that patches them there patches both loops."""
+    shape = (len(cfg.conditions), len(cfg.strategies))
+    sum_rc = np.zeros(shape)
+    sum_rk = np.zeros(shape)
+    counts = np.zeros(shape, dtype=np.int64)
+    failures = np.zeros(shape, dtype=np.int64)
+    for trial in range(cfg.trials):
+        data = bench.gaussian_matrix(cfg.rows, cfg.cols, cfg.seed + trial)
+        angle_seed = ((cfg.seed + bench._ANGLE_STREAM_OFFSET + trial)
+                      & ((1 << 64) - 1))
+        for ci, (kind, method) in enumerate(cfg.conditions):
+            try:
+                original = bench.linkage(bench.dissimilarity(kind, data),
+                                         method)
+                scorer = _Scorer(original)
+            except BranchEmbedError:
+                failures[ci, :] += 1
+                continue
+            for si, strategy in enumerate(cfg.strategies):
+                if strategy.kind == "random":
+                    strategy = AngleStrategy.random(angle_seed + strategy.seed)
+                try:
+                    emb = bench.branching_embed(original, strategy)
+                    r_c, r_k = scorer.scores(
+                        convert_dendrogram(emb, method, kind))
+                except BranchEmbedError:
+                    failures[ci, si] += 1
+                    continue
+                sum_rc[ci, si] += r_c
+                sum_rk[ci, si] += r_k
+                counts[ci, si] += 1
+    with np.errstate(invalid="ignore"):
+        return BenchTable(
+            conditions=cfg.conditions,
+            strategy_labels=tuple(s.label() for s in cfg.strategies),
+            mean_r_c=sum_rc / counts,
+            mean_r_k=sum_rk / counts,
+            failures=failures,
+            trials=cfg.trials,
+        )

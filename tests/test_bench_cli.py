@@ -26,9 +26,13 @@ from branchembed import (
     parse_merge_table,
     run_table_experiment,
 )
+from branchembed import bench
 from branchembed.bench import _ANGLE_STREAM_OFFSET
 from branchembed.cli import main
+from branchembed.embed import Embedding
+from branchembed.errors import BranchEmbedError
 from branchembed.svgplot import PALETTE, render_svg_scatter
+from helpers import percell_table
 
 TINY = dict(trials=3, rows=12, cols=4)
 
@@ -140,6 +144,101 @@ class TestRunTableExperiment:
         assert table.mean_r_c.shape == (1, 1)
         assert math.isfinite(table.cell("correlation", "average",
                                         "even", "r_c"))
+
+
+def _trial_originals(cfg, trial):
+    """The original tree of every condition of one trial."""
+    data = gaussian_matrix(cfg.rows, cfg.cols, cfg.seed + trial)
+    return [linkage(dissimilarity(kind, data), method)
+            for kind, method in cfg.conditions]
+
+
+def _patch_embed(monkeypatch, targets, label, change):
+    """Make ``bench.branching_embed`` hand its embedding to ``change``
+    for the strategy labelled ``label`` on the trees in ``targets``."""
+    real = bench.branching_embed
+
+    def patched(original, strategy):
+        emb = real(original, strategy)
+        if strategy.label() == label and any(original == t for t in targets):
+            return change(emb)
+        return emb
+
+    monkeypatch.setattr(bench, "branching_embed", patched)
+
+
+class TestTableFailures:
+    """``run_table_experiment`` reclusters each (trial, condition) as one
+    stack; its table, failure counts included, equals the
+    one-``linkage``-per-cell loop of ``helpers.percell_table``."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(trials=1, rows=3, cols=2, seed=0),
+        dict(trials=2, rows=17, cols=4, seed=3,
+             strategies=default_strategies(swap=False)),
+        dict(trials=3, rows=40, cols=5, seed=8,
+             conditions=(("euclidean", "ward"), ("correlation", "single"))),
+        dict(trials=2, rows=9, cols=3, seed=21,
+             conditions=(("correlation", "average"),
+                         ("euclidean", "complete")),
+             strategies=default_strategies(swap=False)),
+    ])
+    def test_csv_equals_percell(self, kw):
+        cfg = BenchConfig(**kw)
+        assert run_table_experiment(cfg).to_csv() == \
+            percell_table(cfg).to_csv()
+
+    def test_embed_failure_lands_in_its_cells(self, monkeypatch):
+        cfg = BenchConfig(trials=3, rows=14, cols=4, seed=5)
+
+        def fail(emb):
+            raise BranchEmbedError("injected")
+
+        _patch_embed(monkeypatch, _trial_originals(cfg, 1), "30", fail)
+        table = run_table_experiment(cfg)
+        expected = np.zeros((7, 9), dtype=np.int64)
+        expected[:, table.strategy_labels.index("30")] = 1
+        assert np.array_equal(table.failures, expected)
+        assert table.to_csv() == percell_table(cfg).to_csv()
+
+    def test_failed_original_fails_its_row(self, monkeypatch):
+        cfg = BenchConfig(trials=2, rows=12, cols=3, seed=9)
+        real = bench.gaussian_matrix
+
+        def constant_row(rows, cols, seed):
+            # A constant row has no correlation with anything.
+            x = real(rows, cols, seed)
+            if seed == cfg.seed + 1:
+                x[4] = 1.0
+            return x
+
+        monkeypatch.setattr(bench, "gaussian_matrix", constant_row)
+        table = run_table_experiment(cfg)
+        expected = np.zeros((7, 9), dtype=np.int64)
+        expected[[kind == "correlation" for kind, _ in cfg.conditions]] = 1
+        assert np.array_equal(table.failures, expected)
+        assert table.to_csv() == percell_table(cfg).to_csv()
+
+    def test_stacked_linkage_failure_lands_in_its_cell(self, monkeypatch):
+        # One ward embedding, scaled so its largest squared distance is
+        # about 1e308: the Euclidean fill stays finite, ward's update
+        # overflows, and the other eight problems of its stack go on.
+        cfg = BenchConfig(trials=2, rows=20, cols=3, seed=2,
+                          conditions=(("euclidean", "single"),
+                                      ("euclidean", "ward"),
+                                      ("euclidean", "average")))
+
+        def huge(emb):
+            top = euclidean_dissimilarity(emb.coords).values.max()
+            return Embedding(emb.coords * (1e154 / top))
+
+        ward_tree = _trial_originals(cfg, 0)[1]
+        _patch_embed(monkeypatch, [ward_tree], "even", huge)
+        table = run_table_experiment(cfg)
+        expected = np.zeros((3, 9), dtype=np.int64)
+        expected[1, table.strategy_labels.index("even")] = 1
+        assert np.array_equal(table.failures, expected)
+        assert table.to_csv() == percell_table(cfg).to_csv()
 
 
 class TestBenchCsv:

@@ -5,12 +5,14 @@ closest pair found from cached row minima) is checked two ways: against
 naive_linkage_oracle, which recomputes every inter-cluster value from raw
 pairs at every step and shares no code with it beyond the dissimilarity
 input, and against stepwise_linkage, the full-matrix scan with the same
-arithmetic, for exact equality of the merge tables.  Small fixed
+arithmetic, for exact equality of the merge tables.  The stacked loop
+behind the benchmark's reclustering must equal both.  Small fixed
 instances were worked out by hand.
 """
 
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +26,7 @@ from branchembed import (
     CondensedMatrix,
     DissimilarityOverflow,
     LinkageOverflow,
+    NegativeHeight,
     ZeroVarianceRow,
     branching_embed,
     cophenetic_matrix,
@@ -33,7 +36,8 @@ from branchembed import (
     linkage,
     validate_dendrogram,
 )
-from branchembed import dendrogram
+from branchembed import cluster, dendrogram
+from branchembed.cluster import _linkage_stack
 from helpers import naive_linkage_oracle, rowloop_euclidean, stepwise_linkage
 
 EPS = 1e-9
@@ -113,6 +117,18 @@ class TestEuclidean:
                 euclidean_dissimilarity(x)
         assert err.value.rows == (2, 3)
 
+    def test_wide_data_memory(self):
+        # Chunks hold fewer pairs as p grows; with the pair budget of
+        # narrow data the peak was 63.8 MiB.
+        x = np.random.default_rng(7).normal(size=(600, 500))
+        tracemalloc.start()
+        try:
+            euclidean_dissimilarity(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_rejects_one_row(self):
         with pytest.raises(ValueError):
             euclidean_dissimilarity(np.array([[1.0, 2.0]]))
@@ -126,7 +142,7 @@ class TestEuclidean:
 def _pair_walk_corpus():
     """400 data matrices, n from 2 to 300 and p in {1, 2, 3, 5, 11}: a
     third are tie-heavy integer grids, the rest Gaussian scaled by up to
-    10**5 either way."""
+    10**5 either way.  Then 10 wide ones, p in {64, 500}."""
     rng = np.random.default_rng(2100)
     out = []
     for k in range(400):
@@ -137,6 +153,12 @@ def _pair_walk_corpus():
             out.append(rng.integers(0, side, size=(n, p)).astype(float))
         else:
             out.append(rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-5, 5))
+    # Wide data, whose chunks hold fewer pairs.
+    wide = np.random.default_rng(2101)
+    for p in (64, 500):
+        for n in (2, 3, 40, 150):
+            out.append(wide.normal(size=(n, p)))
+        out.append(wide.integers(0, 3, size=(40, p)).astype(float))
     return out
 
 
@@ -455,6 +477,116 @@ class TestAgainstStepwise:
         rng = np.random.default_rng(1000)
         d0 = euclidean_dissimilarity(rng.normal(size=(1000, 5)))
         assert linkage(d0, method) == stepwise_linkage(d0, method)
+
+
+
+def _by_n(corpus):
+    groups = {}
+    for d0 in corpus:
+        groups.setdefault(d0.n, []).append(d0)
+    return list(groups.values())
+
+
+class TestLinkageStack:
+    """``_linkage_stack`` gives every problem of a stack the tree, or the
+    error, that ``linkage`` gives it alone."""
+
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    @pytest.mark.parametrize("family,count,seed", STEPWISE_FAMILIES)
+    def test_equals_linkage_and_stepwise(self, family, count, seed, method):
+        rng = np.random.default_rng(seed)
+        groups = _by_n(_stepwise_corpus(family, count, seed))
+        assert any(len(g) > 1 for g in groups)
+        for group in groups:
+            refs = [linkage(d0, method) for d0 in group]
+            for d0, ref in zip(group, refs):
+                assert ref == stepwise_linkage(d0, method)
+            order = rng.permutation(len(group))
+            got = _linkage_stack([group[k] for k in order], method)
+            assert got == [refs[k] for k in order], f"n={group[0].n}"
+            assert _linkage_stack(group[:1], method) == refs[:1]
+
+    @pytest.mark.parametrize("method, values, step", [
+        ("ward", [1e160, 2e160, 3e160], 0),
+        ("average", [1e308, 1.5e308, 1.7e308, 1e308, 1.2e308, 1.6e308], 2),
+    ])
+    def test_overflow_fails_only_its_problem(self, method, values, step):
+        n = round((1 + math.sqrt(1 + 8 * len(values))) / 2)
+        rng = np.random.default_rng(n)
+        bad = CondensedMatrix(n, np.array(values))
+        good = [euclidean_dissimilarity(rng.normal(size=(n, 2)))
+                for _ in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _linkage_stack([good[0], bad, good[1], good[2]], method)
+            assert _linkage_stack([bad, bad], method)[1].step == step
+        assert isinstance(got[1], LinkageOverflow)
+        assert (got[1].method, got[1].step) == (method, step)
+        assert got[::2] == [linkage(good[0], method), linkage(good[1], method)]
+        assert got[3] == linkage(good[2], method)
+
+    def test_late_overflow_fails_only_its_problem(self, monkeypatch):
+        # Size-weighted average sums overflow near the root.
+        rng = np.random.default_rng(297)
+        n = 300
+        bad = CondensedMatrix(n, rng.uniform(1, 2, n * (n - 1) // 2) * 1e306)
+        good = [euclidean_dissimilarity(rng.normal(size=(n, 3)))
+                for _ in range(2)]
+        with pytest.raises(LinkageOverflow) as err:
+            linkage(bad, "average")
+        monkeypatch.setattr(cluster, "_STACK_BYTES", 3 * 8 * n * n)
+        got = _linkage_stack([good[0], bad, good[1]], "average")
+        assert isinstance(got[1], LinkageOverflow)
+        assert got[1].step == err.value.step > 0
+        assert got[::2] == [linkage(d0, "average") for d0 in good]
+
+    def test_rejected_tree_fails_only_its_problem(self):
+        # A negative dissimilarity gives a negative merge height, which
+        # validate_dendrogram rejects.
+        bad = CondensedMatrix.from_square(
+            [[0.0, -1.0, 2.0], [-1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+        rng = np.random.default_rng(3)
+        good = [euclidean_dissimilarity(rng.normal(size=(3, 2)))
+                for _ in range(2)]
+        with pytest.raises(NegativeHeight) as err:
+            linkage(bad, "single")
+        got = _linkage_stack([good[0], bad, good[1]], "single")
+        assert type(got[1]) is NegativeHeight
+        assert got[1].record == err.value.record
+        assert got[::2] == [linkage(d0, "single") for d0 in good]
+
+    @pytest.mark.parametrize("per_stack", [1, 2, 3])
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    def test_split_by_byte_budget(self, monkeypatch, per_stack, method):
+        rng = np.random.default_rng(30)
+        ds = [euclidean_dissimilarity(rng.normal(size=(30, 2)))
+              for _ in range(7)]
+        refs = [linkage(d0, method) for d0 in ds]
+        sizes = []
+        stacked = cluster._stacked_linkage
+
+        def spy(part, method):
+            sizes.append(len(part))
+            return stacked(part, method)
+
+        monkeypatch.setattr(cluster, "_stacked_linkage", spy)
+        monkeypatch.setattr(cluster, "_STACK_BYTES",
+                            per_stack * 8 * 30 * 30 + 7)
+        assert _linkage_stack(ds, method) == refs
+        assert sizes == {1: [], 2: [2, 2, 2], 3: [3, 3]}[per_stack]
+
+    def test_default_budget_holds_a_table_row(self):
+        assert cluster._STACK_BYTES // (8 * 100 * 100) >= 9
+
+    def test_empty_and_invalid_stacks(self):
+        rng = np.random.default_rng(4)
+        d3 = euclidean_dissimilarity(rng.normal(size=(3, 2)))
+        d4 = euclidean_dissimilarity(rng.normal(size=(4, 2)))
+        assert _linkage_stack([], "single") == []
+        with pytest.raises(ValueError):
+            _linkage_stack([d3, d4], "single")
+        with pytest.raises(ValueError):
+            _linkage_stack([d3, d3], "median")
 
 
 class TestAgainstScipy:
