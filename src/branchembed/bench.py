@@ -17,13 +17,13 @@ scorer per trial and condition.
 
 Reclustering is the hot path, so each (trial, condition) embeds every
 strategy first and then reclusters all the embeddings in one stacked
-loop (``cluster._linkage_stack``): the steps of
-:func:`~branchembed.linkage` on a (B, n, n) stack, each numpy call
-serving every strategy.  A stack holds at most ``cluster._STACK_BYTES``
-(1 MiB) of matrices, 13 problems at n = 100; the trees equal
-:func:`~branchembed.linkage`'s bit for bit, and a problem that fails
-counts against its own cell only.  Batches never span trials, which
-keeps the memory of a row's stack bounded by one trial's strategies.
+loop (``cluster._linkage_stack``, which documents its stack budget and
+failure path): the steps of :func:`~branchembed.linkage` on a
+(B, n, n) stack, each numpy call serving every strategy.  The trees
+equal :func:`~branchembed.linkage`'s bit for bit, and a problem that
+fails counts against its own cell only.  Batches never span trials,
+which keeps the memory of a row's stack bounded by one trial's
+strategies.
 """
 
 from __future__ import annotations

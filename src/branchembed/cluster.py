@@ -25,7 +25,10 @@ are equal to its, bit for bit.
 At small n a step costs numpy call overhead rather than arithmetic, so
 the benchmark reclusters many problems of one n at once through
 :func:`_linkage_stack`: the same steps on a (B, n, n) stack of at most
-:data:`_STACK_BYTES`, whose trees equal :func:`linkage`'s.
+:data:`_STACK_BYTES`, whose trees equal :func:`linkage`'s.  The stacked
+loop has no error path of its own: a stack of one, or a stack in which
+any problem fails, goes to :func:`linkage` one problem at a time, so
+:func:`linkage` alone decides every failure.
 """
 
 from __future__ import annotations
@@ -153,6 +156,22 @@ def _lw_combine(method: str, row_i, row_j, ni: int, nj: int,
     return ((ni + nk) * row_i + (nj + nk) * row_j - nk * d_ij) / (ni + nj + nk)
 
 
+def _square_stack(ds, method: str) -> np.ndarray:
+    """(B, n, n) stack of the full matrices of ``ds`` (all over the same
+    n items), squared for ward, with an infinite diagonal."""
+    n = ds[0].n
+    mask = _upper_mask(n)
+    dm = np.empty((len(ds), n, n))
+    for sq, d in zip(dm, ds):
+        sq[mask] = d.values
+        sq.T[mask] = d.values
+    diag = np.arange(n)
+    dm[:, diag, diag] = np.inf
+    if method == "ward":
+        dm *= dm
+    return dm
+
+
 # Ward squares its inputs, and average and ward add weighted rows, so
 # large finite inputs can overflow.  An overflowed entry stays inf until
 # its two clusters merge, so every overflow shows as a non-finite minimum.
@@ -170,10 +189,7 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     if method not in LINKAGE_METHODS:
         raise ValueError(f"unknown linkage method {method!r}")
     n = d0.n
-    dm = d0.to_square()
-    if method == "ward":
-        dm *= dm
-    np.fill_diagonal(dm, np.inf)
+    dm = _square_stack([d0], method)[0]
     # row_min[r] is the smallest entry of row r over the active columns.
     row_min = dm.min(axis=1)
 
@@ -257,8 +273,9 @@ def _linkage_stack(ds, method: str) -> list:
     Problems are stacked up to :data:`_STACK_BYTES` of matrices at a
     time and clustered by one loop whose numpy calls each serve the whole
     stack, which at small n costs far less than a loop per problem.  A
-    stack of one goes to :func:`linkage` itself.  The trees equal
-    :func:`linkage`'s, bit for bit.
+    stack of one, or a stack in which any problem fails, goes to
+    :func:`linkage` one problem at a time.  The trees equal
+    :func:`linkage`'s, bit for bit, and so do the errors.
     """
     if method not in LINKAGE_METHODS:
         raise ValueError(f"unknown linkage method {method!r}")
@@ -271,18 +288,20 @@ def _linkage_stack(ds, method: str) -> list:
     out = []
     for s in range(0, len(ds), per_stack):
         part = ds[s:s + per_stack]
-        if len(part) > 1:
-            out += _stacked_linkage(part, method)
+        trees = _stacked_linkage(part, method) if len(part) > 1 else None
+        if trees is not None:
+            out += trees
             continue
-        try:
-            out.append(linkage(part[0], method))
-        except BranchEmbedError as err:
-            out.append(err)
+        for d in part:
+            try:
+                out.append(linkage(d, method))
+            except BranchEmbedError as err:
+                out.append(err)
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _stacked_linkage(ds, method: str) -> list:
+def _stacked_linkage(ds, method: str) -> list | None:
     """The steps of :func:`linkage` on a (B, n, n) stack of problems.
 
     Each step takes the same cached row minima, the same tie-break (as a
@@ -290,19 +309,12 @@ def _stacked_linkage(ds, method: str) -> list:
     the same slot moves as :func:`linkage`, for every problem at once.
     The update reads the tie-break's rows in tie-break order, not slot
     order, which changes no value: IEEE addition, multiplication, min
-    and max are commutative.  A problem whose minimum turns non-finite
-    gets its :class:`LinkageOverflow` and leaves the stack.
+    and max are commutative.  Returns the list of trees, or ``None`` as
+    soon as any problem's minimum turns non-finite or any tree fails
+    :func:`validate_dendrogram`.
     """
     n = ds[0].n
-    mask = _upper_mask(n)
-    dm = np.empty((len(ds), n, n))
-    for sq, d in zip(dm, ds):
-        sq[mask] = d.values
-        sq.T[mask] = d.values
-    diag = np.arange(n)
-    dm[:, diag, diag] = np.inf
-    if method == "ward":
-        dm *= dm
+    dm = _square_stack(ds, method)
     row_min = dm.min(axis=2)
     node_of = np.tile(np.arange(n, dtype=np.int64), (len(ds), 1))
     sizes = np.ones((len(ds), n), dtype=np.int64)
@@ -310,26 +322,14 @@ def _stacked_linkage(ds, method: str) -> list:
     # merge at that step, heights[:, step] its height.
     records = np.empty((len(ds), 3, n - 1), dtype=np.int64)
     heights = np.empty((len(ds), n - 1))
-    # live[k] is the position in ds of stacked problem k.
-    live = at = np.arange(len(ds))
-    out = [None] * len(ds)
+    at = np.arange(len(ds))
     no_id = np.int64(2 * n)   # above every node id
     m = n
     for step in range(n - 1):
         mins = row_min[:, :m]
         val = mins.min(axis=1)
-        bad = ~np.isfinite(val)
-        if bad.any():
-            for k in live[bad]:
-                out[k] = LinkageOverflow(method, step)
-            keep = ~bad
-            if not keep.any():
-                return out
-            live, dm, row_min, node_of, sizes, records, heights, val = (
-                a[keep] for a in (live, dm, row_min, node_of, sizes,
-                                  records, heights, val))
-            at = np.arange(live.size)
-            mins = row_min[:, :m]
+        if not np.isfinite(val).all():
+            return None
         col_val = val[:, None]
         ids = node_of[:, :m]
         # Slot pa holds the smallest id among the rows at val, slot pb
@@ -373,10 +373,8 @@ def _stacked_linkage(ds, method: str) -> list:
         node_of[at, pi] = n + step
         sizes[at, pi] = merged
 
-    for k, rec, h in zip(live.tolist(), records.tolist(), heights.tolist()):
-        try:
-            out[k] = validate_dendrogram(list(zip(rec[0], rec[1], h, rec[2])),
-                                         n)
-        except BranchEmbedError as err:
-            out[k] = err
-    return out
+    try:
+        return [validate_dendrogram(list(zip(rec[0], rec[1], h, rec[2])), n)
+                for rec, h in zip(records.tolist(), heights.tolist())]
+    except BranchEmbedError:
+        return None

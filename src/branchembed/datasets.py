@@ -116,7 +116,8 @@ def load_csv(path, has_header: bool = False,
     ``has_header``) to strip out as integer labels.  Raises
     :class:`IoError` if the file cannot be read, :class:`RaggedRow` if a
     row's width differs from the first row's, and :class:`ParseError` for
-    non-numeric cells, all with 1-based line numbers.
+    non-numeric cells and for label cells that are not integers within
+    int64, all with 1-based line numbers.
     """
     if isinstance(label_column, str) and not has_header:
         raise ValueError("a named label column requires has_header=True")
@@ -171,6 +172,12 @@ def _parse_csv(text: str, origin: str, has_header: bool,
                     lineno, f"field {col}: not a number: {cell.strip()!r}"
                 ) from None
             if col == label_idx:
+                if not (value.is_integer() and -2**63 <= value < 2**63):
+                    raise ParseError(
+                        lineno,
+                        f"field {col}: label must be an integer: "
+                        f"{cell.strip()!r}",
+                    )
                 labels.append(int(value))
             else:
                 values.append(value)

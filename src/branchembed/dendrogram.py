@@ -6,15 +6,16 @@ two existing nodes into a new internal node with id ``n + k``, so the last
 record creates the root.  Each record stores the two child ids, the height
 of the merge, and the leaf count of the merged cluster.
 
-Heights must be nonnegative and, along every branch, no lower than the
-heights of the children being merged (a tiny relative slack absorbs
-floating-point round-off from clustering updates).  Under that monotonicity
-the cophenetic matrix derived here is an ultrametric.
+Heights must be finite and nonnegative and, along every branch, no lower
+than the heights of the children being merged (a tiny relative slack
+absorbs floating-point round-off from clustering updates).  Under that
+monotonicity the cophenetic matrix derived here is an ultrametric.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -150,7 +151,8 @@ def validate_dendrogram(merges: Sequence, n_leaves: int) -> Dendrogram:
     including an ``(n-1, 4)`` array.  Raises a :class:`DendrogramError`
     subclass naming the first offending record: :class:`ForwardReference`,
     :class:`DuplicateChild`, :class:`NegativeHeight`, :class:`SizeMismatch`
-    or :class:`NonMonotonic`.
+    or :class:`NonMonotonic`, or a plain :class:`DendrogramError` for an
+    infinite height.
     """
     if n_leaves < 2:
         raise DendrogramError(f"need at least 2 leaves, got {n_leaves}")
@@ -198,6 +200,8 @@ def validate_dendrogram(merges: Sequence, n_leaves: int) -> Dendrogram:
                 )
         if not h >= 0.0:  # also catches NaN
             raise NegativeHeight(f"record {k}: height {h!r} < 0", record=k)
+        if h == math.inf:
+            raise DendrogramError(f"record {k}: height is infinite", record=k)
         expected = node_size[l] + node_size[r]
         if s != expected:
             raise SizeMismatch(

@@ -20,6 +20,7 @@ by a common factor and Pearson correlation ignores affine changes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
@@ -41,10 +42,23 @@ def _centred(v: np.ndarray) -> np.ndarray:
     return v
 
 
+_TINY = np.finfo(np.float64).tiny
+
+
 def _pearson_vec(a: np.ndarray, b: np.ndarray) -> float:
     """Pearson correlation of two vectors already passed through
-    :func:`_centred`."""
-    r = float(a @ b) / float(np.sqrt((a @ a) * (b @ b)))
+    :func:`_centred`.  If a squared norm or their product leaves the
+    normal float64 range, both vectors are first divided by their
+    largest absolute value, which leaves the correlation unchanged."""
+    with np.errstate(over="ignore", under="ignore"):
+        aa, bb = a @ a, b @ b
+        den = aa * bb
+    if not (aa >= _TINY and bb >= _TINY and _TINY <= den < math.inf):
+        a = a / np.abs(a).max()
+        b = b / np.abs(b).max()
+        aa, bb = a @ a, b @ b
+        den = aa * bb
+    r = float(a @ b) / float(np.sqrt(den))
     return min(1.0, max(-1.0, r))
 
 

@@ -391,6 +391,29 @@ class TestCliEmbed:
         err = capsys.readouterr().err
         assert "error:" in err and "nope.csv" in err
 
+    def test_non_integer_label(self, tmp_path, capsys):
+        src = tmp_path / "l.csv"
+        src.write_text("0,0,0\n1,0,inf\n0,1,1\n")
+        out = tmp_path / "o.csv"
+        code = main(["embed", "--input", str(src), "--label-column", "2",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 2: field 2: label must be an integer: 'inf'\n")
+        assert not out.exists()
+
+    def test_infinite_merge_height(self, tmp_path, capsys):
+        src = tmp_path / "t.csv"
+        src.write_text("0,1,1,2\n3,2,inf,3\n")
+        out = tmp_path / "o.csv"
+        svg = tmp_path / "p.svg"
+        code = main(["embed", "--dendrogram", str(src), "--out", str(out),
+                     "--svg", str(svg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "infinite" in err
+        assert not out.exists() and not svg.exists()
+
     def test_bad_theta(self, data_csv, tmp_path, capsys):
         code = main(["embed", "--input", str(data_csv), "--theta", "120",
                      "--out", str(tmp_path / "o.csv")])

@@ -24,6 +24,7 @@ from branchembed import (
     AngleStrategy,
     BranchEmbedError,
     CondensedMatrix,
+    Dendrogram,
     DissimilarityOverflow,
     LinkageOverflow,
     NegativeHeight,
@@ -574,6 +575,65 @@ class TestLinkageStack:
                             per_stack * 8 * 30 * 30 + 7)
         assert _linkage_stack(ds, method) == refs
         assert sizes == {1: [], 2: [2, 2, 2], 3: [3, 3]}[per_stack]
+
+    @staticmethod
+    def _linkage_spy(monkeypatch):
+        """Route ``cluster.linkage`` through a wrapper; returns the list
+        of problems it was called with."""
+        calls = []
+        real = cluster.linkage
+
+        def spy(d0, method):
+            calls.append(d0)
+            return real(d0, method)
+
+        monkeypatch.setattr(cluster, "linkage", spy)
+        return calls
+
+    @staticmethod
+    def _key(result):
+        """A tree as itself, an error as its class, step and record."""
+        if isinstance(result, Dendrogram):
+            return result
+        return (type(result), getattr(result, "step", None),
+                getattr(result, "record", None))
+
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    def test_valid_stack_never_calls_linkage(self, monkeypatch, method):
+        rng = np.random.default_rng(90)
+        ds = [euclidean_dissimilarity(rng.normal(size=(100, 2)))
+              for _ in range(9)]
+        refs = [linkage(d0, method) for d0 in ds]
+        calls = self._linkage_spy(monkeypatch)
+        assert _linkage_stack(ds, method) == refs
+        assert calls == []
+
+    @pytest.mark.parametrize("method, bad", [
+        ("ward", CondensedMatrix(3, np.array([1e160, 2e160, 3e160]))),
+        ("average", CondensedMatrix(4, np.array(
+            [1e308, 1.5e308, 1.7e308, 1e308, 1.2e308, 1.6e308]))),
+        ("single", CondensedMatrix(3, np.array([-1.0, 2.0, 3.0]))),
+        ("complete", CondensedMatrix(4, np.array(
+            [1.0, -2.0, 3.0, 4.0, 5.0, 6.0]))),
+    ])
+    def test_failing_stack_reruns_every_problem(self, monkeypatch, method,
+                                                bad):
+        rng = np.random.default_rng(bad.n)
+        ds = [euclidean_dissimilarity(rng.normal(size=(bad.n, 2)))
+              for _ in range(4)]
+        ds.insert(2, bad)
+        refs = []
+        for d0 in ds:
+            try:
+                refs.append(linkage(d0, method))
+            except BranchEmbedError as err:
+                refs.append(err)
+        assert isinstance(refs[2], BranchEmbedError)
+        calls = self._linkage_spy(monkeypatch)
+        got = _linkage_stack(ds, method)
+        assert len(calls) == len(ds)
+        assert all(c is d0 for c, d0 in zip(calls, ds))
+        assert [self._key(g) for g in got] == [self._key(r) for r in refs]
 
     def test_default_budget_holds_a_table_row(self):
         assert cluster._STACK_BYTES // (8 * 100 * 100) >= 9

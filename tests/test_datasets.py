@@ -226,6 +226,23 @@ class TestLoadCsv:
             load_csv(tmp_path / "absent.csv")
         assert "absent.csv" in str(err.value.path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e300", "9.3e18",
+                                      "nan", "1.5"])
+    def test_label_must_be_integer(self, tmp_path, cell):
+        p = tmp_path / "l.csv"
+        p.write_text(f"1,2,0\n3,4,{cell}\n")
+        with pytest.raises(ParseError, match="label must be an integer") \
+                as err:
+            load_csv(p, label_column=2)
+        assert err.value.line == 2
+        assert "field 2" in str(err.value)
+
+    def test_integral_float_labels(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("1,2,2.0\n3,4,-1e3\n5,6,-9223372036854775808\n")
+        assert load_csv(p, label_column=2).labels.tolist() == \
+            [2, -1000, -2**63]
+
     def test_label_column_out_of_range(self, tmp_path):
         p = tmp_path / "o.csv"
         p.write_text("1,2\n")

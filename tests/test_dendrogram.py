@@ -114,6 +114,17 @@ class TestValidation:
             validate_dendrogram([(0, 1, -0.5, 2), (3, 2, 1.0, 3)], 3)
         assert err.value.record == 0
 
+    def test_infinite_height(self):
+        with pytest.raises(DendrogramError) as err:
+            validate_dendrogram([(0, 1, 1.0, 2), (3, 2, np.inf, 3)], 3)
+        assert type(err.value) is DendrogramError
+        assert err.value.record == 1
+
+    def test_nan_height_is_negative(self):
+        with pytest.raises(NegativeHeight) as err:
+            validate_dendrogram([(0, 1, np.nan, 2), (3, 2, 1.0, 3)], 3)
+        assert err.value.record == 0
+
     def test_monotonicity_allows_roundoff_slack(self):
         h = 1.0
         d = validate_dendrogram(
@@ -464,6 +475,11 @@ class TestMergeTableText:
     def test_parse_rejects_float_id(self):
         with pytest.raises(ParseError):
             parse_merge_table("0.5,1,1.0,2\n")
+
+    def test_parse_rejects_infinite_height(self):
+        with pytest.raises(DendrogramError, match="infinite") as err:
+            parse_merge_table("0,1,1,2\n3,2,inf,3\n")
+        assert err.value.record == 1
 
     def test_parse_validates(self):
         with pytest.raises(NonMonotonic):

@@ -9,6 +9,7 @@ distances ignore rigid motions and scale linearly.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,11 @@ from branchembed import (
     branching_embed,
     convert_dendrogram,
     cophenetic_matrix,
+    euclidean_dissimilarity,
     evaluate_embedding,
+    gaussian_matrix,
     line_embed,
+    linkage,
     validate_dendrogram,
 )
 from branchembed.metrics import _centred, _pearson_vec
@@ -74,6 +78,24 @@ class TestPearsonUpper:
             r = _pearson(v, v * 3.0 + 1.0)
             assert -1.0 <= r <= 1.0
             assert r == pytest.approx(1.0)
+
+
+    # (-530, 400): a's squared norm is subnormal, the product is not.
+    @pytest.mark.parametrize("ka, kb", [
+        (-600, -600), (-540, -540), (-300, -300), (300, 300), (500, 500),
+        (-300, 0), (300, 0), (-530, 400),
+    ])
+    def test_scale_proof(self, ka, kb):
+        # Squared norms that overflow or underflow give the unscaled
+        # correlation, not 0, a lost digit or a ZeroDivisionError.
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=50)
+        b = a + rng.normal(size=50)
+        ref = _pearson(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _pearson(a * 2.0**ka, b * 2.0**kb)
+        assert got == pytest.approx(ref, rel=0, abs=1e-15)
 
 
 class TestConvertDendrogram:
@@ -130,6 +152,21 @@ class TestEvaluateEmbedding:
         d = random_dendrogram(int(rng.integers(4, 80)), rng)
         rep = evaluate_embedding(d, line_embed(d), "single")
         assert rep.r_c == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("method", ["single", "average", "ward"])
+    def test_scores_survive_huge_scale(self, method):
+        # At 2**300 the cophenetic vectors' squared norms overflow.
+        x = gaussian_matrix(20, 3, 5)
+        strat = AngleStrategy.fixed(15.0)
+        reps = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1.0, 2.0**300):
+                d = linkage(euclidean_dissimilarity(x * scale), method)
+                reps.append(evaluate_embedding(
+                    d, branching_embed(d, strat), method))
+        assert reps[1].r_c == pytest.approx(reps[0].r_c, rel=0, abs=1e-12)
+        assert reps[1].r_k == pytest.approx(reps[0].r_k, rel=0, abs=1e-12)
 
     def test_size_mismatch(self):
         d = validate_dendrogram([(0, 1, 1.0, 2), (3, 2, 2.0, 3)], 3)

@@ -1,14 +1,17 @@
 """Property tests: the cached-minimum ``linkage`` equals the stepwise
 full-matrix scan exactly, and the range-minimum cophenetic/kinship fill
 equals the per-record scatter exactly, on generated inputs.  Generated
-trees also survive the merge-table text round trip, and a single-field
-mutation of one record is rejected with the named error.
+trees also survive the merge-table text round trip, a single-field
+mutation of one record is rejected with the named error, and every
+angle strategy keeps criterion 10's geometric invariants.
 
 Integer grids make most steps tie at the minimum, which exercises the
 tie-break and the row-minimum refresh; float matrices exercise the
 tie-free path.  Examples are derandomized so every run checks the same
 inputs.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -21,11 +24,13 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from branchembed import (  # noqa: E402
     LINKAGE_METHODS,
+    AngleStrategy,
     DuplicateChild,
     ForwardReference,
     NegativeHeight,
     NonMonotonic,
     SizeMismatch,
+    branching_embed,
     euclidean_dissimilarity,
     linkage,
     parse_merge_table,
@@ -123,3 +128,46 @@ def test_validate_rejects_single_field_mutation(error, n, seed, data):
     with pytest.raises(error) as err:
         validate_dendrogram(records, n)
     assert err.value.record == k
+
+
+angle_strategies = st.one_of(
+    st.integers(0, 2**32 - 1).map(AngleStrategy.random),
+    st.just(AngleStrategy.even()),
+    st.builds(AngleStrategy.fixed, st.floats(0.0, 90.0), st.booleans()),
+)
+
+
+def _dist(p, q):
+    return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+@SETTINGS
+@given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+       strategy=angle_strategies)
+def test_embedding_keeps_criterion_10_invariants(n, seed, strategy):
+    d = random_dendrogram(n, np.random.default_rng(seed))
+    emb = branching_embed(d, strategy, trace=True)
+    assert np.abs(emb.coords.mean(axis=0)).max() <= 1e-9
+    for ev in emb.trace:
+        c1, c2, t = ev.child1, ev.child2, ev.target
+        assert abs(_dist(c1, c2) - ev.height) <= 1e-9
+        assert abs(ev.n1 * _dist(c1, t) - ev.n2 * _dist(c2, t)) <= 1e-9
+        if ev.sister is None:
+            continue
+        s = ev.sister
+        length = _dist(s, t)
+        # Degenerate splits: a coincident sister or a zero height.
+        if length < 1e-9 or ev.height <= 0.0:
+            continue
+        if strategy.kind == "even":
+            l1 = ev.height * ev.n2 / (ev.n1 + ev.n2)
+            l2 = ev.height * ev.n1 / (ev.n1 + ev.n2)
+            if abs(l1 - l2) < 2.0 * length:
+                assert abs(_dist(c1, s) - _dist(c2, s)) <= 1e-9
+        elif strategy.kind == "fixed":
+            # The child on the rotated side realizes theta.
+            toward = c2 if (strategy.swap and ev.n1 > ev.n2) else c1
+            v = (toward[0] - t[0], toward[1] - t[1])
+            cos = ((s[0] - t[0]) * v[0] + (s[1] - t[1]) * v[1]) / (
+                length * math.hypot(*v))
+            assert abs(cos - math.cos(math.radians(strategy.theta))) <= 1e-9
