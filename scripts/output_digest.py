@@ -17,19 +17,26 @@ Two source trees that print the same digest write the same bytes for all
 of these.  A run takes about ten seconds, most of it the table.
 
 The correlation dissimilarity and the Pearson step go through BLAS, so
-the digest moves with the BLAS kernel and also with its thread count:
-numpy's bundled OpenBLAS gives one digest with its default threads and
-another with ``OPENBLAS_NUM_THREADS=1``, which is what
-``benchmarks/run.py`` sets.  Compare two trees only under the same
-environment.
+the digest moves with the BLAS kernel and also with its thread count.
+The script therefore pins one BLAS thread before numpy loads, as
+``benchmarks/run.py`` does, and its digest does not depend on the
+caller's thread settings; with numpy's bundled OpenBLAS on a SkylakeX
+kernel it is ``60e86a579120...``.  The kernel itself is still picked per
+CPU, so compare two trees on the same machine.
 """
 
 from __future__ import annotations
 
-import hashlib
-import sys
-import tempfile
-from pathlib import Path
+import os
+
+# One BLAS thread: set before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 
 def main(argv) -> int:

@@ -15,15 +15,19 @@ so angles never correlate with data.  Cells are scored exactly as
 :func:`~branchembed.evaluate_embedding` scores them, by one shared
 scorer per trial and condition.
 
-Reclustering is the hot path, so each (trial, condition) embeds every
-strategy first and then reclusters all the embeddings in one stacked
-loop (``cluster._linkage_stack``, which documents its stack budget and
-failure path): the steps of :func:`~branchembed.linkage` on a
-(B, n, n) stack, each numpy call serving every strategy.  The trees
-equal :func:`~branchembed.linkage`'s bit for bit, and a problem that
-fails counts against its own cell only.  Batches never span trials,
-which keeps the memory of a row's stack bounded by one trial's
-strategies.
+Reclustering is the hot path, so each trial embeds every strategy of
+every condition that shares a linkage method and then reclusters all
+those embeddings in one stacked loop (``cluster._linkage_stack``, which
+documents its stack budget and failure path): the steps of
+:func:`~branchembed.linkage` on a (B, n, n) stack, each numpy call
+serving every embedding.  The default conditions give stacks of 18 for
+single, complete and average linkage and 9 for ward.  The trees equal
+:func:`~branchembed.linkage`'s bit for bit, a reclustering that fails
+counts against its own cell only, and an original tree that fails
+counts against its own condition's row only.  Every cell gets at most
+one addition per trial, so the sums do not depend on how conditions
+are grouped.  Stacks never span trials, and only one method's scorers
+are alive at a time, which keeps memory bounded by one trial's group.
 """
 
 from __future__ import annotations
@@ -138,29 +142,38 @@ def run_table_experiment(cfg: BenchConfig) -> BenchTable:
     counts = np.zeros((n_cond, n_strat), dtype=np.int64)
     failures = np.zeros((n_cond, n_strat), dtype=np.int64)
 
+    # Conditions grouped by linkage method, in order of first appearance.
+    by_method = {}
+    for ci, (kind, method) in enumerate(cfg.conditions):
+        by_method.setdefault(method, []).append((ci, kind))
+
     for trial in range(cfg.trials):
         data = gaussian_matrix(cfg.rows, cfg.cols, cfg.seed + trial)
         angle_seed = (cfg.seed + _ANGLE_STREAM_OFFSET + trial) & ((1 << 64) - 1)
-        for ci, (kind, method) in enumerate(cfg.conditions):
-            try:
-                original = linkage(dissimilarity(kind, data), method)
-                scorer = _Scorer(original)
-            except BranchEmbedError:
-                failures[ci, :] += 1
-                continue
+        for method, group in by_method.items():
+            # One stack per method: (condition, strategy, scorer) per
+            # embedding, then every embedding of the group reclustered.
             cells, embedded = [], []
-            for si, strategy in enumerate(cfg.strategies):
-                if strategy.kind == "random":
-                    strategy = AngleStrategy.random(angle_seed + strategy.seed)
+            for ci, kind in group:
                 try:
-                    emb = branching_embed(original, strategy)
-                    embedded.append(dissimilarity(kind, emb.coords))
+                    original = linkage(dissimilarity(kind, data), method)
+                    scorer = _Scorer(original)
                 except BranchEmbedError:
-                    failures[ci, si] += 1
+                    failures[ci, :] += 1
                     continue
-                cells.append(si)
+                for si, strategy in enumerate(cfg.strategies):
+                    if strategy.kind == "random":
+                        strategy = AngleStrategy.random(
+                            angle_seed + strategy.seed)
+                    try:
+                        emb = branching_embed(original, strategy)
+                        embedded.append(dissimilarity(kind, emb.coords))
+                    except BranchEmbedError:
+                        failures[ci, si] += 1
+                        continue
+                    cells.append((ci, si, scorer))
             trees = _linkage_stack(embedded, method)
-            for si, tree in zip(cells, trees):
+            for (ci, si, scorer), tree in zip(cells, trees):
                 try:
                     if isinstance(tree, BranchEmbedError):
                         raise tree

@@ -25,15 +25,20 @@ are equal to its, bit for bit.
 At small n a step costs numpy call overhead rather than arithmetic, so
 the benchmark reclusters many problems of one n at once through
 :func:`_linkage_stack`: the same steps on a (B, n, n) stack of at most
-:data:`_STACK_BYTES`, whose trees equal :func:`linkage`'s.  The stacked
-loop has no error path of its own: a stack of one, or a stack in which
-any problem fails, goes to :func:`linkage` one problem at a time, so
-:func:`linkage` alone decides every failure.
+:data:`_STACK_BYTES` (1.5 MiB, 19 problems at n = 100), whose trees
+equal :func:`linkage`'s.  The stacked loop keeps a merged cluster in
+the slot of one of its children and marks the other slot dead with inf,
+so it moves no data between slots, and it checks all B trees at once with
+:func:`~branchembed.dendrogram._valid_records`.  It has no error path of
+its own: a stack of one, or a stack in which any problem fails, goes to
+:func:`linkage` one problem at a time, so :func:`linkage` alone decides
+every failure.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 
 import numpy as np
 
@@ -156,12 +161,12 @@ def _lw_combine(method: str, row_i, row_j, ni: int, nj: int,
     return ((ni + nk) * row_i + (nj + nk) * row_j - nk * d_ij) / (ni + nj + nk)
 
 
-def _square_stack(ds, method: str) -> np.ndarray:
-    """(B, n, n) stack of the full matrices of ``ds`` (all over the same
-    n items), squared for ward, with an infinite diagonal."""
+def _square_stack(ds, method: str, dm: np.ndarray) -> np.ndarray:
+    """Fill ``dm``, a (B, n, n) array, with the full matrices of ``ds``
+    (all over the same n items), squared for ward, with an infinite
+    diagonal; returns ``dm``."""
     n = ds[0].n
     mask = _upper_mask(n)
-    dm = np.empty((len(ds), n, n))
     for sq, d in zip(dm, ds):
         sq[mask] = d.values
         sq.T[mask] = d.values
@@ -189,7 +194,7 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     if method not in LINKAGE_METHODS:
         raise ValueError(f"unknown linkage method {method!r}")
     n = d0.n
-    dm = _square_stack([d0], method)[0]
+    dm = _square_stack([d0], method, np.empty((1, n, n)))[0]
     # row_min[r] is the smallest entry of row r over the active columns.
     row_min = dm.min(axis=1)
 
@@ -260,9 +265,10 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     return validate_dendrogram(merges, n)
 
 
-# Bytes of float64 matrix one stack in _linkage_stack may hold: 13
-# problems at n=100, so every strategy of a benchmark table row fits.
-_STACK_BYTES = 1 << 20
+# Bytes of float64 matrix one stack in _linkage_stack may hold: 19
+# problems at n=100, so the 18 reclusterings that the benchmark table's
+# two conditions of one linkage method make per trial fit in one stack.
+_STACK_BYTES = 3 << 19
 
 
 def _linkage_stack(ds, method: str) -> list:
@@ -305,76 +311,76 @@ def _stacked_linkage(ds, method: str) -> list | None:
     """The steps of :func:`linkage` on a (B, n, n) stack of problems.
 
     Each step takes the same cached row minima, the same tie-break (as a
-    masked ``argmin`` over node ids), the same Lance-Williams update and
-    the same slot moves as :func:`linkage`, for every problem at once.
-    The update reads the tie-break's rows in tie-break order, not slot
-    order, which changes no value: IEEE addition, multiplication, min
-    and max are commutative.  Returns the list of trees, or ``None`` as
-    soon as any problem's minimum turns non-finite or any tree fails
-    :func:`validate_dendrogram`.
+    masked ``argmin`` over node ids) and the same Lance-Williams update
+    as :func:`linkage`, for every problem at once.  Slots never move: the
+    merged cluster keeps slot ``pa``, the slot of the tie-break's smaller
+    id, and slot ``pb`` dies, its column and its row minimum set to inf,
+    so rows keep length n and a dead slot is never picked or read as a
+    minimum.  No value depends on slots (the tie-break reads node ids,
+    and IEEE addition, multiplication, min and max are commutative), so
+    the trees equal :func:`linkage`'s.  Returns the list of trees, or
+    ``None`` as soon as any problem's minimum turns non-finite or any
+    tree fails :func:`~branchembed.dendrogram._valid_records`.
     """
     n = ds[0].n
-    dm = _square_stack(ds, method)
+    # The stack gets an anonymous map of its own, which goes back to the
+    # OS as soon as the stack is freed.  A stack from malloc is mapped
+    # the first time, but glibc then raises its mmap threshold to the
+    # freed stack's size and serves later stacks from the heap, which may
+    # keep up to twice that size free and resident.  On the benchmark's
+    # `table` workload that put peak RSS at 35.8-36.0 MiB in 4 of 5 runs
+    # at seed 104729, past the 5% bound on `peak_rss_mib` (35.3 MiB over
+    # the 33.6 MiB of one 9-problem stack per condition); with the map
+    # it measured 34.8-35.1 MiB in 19 runs at seeds 0 and 104729.
+    buf = mmap.mmap(-1, 8 * len(ds) * n * n)
+    dm = _square_stack(ds, method, np.frombuffer(buf).reshape(len(ds), n, n))
     row_min = dm.min(axis=2)
     node_of = np.tile(np.arange(n, dtype=np.int64), (len(ds), 1))
     sizes = np.ones((len(ds), n), dtype=np.int64)
     # records[:, :, step] holds (left, right, size) of every problem's
-    # merge at that step, heights[:, step] its height.
+    # merge at that step, heights[:, step] its height (squared for ward).
     records = np.empty((len(ds), 3, n - 1), dtype=np.int64)
     heights = np.empty((len(ds), n - 1))
     at = np.arange(len(ds))
     no_id = np.int64(2 * n)   # above every node id
-    m = n
     for step in range(n - 1):
-        mins = row_min[:, :m]
-        val = mins.min(axis=1)
+        val = row_min.min(axis=1)
         if not np.isfinite(val).all():
             return None
         col_val = val[:, None]
-        ids = node_of[:, :m]
         # Slot pa holds the smallest id among the rows at val, slot pb
         # the smallest id among that row's partners at val.
-        pa = np.where(mins == col_val, ids, no_id).argmin(axis=1)
-        row_a = dm[at, pa, :m]
-        pb = np.where(row_a == col_val, ids, no_id).argmin(axis=1)
-        row_b = dm[at, pb, :m]
+        pa = np.where(row_min == col_val, node_of, no_id).argmin(axis=1)
+        row_a = dm[at, pa]
+        pb = np.where(row_a == col_val, node_of, no_id).argmin(axis=1)
+        row_b = dm[at, pb]
         na = sizes[at, pa][:, None]
         nb = sizes[at, pb][:, None]
-        records[:, 0, step] = ids[at, pa]
-        records[:, 1, step] = ids[at, pb]
-        pi = np.minimum(pa, pb)
-        pj = np.maximum(pa, pb)
+        records[:, 0, step] = node_of[at, pa]
+        records[:, 1, step] = node_of[at, pb]
 
-        new_row = _lw_combine(method, row_a, row_b, na, nb, sizes[:, :m],
-                              col_val)
-        new_row[at, pi] = np.inf
-        stale = (mins == np.minimum(row_a, row_b)) & (new_row > mins)
-        np.minimum(mins, new_row, out=mins)
-        dm[at, pi, :m] = new_row
-        dm[at, :m, pi] = new_row
-
-        # Slot last moves into slot pj; where pj is last, in place.
-        last = m - 1
-        dm[at, pj, :m] = dm[:, last, :m]
-        dm[at, :m, pj] = dm[:, :m, last]
-        dm[at, pj, pj] = np.inf
-        node_of[at, pj] = node_of[:, last]
-        sizes[at, pj] = sizes[:, last]
-        row_min[at, pj] = row_min[:, last]
-        stale[at, pj] = stale[:, last]
-        m = last
-        stale[at, pi] = True
-        rb, rr = stale[:, :m].nonzero()
-        row_min[rb, rr] = dm[rb, rr, :m].min(axis=1)
+        new_row = _lw_combine(method, row_a, row_b, na, nb, sizes, col_val)
+        new_row[at, pa] = np.inf
+        stale = (row_min == np.minimum(row_a, row_b)) & (new_row > row_min)
+        np.minimum(row_min, new_row, out=row_min)
+        dm[at, pa] = new_row
+        dm[at, :, pa] = new_row
+        dm[at, :, pb] = np.inf
+        stale[at, pa] = True
+        rb, rr = stale.nonzero()
+        row_min[rb, rr] = dm[rb, rr].min(axis=1)
+        row_min[at, pb] = np.inf
 
         merged = (na + nb)[:, 0]
         records[:, 2, step] = merged
-        heights[:, step] = np.sqrt(val) if method == "ward" else val
-        node_of[at, pi] = n + step
-        sizes[at, pi] = merged
+        heights[:, step] = val
+        node_of[at, pa] = n + step
+        sizes[at, pa] = merged
 
-    try:
-        return [validate_dendrogram(list(zip(rec[0], rec[1], h, rec[2])), n)
-                for rec, h in zip(records.tolist(), heights.tolist())]
-    except BranchEmbedError:
+    if method == "ward":
+        np.sqrt(heights, out=heights)
+    left, right, size = records[:, 0], records[:, 1], records[:, 2]
+    if not _dendrogram._valid_records(left, right, heights, size, n).all():
         return None
+    return [_dendrogram._frozen(n, *tree)
+            for tree in zip(left, right, heights, size)]

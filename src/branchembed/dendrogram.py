@@ -220,6 +220,49 @@ def validate_dendrogram(merges: Sequence, n_leaves: int) -> Dendrogram:
         node_height[limit] = h
         left[k], right[k], height[k], size[k] = l, r, h, s
 
+    return _frozen(n_leaves, left, right, height, size)
+
+
+@np.errstate(invalid="ignore")
+def _valid_records(left, right, height, size, n_leaves: int) -> np.ndarray:
+    """Which of B merge tables pass :func:`validate_dendrogram`, given as
+    (B, n-1) arrays: int64 ``left``, ``right`` and ``size``, float64
+    ``height``.  Returns a (B,) bool array.
+
+    Record k's children must be ids below ``n + k``, no node may be a
+    child twice (which also rules out a record merging a node with
+    itself), heights must be finite and nonnegative, each size the sum
+    of its children's and each height no lower than a child's minus the
+    same :data:`_HEIGHT_SLACK` that :func:`validate_dendrogram` allows.
+    A tree whose every record passes has true sizes, so no sum can wrap.
+    """
+    b = left.shape[0]
+    n = n_leaves
+    limit = np.arange(n, 2 * n - 1)
+    ok = ((left >= 0) & (left < limit) & (right >= 0)
+          & (right < limit)).all(axis=1)
+    ok &= ((height >= 0.0) & (height < math.inf)).all(axis=1)
+    # Out-of-range ids already failed; clip them so the gathers are safe.
+    left = np.clip(left, 0, 2 * n - 2)
+    right = np.clip(right, 0, 2 * n - 2)
+    children = np.concatenate((left, right), axis=1)
+    children += (2 * n - 1) * np.arange(b)[:, None]
+    uses = np.bincount(children.ravel(), minlength=b * (2 * n - 1))
+    ok &= (uses.reshape(b, 2 * n - 1) <= 1).all(axis=1)
+    node_size = np.concatenate((np.ones((b, n), dtype=np.int64), size),
+                               axis=1)
+    ok &= (np.take_along_axis(node_size, left, axis=1)
+           + np.take_along_axis(node_size, right, axis=1) == size).all(axis=1)
+    node_height = np.concatenate((np.zeros((b, n)), height), axis=1)
+    for child in (left, right):
+        ch = np.take_along_axis(node_height, child, axis=1)
+        ok &= (height >= ch - _HEIGHT_SLACK * np.maximum(1.0, np.abs(ch))
+               ).all(axis=1)
+    return ok
+
+
+def _frozen(n_leaves: int, left, right, height, size) -> Dendrogram:
+    """A :class:`Dendrogram` of already validated arrays, made read-only."""
     for arr in (left, right, height, size):
         arr.setflags(write=False)
     return Dendrogram(n_leaves, left, right, height, size)

@@ -35,10 +35,17 @@ from .errors import SizeMismatch, ZeroVariance
 
 def _centred(v: np.ndarray) -> np.ndarray:
     """``v`` centred in place (pass an array the caller no longer needs,
-    or a copy); a constant ``v`` has no correlation and is rejected."""
+    or a copy); a constant ``v`` has no correlation and is rejected.
+    If the sum of ``v`` overflows, ``v`` is first divided by its largest
+    absolute value, a positive factor that Pearson correlation ignores."""
     if np.all(v == v[0]):
         raise ZeroVariance("correlation of a constant vector is undefined")
-    v -= v.mean()
+    with np.errstate(over="ignore"):
+        mean = v.mean()
+    if not math.isfinite(mean):
+        v /= np.abs(v).max()
+        mean = v.mean()
+    v -= mean
     return v
 
 

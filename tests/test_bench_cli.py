@@ -26,7 +26,7 @@ from branchembed import (
     parse_merge_table,
     run_table_experiment,
 )
-from branchembed import bench
+from branchembed import bench, cluster
 from branchembed.bench import _ANGLE_STREAM_OFFSET
 from branchembed.cli import main
 from branchembed.embed import Embedding
@@ -237,6 +237,67 @@ class TestTableFailures:
         table = run_table_experiment(cfg)
         expected = np.zeros((3, 9), dtype=np.int64)
         expected[1, table.strategy_labels.index("even")] = 1
+        assert np.array_equal(table.failures, expected)
+        assert table.to_csv() == percell_table(cfg).to_csv()
+
+
+class TestMethodStacks:
+    """Each trial reclusters every condition of one linkage method in one
+    stack, and the table still equals ``helpers.percell_table``."""
+
+    @staticmethod
+    def _stack_sizes(monkeypatch):
+        """Route ``cluster._stacked_linkage`` through a wrapper; returns
+        the list of stack sizes it was called with."""
+        sizes = []
+        real = cluster._stacked_linkage
+
+        def spy(part, method):
+            sizes.append(len(part))
+            return real(part, method)
+
+        monkeypatch.setattr(cluster, "_stacked_linkage", spy)
+        return sizes
+
+    def test_one_stack_per_method(self, monkeypatch):
+        sizes = self._stack_sizes(monkeypatch)
+        table = run_table_experiment(BenchConfig(trials=1))
+        assert sizes == [18, 18, 18, 9]
+        assert not table.failures.any()
+
+    def test_default_budget_holds_a_method_group(self):
+        assert cluster._STACK_BYTES // (8 * 100 * 100) >= 18
+
+    @pytest.mark.parametrize("conditions", [
+        (("correlation", "single"), ("euclidean", "single")),
+        (("euclidean", "ward"), ("correlation", "average"),
+         ("euclidean", "single"), ("euclidean", "average"),
+         ("correlation", "single")),
+    ])
+    def test_reordered_conditions_equal_percell(self, conditions):
+        cfg = BenchConfig(trials=2, rows=15, cols=4, seed=13,
+                          conditions=conditions)
+        assert run_table_experiment(cfg).to_csv() == \
+            percell_table(cfg).to_csv()
+
+    def test_constant_row_fails_only_correlation_cells(self, monkeypatch):
+        cfg = BenchConfig(trials=2, rows=12, cols=3, seed=9)
+        real = bench.gaussian_matrix
+
+        def constant_row(rows, cols, seed):
+            x = real(rows, cols, seed)
+            if seed == cfg.seed + 1:
+                x[4] = 1.0
+            return x
+
+        monkeypatch.setattr(bench, "gaussian_matrix", constant_row)
+        sizes = self._stack_sizes(monkeypatch)
+        table = run_table_experiment(cfg)
+        # Trial 1's correlation originals fail, so its stacks hold only
+        # the Euclidean embeddings.
+        assert sizes == [18, 18, 18, 9, 9, 9, 9, 9]
+        expected = np.zeros((7, 9), dtype=np.int64)
+        expected[[kind == "correlation" for kind, _ in cfg.conditions]] = 1
         assert np.array_equal(table.failures, expected)
         assert table.to_csv() == percell_table(cfg).to_csv()
 
@@ -494,6 +555,27 @@ class TestCliEval:
         code = main(["eval", "--coords", str(coords),
                      "--dendrogram", str(table_csv)])
         assert code == 2
+
+    def test_heights_near_overflow(self, tmp_path, capsys):
+        # The cophenetic sum overflows; the report still holds the r_c of
+        # the same tree at heights scaled by 1e-308.
+        def merge_table(heights):
+            return "0,1,{!r},2\n2,3,{!r},2\n4,5,{!r},4\n".format(*heights)
+
+        heights = (1e308, 1.2e308, 1.7e308)
+        tree = tmp_path / "tree.csv"
+        tree.write_text(merge_table(heights))
+        coords = tmp_path / "coords.csv"
+        coords.write_text("id,x,y\n0,0,0\n1,1,0\n2,5,0\n3,6,0\n")
+        code = main(["eval", "--coords", str(coords),
+                     "--dendrogram", str(tree), "--linkage", "single"])
+        assert code == 0
+        rep = json.loads(capsys.readouterr().out)
+        scaled = parse_merge_table(merge_table(h * 1e-308 for h in heights))
+        ref = evaluate_embedding(scaled, np.array(
+            [[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [6.0, 0.0]]), "single")
+        assert rep["r_c"] == pytest.approx(ref.r_c, rel=0, abs=1e-12)
+        assert rep["r_c"] == pytest.approx(0.979796, abs=1e-6)
 
 
 class TestCliBench:

@@ -168,6 +168,22 @@ class TestEvaluateEmbedding:
         assert reps[1].r_c == pytest.approx(reps[0].r_c, rel=0, abs=1e-12)
         assert reps[1].r_k == pytest.approx(reps[0].r_k, rel=0, abs=1e-12)
 
+    def test_scores_survive_summing_overflow(self):
+        # The cophenetic vector's sum overflows, though every entry is
+        # finite; scaled by 1e-308 the same tree sums without trouble.
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [6.0, 0.0]])
+        reps = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1.0, 1e-308):
+                d = validate_dendrogram(
+                    [(0, 1, 1e308 * scale, 2), (2, 3, 1.2e308 * scale, 2),
+                     (4, 5, 1.7e308 * scale, 4)], 4)
+                reps.append(evaluate_embedding(d, pts, "single"))
+        assert reps[0].r_c == pytest.approx(reps[1].r_c, rel=0, abs=1e-12)
+        assert reps[0].r_c == pytest.approx(0.979796, abs=1e-6)
+        assert reps[0].r_k == reps[1].r_k
+
     def test_size_mismatch(self):
         d = validate_dendrogram([(0, 1, 1.0, 2), (3, 2, 2.0, 3)], 3)
         with pytest.raises(SizeMismatch):

@@ -2,8 +2,10 @@
 full-matrix scan exactly, and the range-minimum cophenetic/kinship fill
 equals the per-record scatter exactly, on generated inputs.  Generated
 trees also survive the merge-table text round trip, a single-field
-mutation of one record is rejected with the named error, and every
-angle strategy keeps criterion 10's geometric invariants.
+mutation of one record is rejected with the named error, the array
+acceptance check accepts exactly the merge tables that the per-record
+walk accepts, and every angle strategy keeps criterion 10's geometric
+invariants.
 
 Integer grids make most steps tie at the minimum, which exercises the
 tie-break and the row-minimum refresh; float matrices exercise the
@@ -37,7 +39,11 @@ from branchembed import (  # noqa: E402
     serialize_merge_table,
     validate_dendrogram,
 )
-from branchembed.dendrogram import _pair_matrices  # noqa: E402
+from branchembed.dendrogram import (  # noqa: E402
+    _pair_matrices,
+    _valid_records,
+)
+from branchembed.errors import DendrogramError  # noqa: E402
 from helpers import (  # noqa: E402
     random_dendrogram,
     scatter_pair_matrices,
@@ -128,6 +134,78 @@ def test_validate_rejects_single_field_mutation(error, n, seed, data):
     with pytest.raises(error) as err:
         validate_dendrogram(records, n)
     assert err.value.record == k
+
+
+def _walk_accepts(records, n):
+    try:
+        validate_dendrogram(records, n)
+    except DendrogramError:
+        return False
+    return True
+
+
+def _fields(tables):
+    """(B, n-1) left, right, height and size arrays of B record lists."""
+    return tuple(np.array([[rec[f] for rec in t] for t in tables], dtype)
+                 for f, dtype in enumerate((np.int64, np.int64, np.float64,
+                                            np.int64)))
+
+
+def _any_mutation(d, data):
+    """``(record, field, value)``: one field of one record of ``d`` set
+    to a value that may or may not keep the table valid.  Half the
+    draws hit the root record, whose size and height no parent checks."""
+    n = d.n_leaves
+    k = data.draw(st.just(n - 2) | st.integers(0, n - 2))
+    field = data.draw(st.integers(0, 3))
+    if field == 2:
+        top = float(d.height.max())
+        return k, 2, data.draw(
+            st.sampled_from((-1.0, -0.0, 0.0, math.inf, math.nan))
+            | st.floats(0.0, 2.0 * top))
+    if field == 3:
+        return k, 3, int(d.size[k]) + data.draw(st.integers(-2, 2))
+    return k, field, data.draw(st.integers(-1, 2 * n - 1))
+
+
+@SETTINGS
+@given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1),
+       named=st.booleans(), data=st.data())
+def test_array_check_agrees_with_record_walk(n, seed, named, data):
+    d = random_dendrogram(n, np.random.default_rng(seed))
+    records = [list(rec) for rec in d.records()]
+    assert _valid_records(*_fields([records]), n).tolist() == [True]
+    if named:
+        error = data.draw(st.sampled_from(
+            (ForwardReference, DuplicateChild, SizeMismatch, NegativeHeight,
+             NonMonotonic)))
+        k, field, value = _mutation(error, d, data)
+    else:
+        k, field, value = _any_mutation(d, data)
+    records[k][field] = value
+    accepted = _valid_records(*_fields([records]), n).tolist()
+    assert accepted == [_walk_accepts(records, n)]
+    if named:
+        assert accepted == [False]
+
+
+@SETTINGS
+@given(n=st.integers(3, 30), count=st.integers(2, 6),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_array_check_names_the_bad_tree_of_a_batch(n, count, seed, data):
+    rng = np.random.default_rng(seed)
+    tables = [[list(rec) for rec in random_dendrogram(n, rng).records()]
+              for _ in range(count)]
+    bad = data.draw(st.integers(0, count - 1))
+    error = data.draw(st.sampled_from(
+        (ForwardReference, DuplicateChild, SizeMismatch, NegativeHeight,
+         NonMonotonic)))
+    tree = validate_dendrogram(tables[bad], n)
+    k, field, value = _mutation(error, tree, data)
+    tables[bad][k][field] = value
+    expected = [b != bad for b in range(count)]
+    assert _valid_records(*_fields(tables), n).tolist() == expected
+    assert [_walk_accepts(t, n) for t in tables] == expected
 
 
 angle_strategies = st.one_of(
