@@ -14,7 +14,10 @@ checkout); the package is imported from there.  The digest covers:
   --report`` runs.
 
 Two source trees that print the same digest write the same bytes for all
-of these.  A run takes about ten seconds, most of it the table.
+of these.  The digest is the only line on stdout.  Stderr gets one
+``sha256 name`` line per output, in digest order, so when two trees'
+digests differ, a diff of their stderr names the outputs that moved.  A
+run takes a few seconds, most of it the table.
 
 The correlation dissimilarity and the Pearson step go through BLAS, so
 the digest moves with the BLAS kernel and also with its thread count.
@@ -56,6 +59,7 @@ def main(argv) -> int:
     def add(name: str, data: bytes) -> None:
         digest.update(f"{name}\0{len(data)}\0".encode())
         digest.update(data)
+        print(hashlib.sha256(data).hexdigest(), name, file=sys.stderr)
 
     add("table.csv", be.run_table_experiment(
         be.BenchConfig(trials=20)).to_csv().encode())

@@ -65,15 +65,15 @@ def _coords_csv(coords: np.ndarray, labels) -> str:
 
 
 def _parse_coords_csv(text: str, origin: str) -> np.ndarray:
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(lineno, line) for lineno, line
+             in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
         raise ParseError(1, f"no coordinate rows in {origin}")
-    start = 0
-    head = [cell.strip().lower() for cell in lines[0].split(",")]
+    head = [cell.strip().lower() for cell in lines[0][1].split(",")]
     if head[:3] == ["id", "x", "y"]:
-        start = 1
+        lines = lines[1:]
     rows = []
-    for lineno, line in enumerate(lines[start:], start + 1):
+    for lineno, line in lines:
         parts = line.split(",")
         if len(parts) < 3:
             raise ParseError(lineno, "expected at least id,x,y")
@@ -83,7 +83,7 @@ def _parse_coords_csv(text: str, origin: str) -> np.ndarray:
             raise ParseError(lineno, str(exc)) from None
     ids = sorted(r[0] for r in rows)
     if ids != list(range(len(rows))):
-        raise ParseError(start + 1, f"ids must cover 0..{len(rows) - 1}")
+        raise ParseError(lines[0][0], f"ids must cover 0..{len(rows) - 1}")
     coords = np.empty((len(rows), 2))
     for i, x, y in rows:
         coords[i] = (x, y)

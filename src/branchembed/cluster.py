@@ -54,6 +54,7 @@ from .errors import (
     BranchEmbedError,
     DissimilarityOverflow,
     LinkageOverflow,
+    NegativeHeight,
     ZeroVarianceRow,
 )
 
@@ -189,10 +190,17 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     function sees only the matrix, not how it was made, so it does not
     reject ward on correlation dissimilarities (:func:`check_condition`
     does).  Raises :class:`LinkageOverflow` if a merged dissimilarity
-    (for ward, a squared one) exceeds the float64 range.
+    (for ward, a squared one) exceeds the float64 range, and, under every
+    method, :class:`NegativeHeight` at record 0 if ``d0`` holds a negative
+    value.
     """
     if method not in LINKAGE_METHODS:
         raise ValueError(f"unknown linkage method {method!r}")
+    if method == "ward" and d0.values.min() < 0.0:
+        # Squaring would hide the sign.  The other methods' first merge
+        # is at the smallest value, so they fail at record 0 as well.
+        low = float(d0.values.min())
+        raise NegativeHeight(f"record 0: height {low!r} < 0", record=0)
     n = d0.n
     dm = _square_stack([d0], method, np.empty((1, n, n)))[0]
     # row_min[r] is the smallest entry of row r over the active columns.
@@ -319,9 +327,12 @@ def _stacked_linkage(ds, method: str) -> list | None:
     minimum.  No value depends on slots (the tie-break reads node ids,
     and IEEE addition, multiplication, min and max are commutative), so
     the trees equal :func:`linkage`'s.  Returns the list of trees, or
-    ``None`` as soon as any problem's minimum turns non-finite or any
-    tree fails :func:`~branchembed.dendrogram._valid_records`.
+    ``None`` if any ward problem holds a negative dissimilarity, as soon
+    as any problem's minimum turns non-finite, or if any tree fails
+    :func:`~branchembed.dendrogram._valid_records`.
     """
+    if method == "ward" and min(d.values.min() for d in ds) < 0.0:
+        return None
     n = ds[0].n
     # The stack gets an anonymous map of its own, which goes back to the
     # OS as soon as the stack is freed.  A stack from malloc is mapped

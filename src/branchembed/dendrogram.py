@@ -175,9 +175,13 @@ def validate_dendrogram(merges: Sequence, n_leaves: int) -> Dendrogram:
             l_raw, r_raw, h, s_raw = record
         except (TypeError, ValueError):
             raise DendrogramError(f"record {k}: expected 4 fields", record=k)
-        l, r, s = int(l_raw), int(r_raw), int(s_raw)
+        try:
+            l, r, s = int(l_raw), int(r_raw), int(s_raw)
+            integral = l == l_raw and r == r_raw and s == s_raw
+        except (OverflowError, TypeError, ValueError):  # inf, NaN, non-number
+            integral = False
         h = float(h)
-        if l != l_raw or r != r_raw or s != s_raw:
+        if not integral:
             raise DendrogramError(
                 f"record {k}: ids and sizes must be integers", record=k
             )

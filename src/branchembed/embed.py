@@ -20,7 +20,9 @@ by an :class:`AngleStrategy`:
   equidistant from the sister cluster.
 
 The root has no sister; its axis is the +x direction (or a random angle
-for the random strategy), which only fixes the global orientation.
+for the random strategy), which only fixes the global orientation.  A
+sister that coincides with the target (see ``_DEGENERATE``) gives no
+direction either: ``fixed`` rotates +x by theta and ``even`` keeps +x.
 """
 
 from __future__ import annotations
@@ -36,8 +38,11 @@ from .rng import SplitMix64
 
 STRATEGY_KINDS = ("random", "fixed", "even")
 
-# Below this separation a sister is treated as coincident with the target
-# and the fallback axis (1, 0) is used.
+# A sister no farther from the target than this fraction of the target's
+# L1 norm coincides with it, and the sister direction falls back to +x.
+# The cutoff is relative, so scaling a tree's heights by a power of two
+# scales its embedding by exactly that factor (short of under- or
+# overflow) and leaves its scores unchanged.
 _DEGENERATE = 1e-12
 
 _TWO_PI = 2.0 * math.pi
@@ -166,45 +171,29 @@ def division_step(target, sister, height, n1, n2,
         ang = _TWO_PI * rng.next_uniform()
         ux = math.cos(ang)
         uy = math.sin(ang)
-        return (tx + l1 * ux, ty + l1 * uy), (tx - l2 * ux, ty - l2 * uy)
-
-    # Direction from the target toward its sister, if one is usable.
-    if sister is None:
-        sx, sy = 1.0, 0.0
-        length = 0.0
     else:
-        dx = sister[0] - tx
-        dy = sister[1] - ty
-        length = math.hypot(dx, dy)
-        if length < _DEGENERATE:
-            sx, sy = 1.0, 0.0
-            length = 0.0
-        else:
-            sx = dx / length
-            sy = dy / length
-
-    if kind == "fixed":
-        if sister is None:
-            # Root split: nothing to rotate against, keep the +x axis.
-            ux, uy = sx, sy
-        else:
-            rad = math.radians(strategy.theta)
-            cos_t = math.cos(rad)
-            sin_t = math.sin(rad)
-            ux = sx * cos_t - sy * sin_t
-            uy = sx * sin_t + sy * cos_t
-        if strategy.swap and n1 > n2:
+        # The axis is the unit direction toward the sister, or +x at the
+        # root and for a coincident sister, rotated counterclockwise by
+        # fixed's theta (not at the root) or by even's angle.
+        sx, sy, rad = 1.0, 0.0, 0.0
+        if sister is not None:
+            dx = sister[0] - tx
+            dy = sister[1] - ty
+            length = math.hypot(dx, dy)
+            if length > _DEGENERATE * (abs(tx) + abs(ty)):
+                sx = dx / length
+                sy = dy / length
+                if kind == "even":
+                    rad = even_angle(l1, l2, length)
+            if kind == "fixed":
+                rad = math.radians(strategy.theta)
+        cos_t = math.cos(rad)
+        sin_t = math.sin(rad)
+        ux = sx * cos_t - sy * sin_t
+        uy = sx * sin_t + sy * cos_t
+        if kind == "fixed" and strategy.swap and n1 > n2:
             # Push the larger child away from the sister.
-            return (tx - l1 * ux, ty - l1 * uy), (tx + l2 * ux, ty + l2 * uy)
-    else:  # even
-        if length == 0.0:
-            ux, uy = sx, sy
-        else:
-            rad = even_angle(l1, l2, length)
-            cos_t = math.cos(rad)
-            sin_t = math.sin(rad)
-            ux = sx * cos_t - sy * sin_t
-            uy = sx * sin_t + sy * cos_t
+            l1, l2 = -l1, -l2
 
     return (tx + l1 * ux, ty + l1 * uy), (tx - l2 * ux, ty - l2 * uy)
 

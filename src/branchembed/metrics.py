@@ -33,17 +33,24 @@ from .embed import AngleStrategy, Embedding
 from .errors import SizeMismatch, ZeroVariance
 
 
+def _rescaled(v: np.ndarray, out=None) -> np.ndarray:
+    """``v`` times the power of two that brings its largest absolute value
+    into [0.5, 1).  Pearson correlation ignores a positive factor, and
+    this one is exact, so the scores are those of ``v`` at any scale at
+    which its sums and products neither overflow nor underflow."""
+    return np.ldexp(v, -math.frexp(np.abs(v).max())[1], out=out)
+
+
 def _centred(v: np.ndarray) -> np.ndarray:
     """``v`` centred in place (pass an array the caller no longer needs,
     or a copy); a constant ``v`` has no correlation and is rejected.
-    If the sum of ``v`` overflows, ``v`` is first divided by its largest
-    absolute value, a positive factor that Pearson correlation ignores."""
+    If the sum of ``v`` overflows, ``v`` is first :func:`_rescaled`."""
     if np.all(v == v[0]):
         raise ZeroVariance("correlation of a constant vector is undefined")
     with np.errstate(over="ignore"):
         mean = v.mean()
     if not math.isfinite(mean):
-        v /= np.abs(v).max()
+        _rescaled(v, out=v)
         mean = v.mean()
     v -= mean
     return v
@@ -55,14 +62,13 @@ _TINY = np.finfo(np.float64).tiny
 def _pearson_vec(a: np.ndarray, b: np.ndarray) -> float:
     """Pearson correlation of two vectors already passed through
     :func:`_centred`.  If a squared norm or their product leaves the
-    normal float64 range, both vectors are first divided by their
-    largest absolute value, which leaves the correlation unchanged."""
+    normal float64 range, both vectors are first :func:`_rescaled`."""
     with np.errstate(over="ignore", under="ignore"):
         aa, bb = a @ a, b @ b
         den = aa * bb
     if not (aa >= _TINY and bb >= _TINY and _TINY <= den < math.inf):
-        a = a / np.abs(a).max()
-        b = b / np.abs(b).max()
+        a = _rescaled(a)
+        b = _rescaled(b)
         aa, bb = a @ a, b @ b
         den = aa * bb
     r = float(a @ b) / float(np.sqrt(den))

@@ -556,6 +556,21 @@ class TestCliEval:
                      "--dendrogram", str(table_csv)])
         assert code == 2
 
+    @pytest.mark.parametrize("text, line", [
+        ("id,x,y\n\n0,1,2\n1,x,3\n", 4),
+        ("\n\nid,x,y\n0,1,2\n\n1,2\n", 6),
+        ("\n0,1,2\n\n0,2,3\n", 2),
+    ])
+    def test_coords_errors_name_file_lines(self, table_csv, tmp_path,
+                                           capsys, text, line):
+        # Blank lines count: the error names the line as the file has it.
+        coords = tmp_path / "coords.csv"
+        coords.write_text(text)
+        code = main(["eval", "--coords", str(coords),
+                     "--dendrogram", str(table_csv)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
     def test_heights_near_overflow(self, tmp_path, capsys):
         # The cophenetic sum overflows; the report still holds the r_c of
         # the same tree at heights scaled by 1e-308.

@@ -556,6 +556,24 @@ class TestLinkageStack:
         assert got[1].record == err.value.record
         assert got[::2] == [linkage(d0, "single") for d0 in good]
 
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    def test_negative_dissimilarity_fails_only_its_problem(self, method):
+        # Ward squares its input, which would hide the sign; it fails at
+        # record 0 like the other methods.
+        bad = CondensedMatrix.from_square(
+            [[0.0, -1.0, 2.0], [-1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+        with pytest.raises(NegativeHeight,
+                           match=r"^record 0: height -1\.0 < 0$") as err:
+            linkage(bad, method)
+        assert err.value.record == 0
+        rng = np.random.default_rng(4)
+        good = [euclidean_dissimilarity(rng.normal(size=(3, 2)))
+                for _ in range(2)]
+        got = _linkage_stack([good[0], bad, good[1]], method)
+        assert type(got[1]) is NegativeHeight
+        assert str(got[1]) == str(err.value)
+        assert got[::2] == [linkage(d0, method) for d0 in good]
+
     @pytest.mark.parametrize("per_stack", [1, 2, 3])
     @pytest.mark.parametrize("method", LINKAGE_METHODS)
     def test_split_by_byte_budget(self, monkeypatch, per_stack, method):

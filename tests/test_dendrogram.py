@@ -125,6 +125,18 @@ class TestValidation:
             validate_dendrogram([(0, 1, np.nan, 2), (3, 2, 1.0, 3)], 3)
         assert err.value.record == 0
 
+    @pytest.mark.parametrize("field", [0, 1, 3])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_ids_and_sizes(self, field, value):
+        record = np.array([[0, 1, 1.0, 2]])
+        record[0, field] = value
+        with pytest.raises(DendrogramError,
+                           match="^record 0: ids and sizes must be integers$"
+                           ) as err:
+            validate_dendrogram(record, 2)
+        assert type(err.value) is DendrogramError
+        assert err.value.record == 0
+
     def test_monotonicity_allows_roundoff_slack(self):
         h = 1.0
         d = validate_dendrogram(

@@ -12,14 +12,19 @@ import numpy as np
 import pytest
 
 from branchembed import (
+    LINKAGE_METHODS,
     AngleStrategy,
     SplitEvent,
     SplitMix64,
     branching_embed,
     cophenetic_matrix,
     division_step,
+    euclidean_dissimilarity,
+    evaluate_embedding,
     even_angle,
+    gaussian_matrix,
     line_embed,
+    linkage,
     validate_dendrogram,
 )
 from helpers import random_dendrogram
@@ -140,14 +145,34 @@ class TestDivisionStep:
             assert c2 == pytest.approx((-0.5, 0.0))
 
     def test_degenerate_sister_uses_fallback_axis(self):
-        c1, _ = division_step((3.0, 4.0), (3.0, 4.0 + 1e-15), 1.0, 1, 1,
-                              AngleStrategy.fixed(0.0, swap=False))
-        assert c1 == pytest.approx((3.5, 4.0))
+        # Coincident within 1e-12 of the target's scale, at any scale.
+        for scale in (1.0, 2.0 ** -80):
+            target = (3.0 * scale, 4.0 * scale)
+            sister = (3.0 * scale, (4.0 + 1e-15) * scale)
+            for strat in (AngleStrategy.fixed(0.0, swap=False),
+                          AngleStrategy.even()):
+                c1, _ = division_step(target, sister, scale, 1, 1, strat)
+                assert c1 == (3.5 * scale, 4.0 * scale)
 
     def test_degenerate_sister_fixed_still_rotates(self):
-        c1, _ = division_step((0.0, 0.0), (0.0, 0.0), 1.0, 1, 1,
-                              AngleStrategy.fixed(90.0, swap=False))
+        for at in (0.0, 2.0 ** -80):
+            c1, _ = division_step((0.0, at), (0.0, at), 1.0, 1, 1,
+                                  AngleStrategy.fixed(90.0, swap=False))
+            assert c1 == pytest.approx((0.0, 0.5 + at))
+
+    def test_degenerate_sister_real_gap_at_origin(self):
+        # 1e-15 from a target at the origin is a real direction (+y).
+        sister = (0.0, 1e-15)
+        c1, c2 = division_step((0.0, 0.0), sister, 1.0, 1, 1,
+                               AngleStrategy.fixed(0.0, swap=False))
         assert c1 == pytest.approx((0.0, 0.5))
+        assert c2 == pytest.approx((0.0, -0.5))
+        c1, c2 = division_step((0.0, 0.0), sister, 1.0, 1, 1,
+                               AngleStrategy.even())
+        # Both children land 0.5 from the target, far beyond the sister:
+        # the equidistant axis is perpendicular to the sister direction.
+        assert c1 == pytest.approx((-0.5, 0.0))
+        assert c2 == pytest.approx((0.5, 0.0))
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -316,6 +341,35 @@ class TestBranchingEmbed:
         d = validate_dendrogram([(0, 1, 1.0, 2)], 2)
         a = branching_embed(d, AngleStrategy.random(seed=3)).coords
         assert abs(a[0, 1]) > 0.0  # off the x axis almost surely
+
+
+class TestScaleInvariance:
+    """Scaling the data by a power of two scales the tree's heights and
+    its embedding by exactly that factor and leaves r_c and r_k as they
+    are, down to scales where every sister is closer than 1e-12."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return gaussian_matrix(20, 3, 5)
+
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    @pytest.mark.parametrize("strategy", [AngleStrategy.random(seed=5),
+                                          AngleStrategy.fixed(15.0),
+                                          AngleStrategy.even()],
+                             ids=lambda s: s.kind)
+    def test_embedding_and_scores_scale(self, data, method, strategy):
+        def embed_and_score(scale):
+            d = linkage(euclidean_dissimilarity(data * scale), method)
+            emb = branching_embed(d, strategy)
+            return d, emb.coords, evaluate_embedding(d, emb, method)
+
+        d1, coords1, rep1 = embed_and_score(1.0)
+        for k in (-300, -66, -40, 300):
+            scale = 2.0 ** k
+            d, coords, rep = embed_and_score(scale)
+            assert np.array_equal(d.height, d1.height * scale), k
+            assert np.array_equal(coords, coords1 * scale), k
+            assert (rep.r_c, rep.r_k) == (rep1.r_c, rep1.r_k), k
 
 
 class TestLineEmbed:
