@@ -15,19 +15,20 @@ so angles never correlate with data.  Cells are scored exactly as
 :func:`~branchembed.evaluate_embedding` scores them, by one shared
 scorer per trial and condition.
 
-Reclustering is the hot path, so each trial embeds every strategy of
-every condition that shares a linkage method and then reclusters all
-those embeddings in one stacked loop (``cluster._linkage_stack``, which
-documents its stack budget and failure path): the steps of
-:func:`~branchembed.linkage` on a (B, n, n) stack, each numpy call
-serving every embedding.  The default conditions give stacks of 18 for
-single, complete and average linkage and 9 for ward.  The trees equal
-:func:`~branchembed.linkage`'s bit for bit, a reclustering that fails
-counts against its own cell only, and an original tree that fails
+Clustering is the hot path, so each trial makes two calls to the
+stacked clusterer ``cluster._cluster_stack``, which documents its stack
+budget and failure path: one clusters the trial's data under every
+condition, and one, after every strategy has embedded every original
+tree, reclusters all those embeddings.  A call orders its problems by
+linkage method and runs the steps of :func:`~branchembed.linkage` on
+equal (B, n, n) stacks filled straight from the data and coordinates,
+each numpy call serving the whole stack.  The default sweep gives one
+stack of 7 originals and three of 21 embeddings per trial.  The trees
+equal :func:`~branchembed.linkage`'s bit for bit, a reclustering that
+fails counts against its own cell only, and an original tree that fails
 counts against its own condition's row only.  Every cell gets at most
-one addition per trial, so the sums do not depend on how conditions
-are grouped.  Stacks never span trials, and only one method's scorers
-are alive at a time, which keeps memory bounded by one trial's group.
+one addition per trial, so the sums do not depend on how problems are
+stacked.  Stacks never span trials.
 """
 
 from __future__ import annotations
@@ -37,8 +38,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import _linkage_stack, check_condition, dissimilarity, linkage
-from .datasets import gaussian_matrix
+from .cluster import _cluster_stack, check_condition
+# What _cluster_stack computes for each problem, importable from here so
+# that a per-cell loop can spell out a cell the way a trial computes it.
+from .cluster import dissimilarity, linkage  # noqa: F401
+from .datasets import _check_integer, gaussian_matrix
 from .embed import AngleStrategy, branching_embed
 from .errors import BranchEmbedError
 from .metrics import _Scorer
@@ -76,6 +80,8 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("trials", "rows", "cols"):
+            _check_integer(name, getattr(self, name))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.rows < 3:
@@ -84,6 +90,9 @@ class BenchConfig:
             raise ValueError("need at least 1 column")
         object.__setattr__(self, "conditions", tuple(self.conditions))
         object.__setattr__(self, "strategies", tuple(self.strategies))
+        for name in ("conditions", "strategies"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         for kind, method in self.conditions:
             check_condition(kind, method)
             if kind == "correlation" and self.cols < 2:
@@ -142,48 +151,44 @@ def run_table_experiment(cfg: BenchConfig) -> BenchTable:
     counts = np.zeros((n_cond, n_strat), dtype=np.int64)
     failures = np.zeros((n_cond, n_strat), dtype=np.int64)
 
-    # Conditions grouped by linkage method, in order of first appearance.
-    by_method = {}
-    for ci, (kind, method) in enumerate(cfg.conditions):
-        by_method.setdefault(method, []).append((ci, kind))
-
     for trial in range(cfg.trials):
         data = gaussian_matrix(cfg.rows, cfg.cols, cfg.seed + trial)
         angle_seed = (cfg.seed + _ANGLE_STREAM_OFFSET + trial) & ((1 << 64) - 1)
-        for method, group in by_method.items():
-            # One stack per method: (condition, strategy, scorer) per
-            # embedding, then every embedding of the group reclustered.
-            cells, embedded = [], []
-            for ci, kind in group:
+        originals = _cluster_stack(
+            [(data, kind, method) for kind, method in cfg.conditions])
+        # (condition, strategy, scorer) and a reclustering problem per
+        # embedding, then every embedding of the trial reclustered.
+        cells, problems = [], []
+        for ci, ((kind, method), original) in enumerate(
+                zip(cfg.conditions, originals)):
+            try:
+                if isinstance(original, BranchEmbedError):
+                    raise original
+                scorer = _Scorer(original)
+            except BranchEmbedError:
+                failures[ci, :] += 1
+                continue
+            for si, strategy in enumerate(cfg.strategies):
+                if strategy.kind == "random":
+                    strategy = AngleStrategy.random(angle_seed + strategy.seed)
                 try:
-                    original = linkage(dissimilarity(kind, data), method)
-                    scorer = _Scorer(original)
-                except BranchEmbedError:
-                    failures[ci, :] += 1
-                    continue
-                for si, strategy in enumerate(cfg.strategies):
-                    if strategy.kind == "random":
-                        strategy = AngleStrategy.random(
-                            angle_seed + strategy.seed)
-                    try:
-                        emb = branching_embed(original, strategy)
-                        embedded.append(dissimilarity(kind, emb.coords))
-                    except BranchEmbedError:
-                        failures[ci, si] += 1
-                        continue
-                    cells.append((ci, si, scorer))
-            trees = _linkage_stack(embedded, method)
-            for (ci, si, scorer), tree in zip(cells, trees):
-                try:
-                    if isinstance(tree, BranchEmbedError):
-                        raise tree
-                    r_c, r_k = scorer.scores(tree)
+                    emb = branching_embed(original, strategy)
                 except BranchEmbedError:
                     failures[ci, si] += 1
                     continue
-                sum_rc[ci, si] += r_c
-                sum_rk[ci, si] += r_k
-                counts[ci, si] += 1
+                cells.append((ci, si, scorer))
+                problems.append((emb.coords, kind, method))
+        for (ci, si, scorer), tree in zip(cells, _cluster_stack(problems)):
+            try:
+                if isinstance(tree, BranchEmbedError):
+                    raise tree
+                r_c, r_k = scorer.scores(tree)
+            except BranchEmbedError:
+                failures[ci, si] += 1
+                continue
+            sum_rc[ci, si] += r_c
+            sum_rk[ci, si] += r_k
+            counts[ci, si] += 1
 
     with np.errstate(invalid="ignore"):
         mean_rc = sum_rc / counts

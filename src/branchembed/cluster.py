@@ -23,16 +23,21 @@ tie-break are those of the stepwise full-matrix scan, so the merge tables
 are equal to its, bit for bit.
 
 At small n a step costs numpy call overhead rather than arithmetic, so
-the benchmark reclusters many problems of one n at once through
-:func:`_linkage_stack`: the same steps on a (B, n, n) stack of at most
-:data:`_STACK_BYTES` (1.5 MiB, 19 problems at n = 100), whose trees
-equal :func:`linkage`'s.  The stacked loop keeps a merged cluster in
-the slot of one of its children and marks the other slot dead with inf,
-so it moves no data between slots, and it checks all B trees at once with
-:func:`~branchembed.dendrogram._valid_records`.  It has no error path of
-its own: a stack of one, or a stack in which any problem fails, goes to
-:func:`linkage` one problem at a time, so :func:`linkage` alone decides
-every failure.
+the benchmark clusters many problems of one n at once through
+:func:`_cluster_stack`.  A problem is ``(x, kind, method)``, and its
+result is what ``linkage(dissimilarity(kind, x), method)`` returns or
+raises, bit for bit.  Problems are ordered by method and cut into equal
+(B, n, n) stacks of at most :data:`_STACK_BYTES` (1.625 MiB, 21 problems
+at n = 100), each filled straight from the data, with no condensed
+matrix in between, and run by one loop that applies each method's
+update to its own run of the stack.  The stacked loop keeps a merged
+cluster in the slot of one of its children and marks the other slot
+dead with inf, so it moves no data between slots, and it checks all B
+trees at once with :func:`~branchembed.dendrogram._valid_records`.  It
+has no error path of its own: a stack of one, a stack whose fill is not
+finite, and a stack in which any problem fails go through
+:func:`linkage` one problem at a time, so :func:`dissimilarity` and
+:func:`linkage` alone decide every failure.
 """
 
 from __future__ import annotations
@@ -111,8 +116,16 @@ def correlation_dissimilarity(x) -> CondensedMatrix:
     row has no defined correlation and raises :class:`ZeroVarianceRow`.
     """
     x = _check_data(x)
-    n, p = x.shape
-    if p < 2:
+    values = _row_correlations(x)[_upper_mask(x.shape[0])]
+    np.subtract(1.0, values, out=values)
+    return CondensedMatrix(x.shape[0], np.clip(values, 0.0, 2.0, out=values))
+
+
+def _row_correlations(x: np.ndarray) -> np.ndarray:
+    """The n x n Pearson correlations of the rows of checked data ``x``,
+    as products of its centred rows scaled to unit length.  Raises
+    :class:`ZeroVarianceRow` for a constant row."""
+    if x.shape[1] < 2:
         raise ValueError("row correlation needs at least 2 columns")
     constant = np.all(x == x[:, :1], axis=1)
     if constant.any():
@@ -120,9 +133,7 @@ def correlation_dissimilarity(x) -> CondensedMatrix:
     centered = x - x.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
     unit = centered / norms[:, None]
-    values = (unit @ unit.T)[_upper_mask(n)]
-    np.subtract(1.0, values, out=values)
-    return CondensedMatrix(n, np.clip(values, 0.0, 2.0, out=values))
+    return unit @ unit.T
 
 
 def dissimilarity(kind: str, x) -> CondensedMatrix:
@@ -162,17 +173,15 @@ def _lw_combine(method: str, row_i, row_j, ni: int, nj: int,
     return ((ni + nk) * row_i + (nj + nk) * row_j - nk * d_ij) / (ni + nj + nk)
 
 
-def _square_stack(ds, method: str, dm: np.ndarray) -> np.ndarray:
-    """Fill ``dm``, a (B, n, n) array, with the full matrices of ``ds``
-    (all over the same n items), squared for ward, with an infinite
-    diagonal; returns ``dm``."""
-    n = ds[0].n
+def _square(d: CondensedMatrix, method: str) -> np.ndarray:
+    """The full matrix of ``d``, squared for ward, with an infinite
+    diagonal."""
+    n = d.n
     mask = _upper_mask(n)
-    for sq, d in zip(dm, ds):
-        sq[mask] = d.values
-        sq.T[mask] = d.values
-    diag = np.arange(n)
-    dm[:, diag, diag] = np.inf
+    dm = np.empty((n, n))
+    dm[mask] = d.values
+    dm.T[mask] = d.values
+    np.fill_diagonal(dm, np.inf)
     if method == "ward":
         dm *= dm
     return dm
@@ -202,7 +211,7 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
         low = float(d0.values.min())
         raise NegativeHeight(f"record 0: height {low!r} < 0", record=0)
     n = d0.n
-    dm = _square_stack([d0], method, np.empty((1, n, n)))[0]
+    dm = _square(d0, method)
     # row_min[r] is the smallest entry of row r over the active columns.
     row_min = dm.min(axis=1)
 
@@ -273,50 +282,138 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     return validate_dendrogram(merges, n)
 
 
-# Bytes of float64 matrix one stack in _linkage_stack may hold: 19
-# problems at n=100, so the 18 reclusterings that the benchmark table's
-# two conditions of one linkage method make per trial fit in one stack.
-_STACK_BYTES = 3 << 19
+# Bytes of float64 matrix one stack in _cluster_stack may hold: 21
+# problems at n=100, so the 63 reclusterings of a benchmark-table trial
+# fill three equal stacks.
+_STACK_BYTES = 13 << 17
 
 
-def _linkage_stack(ds, method: str) -> list:
-    """:func:`linkage` of every condensed matrix in ``ds`` (all over the
-    same n items), as a list holding one :class:`Dendrogram` per problem,
-    or the :class:`BranchEmbedError` that problem raised.
+def _cluster_stack(problems) -> list:
+    """``linkage(dissimilarity(kind, x), method)`` of every ``(x, kind,
+    method)`` problem (all ``x`` over the same n items), as a list holding
+    one :class:`Dendrogram` per problem, or the :class:`BranchEmbedError`
+    that problem raised.
 
-    Problems are stacked up to :data:`_STACK_BYTES` of matrices at a
-    time and clustered by one loop whose numpy calls each serve the whole
-    stack, which at small n costs far less than a loop per problem.  A
-    stack of one, or a stack in which any problem fails, goes to
-    :func:`linkage` one problem at a time.  The trees equal
-    :func:`linkage`'s, bit for bit, and so do the errors.
+    Problems are ordered by linkage method and cut into equal stacks of
+    at most :data:`_STACK_BYTES` of matrices, each filled straight from
+    its problems' data and clustered by one loop whose numpy calls serve
+    the whole stack, which at small n costs far less than a loop per
+    problem.  A stack of one, a stack whose fill is not finite, and a
+    stack in which any tree fails go through the expression above one
+    problem at a time.  The trees equal it bit for bit, and so do the
+    errors.
     """
-    if method not in LINKAGE_METHODS:
-        raise ValueError(f"unknown linkage method {method!r}")
-    if not ds:
+    rank = {method: r for r, method in enumerate(LINKAGE_METHODS)}
+    checked = []
+    for x, kind, method in problems:
+        if kind not in DISSIMILARITY_KINDS:
+            raise ValueError(f"unknown dissimilarity {kind!r}")
+        if method not in rank:
+            raise ValueError(f"unknown linkage method {method!r}")
+        checked.append((_check_data(x), kind, method))
+    if not checked:
         return []
-    n = ds[0].n
-    if any(d.n != n for d in ds):
+    n = checked[0][0].shape[0]
+    if any(x.shape[0] != n for x, _, _ in checked):
         raise ValueError("stacked problems must all have the same n")
+    order = sorted(range(len(checked)), key=lambda b: rank[checked[b][2]])
     per_stack = max(1, _STACK_BYTES // (8 * n * n))
-    out = []
-    for s in range(0, len(ds), per_stack):
-        part = ds[s:s + per_stack]
-        trees = _stacked_linkage(part, method) if len(part) > 1 else None
-        if trees is not None:
-            out += trees
-            continue
-        for d in part:
-            try:
-                out.append(linkage(d, method))
-            except BranchEmbedError as err:
-                out.append(err)
+    count = -(-len(order) // per_stack)
+    cuts = [len(order) * k // count for k in range(count + 1)]
+    # One anonymous map serves every stack of the call and goes back to
+    # the OS when the call ends.  A stack from malloc is mapped the first
+    # time, but glibc then raises its mmap threshold to the freed stack's
+    # size and serves later stacks from the heap, which may keep up to
+    # twice that size free and resident: on the benchmark's `table`
+    # workload that put peak RSS at 35.8-36.0 MiB in 4 of 5 runs at seed
+    # 104729, against 34.8-35.1 MiB in 19 runs with the map.
+    buf = mmap.mmap(-1, 8 * -(-len(order) // count) * n * n)
+    out = [None] * len(checked)
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = [checked[b] for b in order[lo:hi]]
+        trees = None
+        if len(part) > 1:
+            dm = np.frombuffer(buf, count=len(part) * n * n)
+            dm = dm.reshape(len(part), n, n)
+            slices = _fill_stack(dm, part)
+            if slices is not None:
+                trees = _stacked_linkage(dm, slices)
+        if trees is None:
+            trees = [_cluster_one(*problem) for problem in part]
+        for b, tree in zip(order[lo:hi], trees):
+            out[b] = tree
     return out
 
 
+def _cluster_one(x, kind: str, method: str):
+    """``linkage(dissimilarity(kind, x), method)``, or the
+    :class:`BranchEmbedError` it raised."""
+    try:
+        return linkage(dissimilarity(kind, x), method)
+    except BranchEmbedError as err:
+        return err
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _stacked_linkage(ds, method: str) -> list | None:
-    """The steps of :func:`linkage` on a (B, n, n) stack of problems.
+def _fill_stack(dm: np.ndarray, problems) -> list | None:
+    """Fill ``dm``, a (B, n, n) array, with the full dissimilarity
+    matrices of ``problems``, ``(x, kind, method)`` triples sorted by
+    method, each squared for ward, with an infinite diagonal.  Returns
+    the ``(method, lo, hi)`` runs of the stack, or ``None`` if a fill is
+    not finite or raises a :class:`BranchEmbedError`, which is where
+    :func:`dissimilarity` raises.
+
+    Every value equals :func:`dissimilarity`'s for its pair: a 2-column
+    Euclidean fill is ``sqrt(dx*dx + dy*dy)`` by broadcasting, which is
+    what the per-pair sum of squares gives for two columns; wider data
+    takes :func:`euclidean_dissimilarity`'s values; correlation takes the
+    same products of unit rows, read from the upper triangle.
+    """
+    n = dm.shape[1]
+    mask = _upper_mask(n)
+    # The stack may hold an earlier stack's matrices, and a wide
+    # Euclidean fill writes no diagonal.
+    diag = np.arange(n)
+    dm[:, diag, diag] = 0.0
+    try:
+        for sq, (x, kind, _) in zip(dm, problems):
+            if kind == "correlation":
+                np.subtract(1.0, _row_correlations(x), out=sq)
+                np.clip(sq, 0.0, 2.0, out=sq)
+                sq.T[mask] = sq[mask]
+            elif x.shape[1] == 2:
+                np.subtract.outer(x[:, 0], x[:, 0], out=sq)
+                sq *= sq
+                dy = np.subtract.outer(x[:, 1], x[:, 1])
+                dy *= dy
+                sq += dy
+                np.sqrt(sq, out=sq)
+            else:
+                values = euclidean_dissimilarity(x).values
+                sq[mask] = values
+                sq.T[mask] = values
+    except BranchEmbedError:
+        return None
+    if not math.isfinite(dm.max()):
+        return None
+    dm[:, diag, diag] = np.inf
+    slices = []
+    for b, (_, _, method) in enumerate(problems):
+        if slices and slices[-1][0] == method:
+            slices[-1][2] = b + 1
+        else:
+            slices.append([method, b, b + 1])
+    for method, lo, hi in slices:
+        if method == "ward":
+            dm[lo:hi] *= dm[lo:hi]
+    return slices
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _stacked_linkage(dm: np.ndarray, slices) -> list | None:
+    """The steps of :func:`linkage` on a filled (B, n, n) stack whose
+    problems run ``slices``, ``(method, lo, hi)`` runs of one linkage
+    method each (ward's squared).
 
     Each step takes the same cached row minima, the same tie-break (as a
     masked ``argmin`` over node ids) and the same Lance-Williams update
@@ -326,33 +423,26 @@ def _stacked_linkage(ds, method: str) -> list | None:
     so rows keep length n and a dead slot is never picked or read as a
     minimum.  No value depends on slots (the tie-break reads node ids,
     and IEEE addition, multiplication, min and max are commutative), so
-    the trees equal :func:`linkage`'s.  Returns the list of trees, or
-    ``None`` if any ward problem holds a negative dissimilarity, as soon
-    as any problem's minimum turns non-finite, or if any tree fails
+    the trees equal :func:`linkage`'s.  Rows, columns and per-slot values
+    are read and written by flat index, row ``b * n + slot`` of the
+    stack.  Returns the list of trees, or ``None`` as soon as any
+    problem's minimum turns non-finite, or if any tree fails
     :func:`~branchembed.dendrogram._valid_records`.
     """
-    if method == "ward" and min(d.values.min() for d in ds) < 0.0:
-        return None
-    n = ds[0].n
-    # The stack gets an anonymous map of its own, which goes back to the
-    # OS as soon as the stack is freed.  A stack from malloc is mapped
-    # the first time, but glibc then raises its mmap threshold to the
-    # freed stack's size and serves later stacks from the heap, which may
-    # keep up to twice that size free and resident.  On the benchmark's
-    # `table` workload that put peak RSS at 35.8-36.0 MiB in 4 of 5 runs
-    # at seed 104729, past the 5% bound on `peak_rss_mib` (35.3 MiB over
-    # the 33.6 MiB of one 9-problem stack per condition); with the map
-    # it measured 34.8-35.1 MiB in 19 runs at seeds 0 and 104729.
-    buf = mmap.mmap(-1, 8 * len(ds) * n * n)
-    dm = _square_stack(ds, method, np.frombuffer(buf).reshape(len(ds), n, n))
+    count, n, _ = dm.shape
+    rows = dm.reshape(count * n, n)
+    flat = dm.reshape(-1)
     row_min = dm.min(axis=2)
-    node_of = np.tile(np.arange(n, dtype=np.int64), (len(ds), 1))
-    sizes = np.ones((len(ds), n), dtype=np.int64)
+    node_of = np.tile(np.arange(n, dtype=np.int64), (count, 1))
+    sizes = np.ones((count, n), dtype=np.int64)
+    # Flat index of slot 0 of each problem's rows, and of each row's
+    # entry in column 0, so row b * n + s is slot s of problem b.
+    base = np.arange(0, count * n, n)
+    col0 = np.arange(0, count * n * n, n).reshape(count, n)
     # records[:, :, step] holds (left, right, size) of every problem's
     # merge at that step, heights[:, step] its height (squared for ward).
-    records = np.empty((len(ds), 3, n - 1), dtype=np.int64)
-    heights = np.empty((len(ds), n - 1))
-    at = np.arange(len(ds))
+    records = np.empty((count, 3, n - 1), dtype=np.int64)
+    heights = np.empty((count, n - 1))
     no_id = np.int64(2 * n)   # above every node id
     for step in range(n - 1):
         val = row_min.min(axis=1)
@@ -360,36 +450,43 @@ def _stacked_linkage(ds, method: str) -> list | None:
             return None
         col_val = val[:, None]
         # Slot pa holds the smallest id among the rows at val, slot pb
-        # the smallest id among that row's partners at val.
+        # the smallest id among that row's partners at val; ra and rb
+        # are their rows in the stack.
         pa = np.where(row_min == col_val, node_of, no_id).argmin(axis=1)
-        row_a = dm[at, pa]
+        ra = base + pa
+        row_a = rows.take(ra, axis=0)
         pb = np.where(row_a == col_val, node_of, no_id).argmin(axis=1)
-        row_b = dm[at, pb]
-        na = sizes[at, pa][:, None]
-        nb = sizes[at, pb][:, None]
-        records[:, 0, step] = node_of[at, pa]
-        records[:, 1, step] = node_of[at, pb]
+        rb = base + pb
+        row_b = rows.take(rb, axis=0)
+        na = sizes.take(ra)[:, None]
+        nb = sizes.take(rb)[:, None]
+        records[:, 0, step] = node_of.take(ra)
+        records[:, 1, step] = node_of.take(rb)
 
-        new_row = _lw_combine(method, row_a, row_b, na, nb, sizes, col_val)
-        new_row[at, pa] = np.inf
+        runs = [_lw_combine(method, row_a[lo:hi], row_b[lo:hi], na[lo:hi],
+                            nb[lo:hi], sizes[lo:hi], col_val[lo:hi])
+                for method, lo, hi in slices]
+        new_row = runs[0] if len(runs) == 1 else np.concatenate(runs)
+        new_row.put(ra, np.inf)
         stale = (row_min == np.minimum(row_a, row_b)) & (new_row > row_min)
         np.minimum(row_min, new_row, out=row_min)
-        dm[at, pa] = new_row
-        dm[at, :, pa] = new_row
-        dm[at, :, pb] = np.inf
-        stale[at, pa] = True
-        rb, rr = stale.nonzero()
-        row_min[rb, rr] = dm[rb, rr].min(axis=1)
-        row_min[at, pb] = np.inf
+        rows[ra] = new_row
+        flat.put(col0 + pa[:, None], new_row)
+        flat.put(col0 + pb[:, None], np.inf)
+        stale.put(ra, True)
+        redo = np.flatnonzero(stale)
+        row_min.put(redo, rows.take(redo, axis=0).min(axis=1))
+        row_min.put(rb, np.inf)
 
-        merged = (na + nb)[:, 0]
+        merged = na[:, 0] + nb[:, 0]
         records[:, 2, step] = merged
         heights[:, step] = val
-        node_of[at, pa] = n + step
-        sizes[at, pa] = merged
+        node_of.put(ra, n + step)
+        sizes.put(ra, merged)
 
-    if method == "ward":
-        np.sqrt(heights, out=heights)
+    for method, lo, hi in slices:
+        if method == "ward":
+            np.sqrt(heights[lo:hi], out=heights[lo:hi])
     left, right, size = records[:, 0], records[:, 1], records[:, 2]
     if not _dendrogram._valid_records(left, right, heights, size, n).all():
         return None

@@ -10,6 +10,7 @@ experiments seed trial t with the base seed plus t.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Union
@@ -40,8 +41,17 @@ class LabeledData:
             object.__setattr__(self, "labels", labels)
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a size that is not an integer (a bool or ``5.0`` included)
+    with a :class:`ValueError` naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     """A rows x cols matrix of independent standard normal values."""
+    _check_integer("rows", rows)
+    _check_integer("cols", cols)
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
     return SplitMix64(seed).normals(rows * cols).reshape(rows, cols)

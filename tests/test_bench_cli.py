@@ -68,6 +68,19 @@ class TestBenchConfig:
         with pytest.raises(ValueError):
             BenchConfig(rows=2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 1.5), ("trials", 2.0), ("rows", 5.0), ("cols", 5.0),
+        ("rows", True), ("trials", "3"),
+    ])
+    def test_rejects_non_integer_sizes(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            BenchConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["conditions", "strategies"])
+    def test_rejects_empty_sweeps(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must not be empty"):
+            BenchConfig(**{field: ()})
+
     def test_rejects_ward_on_correlation(self):
         with pytest.raises(ValueError):
             BenchConfig(conditions=(("correlation", "ward"),))
@@ -242,8 +255,9 @@ class TestTableFailures:
 
 
 class TestMethodStacks:
-    """Each trial reclusters every condition of one linkage method in one
-    stack, and the table still equals ``helpers.percell_table``."""
+    """Each trial clusters its originals in one stack and reclusters all
+    its embeddings in equal stacks ordered by linkage method, and the
+    table still equals ``helpers.percell_table``."""
 
     @staticmethod
     def _stack_sizes(monkeypatch):
@@ -252,9 +266,9 @@ class TestMethodStacks:
         sizes = []
         real = cluster._stacked_linkage
 
-        def spy(part, method):
-            sizes.append(len(part))
-            return real(part, method)
+        def spy(dm, slices):
+            sizes.append(len(dm))
+            return real(dm, slices)
 
         monkeypatch.setattr(cluster, "_stacked_linkage", spy)
         return sizes
@@ -262,11 +276,12 @@ class TestMethodStacks:
     def test_one_stack_per_method(self, monkeypatch):
         sizes = self._stack_sizes(monkeypatch)
         table = run_table_experiment(BenchConfig(trials=1))
-        assert sizes == [18, 18, 18, 9]
+        # The 7 originals, then 63 embeddings in three stacks of 21.
+        assert sizes == [7, 21, 21, 21]
         assert not table.failures.any()
 
     def test_default_budget_holds_a_method_group(self):
-        assert cluster._STACK_BYTES // (8 * 100 * 100) >= 18
+        assert cluster._STACK_BYTES // (8 * 100 * 100) >= 21
 
     @pytest.mark.parametrize("conditions", [
         (("correlation", "single"), ("euclidean", "single")),
@@ -293,9 +308,11 @@ class TestMethodStacks:
         monkeypatch.setattr(bench, "gaussian_matrix", constant_row)
         sizes = self._stack_sizes(monkeypatch)
         table = run_table_experiment(cfg)
-        # Trial 1's correlation originals fail, so its stacks hold only
-        # the Euclidean embeddings.
-        assert sizes == [18, 18, 18, 9, 9, 9, 9, 9]
+        # At n=12 a trial's 63 embeddings fit in one stack.  Trial 1's
+        # correlation originals fail, so its originals' stack reruns one
+        # problem at a time and its stack holds only the 36 Euclidean
+        # embeddings.
+        assert sizes == [7, 63, 36]
         expected = np.zeros((7, 9), dtype=np.int64)
         expected[[kind == "correlation" for kind, _ in cfg.conditions]] = 1
         assert np.array_equal(table.failures, expected)

@@ -38,7 +38,7 @@ from branchembed import (
     validate_dendrogram,
 )
 from branchembed import cluster, dendrogram
-from branchembed.cluster import _linkage_stack
+from branchembed.bench import DEFAULT_CONDITIONS
 from helpers import naive_linkage_oracle, rowloop_euclidean, stepwise_linkage
 
 EPS = 1e-9
@@ -424,18 +424,19 @@ def _grid(rng, n):
     return rng.integers(0, side, size=(n, dims)).astype(float)
 
 
-def _stepwise_corpus(family, count, seed):
-    """``count`` condensed inputs of one family, all from one seed."""
+def _stepwise_problems(family, count, seed):
+    """``count`` ``(x, kind)`` dissimilarity inputs of one family, all
+    from one seed."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
         n = int(rng.integers(2, 48))
         if family == "gaussian":
-            out.append(euclidean_dissimilarity(rng.normal(size=(n, 3))))
+            out.append((rng.normal(size=(n, 3)), "euclidean"))
         elif family == "grid":
-            out.append(euclidean_dissimilarity(_grid(rng, n)))
+            out.append((_grid(rng, n), "euclidean"))
         elif family == "correlation":
-            out.append(correlation_dissimilarity(rng.normal(size=(n, 5))))
+            out.append((rng.normal(size=(n, 5)), "correlation"))
         else:
             # Reclustering inputs: 2-D embeddings of a Gaussian tree,
             # under Euclidean and under row-correlation dissimilarity.
@@ -445,9 +446,15 @@ def _stepwise_corpus(family, count, seed):
             for strategy in (AngleStrategy.fixed(0.0),
                              AngleStrategy.fixed(90.0), AngleStrategy.even()):
                 coords = branching_embed(tree, strategy).coords
-                out.append(euclidean_dissimilarity(coords))
-                out.append(correlation_dissimilarity(coords))
+                out.append((coords, "euclidean"))
+                out.append((coords, "correlation"))
     return out[:count]
+
+
+def _stepwise_corpus(family, count, seed):
+    """``count`` condensed inputs of one family, all from one seed."""
+    return [dissimilarity(kind, x)
+            for x, kind in _stepwise_problems(family, count, seed)]
 
 
 # 240 grids out of 460 inputs, each run under the 4 methods: 1,840 cases.
@@ -481,31 +488,133 @@ class TestAgainstStepwise:
 
 
 
-def _by_n(corpus):
-    groups = {}
-    for d0 in corpus:
-        groups.setdefault(d0.n, []).append(d0)
-    return list(groups.values())
+def _reference(x, kind, method):
+    """What ``_cluster_stack`` must give the problem: the tree or the
+    error of ``linkage(dissimilarity(kind, x), method)``."""
+    try:
+        return linkage(dissimilarity(kind, x), method)
+    except BranchEmbedError as err:
+        return err
+
+
+def _key(result):
+    """A tree as itself, an error as its class, message, step and record."""
+    if isinstance(result, Dendrogram):
+        return result
+    return (type(result), str(result), getattr(result, "step", None),
+            getattr(result, "record", None))
+
+
+def _filled(ds, method):
+    """A (B, n, n) stack of condensed matrices as ``_stacked_linkage``
+    takes it, and its one method run.  Ward's squares may overflow, as
+    they may in ``linkage``."""
+    with np.errstate(over="ignore"):
+        return (np.stack([cluster._square(d0, method) for d0 in ds]),
+                [(method, 0, len(ds))])
 
 
 class TestLinkageStack:
-    """``_linkage_stack`` gives every problem of a stack the tree, or the
-    error, that ``linkage`` gives it alone."""
+    """``_cluster_stack`` gives every ``(x, kind, method)`` problem of a
+    stack the tree, or the error, that ``linkage(dissimilarity(kind, x),
+    method)`` gives it alone.  A stack is filled from data, so it never
+    holds a negative or overflowing dissimilarity: for those inputs only
+    ``linkage``, and whether the stacked loop gives up on them, are
+    checked."""
 
     @pytest.mark.parametrize("method", LINKAGE_METHODS)
     @pytest.mark.parametrize("family,count,seed", STEPWISE_FAMILIES)
     def test_equals_linkage_and_stepwise(self, family, count, seed, method):
         rng = np.random.default_rng(seed)
-        groups = _by_n(_stepwise_corpus(family, count, seed))
-        assert any(len(g) > 1 for g in groups)
-        for group in groups:
-            refs = [linkage(d0, method) for d0 in group]
-            for d0, ref in zip(group, refs):
-                assert ref == stepwise_linkage(d0, method)
+        groups = {}
+        for x, kind in _stepwise_problems(family, count, seed):
+            groups.setdefault(len(x), []).append((x, kind, method))
+        assert any(len(g) > 1 for g in groups.values())
+        for group in groups.values():
+            refs = []
+            for x, kind, _ in group:
+                d0 = dissimilarity(kind, x)
+                refs.append(linkage(d0, method))
+                assert refs[-1] == stepwise_linkage(d0, method)
             order = rng.permutation(len(group))
-            got = _linkage_stack([group[k] for k in order], method)
-            assert got == [refs[k] for k in order], f"n={group[0].n}"
-            assert _linkage_stack(group[:1], method) == refs[:1]
+            got = cluster._cluster_stack([group[k] for k in order])
+            assert got == [refs[k] for k in order], f"n={len(group[0][0])}"
+            assert cluster._cluster_stack(group[:1]) == refs[:1]
+
+    @pytest.mark.parametrize("n, cols, scale", [
+        (3, 2, 1.0), (17, 3, 2.0 ** 40), (17, 8, 2.0 ** -40),
+        (100, 2, 1.0), (100, 5, 1.0), (100, 2, 2.0 ** -40),
+        (100, 8, 2.0 ** 40),
+    ])
+    def test_shuffled_conditions_equal_linkage(self, monkeypatch, n, cols,
+                                               scale):
+        # Three inputs under all 7 conditions, shuffled, so every stack
+        # mixes methods and kinds; then again split into several stacks.
+        rng = np.random.default_rng(n * cols)
+        problems = []
+        for _ in range(3):
+            if cols == 2:
+                tree = linkage(euclidean_dissimilarity(
+                    rng.normal(size=(n, 4))), "average")
+                x = branching_embed(tree, AngleStrategy.random(
+                    int(rng.integers(1 << 32)))).coords
+            else:
+                x = rng.normal(size=(n, cols))
+            problems += [(x * scale, kind, method)
+                         for kind, method in DEFAULT_CONDITIONS]
+        problems = [problems[k] for k in rng.permutation(len(problems))]
+        # The filled stack holds linkage's square of every problem.
+        ordered = sorted(problems, key=lambda p: LINKAGE_METHODS.index(p[2]))
+        dm = np.empty((len(ordered), n, n))
+        assert cluster._fill_stack(dm, ordered) is not None
+        for sq, (x, kind, method) in zip(dm, ordered):
+            assert np.array_equal(
+                sq, cluster._square(dissimilarity(kind, x), method))
+        refs = [_reference(*p) for p in problems]
+        assert all(isinstance(r, Dendrogram) for r in refs)
+        assert cluster._cluster_stack(problems) == refs
+        monkeypatch.setattr(cluster, "_STACK_BYTES", 5 * 8 * n * n)
+        assert cluster._cluster_stack(problems) == refs
+
+    @pytest.mark.parametrize("inject", [
+        ("correlation",), ("overflow",), ("partial",), ("ward",),
+        ("correlation", "overflow", "partial", "ward"),
+    ])
+    def test_injected_failures_fail_only_their_problems(self, inject):
+        rng = np.random.default_rng(len(inject))
+        n = 17
+        problems = [(rng.normal(size=(n, 5)), kind, method)
+                    for kind, method in DEFAULT_CONDITIONS]
+        bad = {}
+        if "correlation" in inject:
+            x = rng.normal(size=(n, 4))
+            x[6] = 0.1
+            bad[1] = ((x, "correlation", "complete"), ZeroVarianceRow)
+        if "overflow" in inject:
+            x = rng.normal(size=(n, 2)) * 1e155
+            bad[4] = ((x, "euclidean", "single"), DissimilarityOverflow)
+        if "partial" in inject:
+            # Only the pair of rows 0 and 1 overflows, and single linkage
+            # joins them through finite paths, so only the fill shows it.
+            x = rng.normal(size=(n, 2))
+            x[:2] = [[-7e153, 0.0], [7e153, 0.0]]
+            bad[5] = ((x, "euclidean", "single"), DissimilarityOverflow)
+        if "ward" in inject:
+            x = rng.normal(size=(n, 2))
+            x *= 1e154 / euclidean_dissimilarity(x).values.max()
+            bad[7] = ((x, "euclidean", "ward"), LinkageOverflow)
+        for at in sorted(bad):
+            problems.insert(at, bad[at][0])
+        refs = [_reference(*p) for p in problems]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = cluster._cluster_stack(problems)
+        for at, (_, error) in bad.items():
+            assert type(refs[at]) is error
+        assert [_key(g) for g in got] == [_key(r) for r in refs]
+        failed = [k for k, g in enumerate(got)
+                  if isinstance(g, BranchEmbedError)]
+        assert failed == sorted(bad)
 
     @pytest.mark.parametrize("method, values, step", [
         ("ward", [1e160, 2e160, 3e160], 0),
@@ -519,14 +628,15 @@ class TestLinkageStack:
                 for _ in range(3)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _linkage_stack([good[0], bad, good[1], good[2]], method)
-            assert _linkage_stack([bad, bad], method)[1].step == step
-        assert isinstance(got[1], LinkageOverflow)
-        assert (got[1].method, got[1].step) == (method, step)
-        assert got[::2] == [linkage(good[0], method), linkage(good[1], method)]
-        assert got[3] == linkage(good[2], method)
+            with pytest.raises(LinkageOverflow) as err:
+                linkage(bad, method)
+            assert cluster._stacked_linkage(
+                *_filled([good[0], bad, good[1], good[2]], method)) is None
+        assert (err.value.method, err.value.step) == (method, step)
+        assert cluster._stacked_linkage(*_filled(good, method)) == \
+            [linkage(d0, method) for d0 in good]
 
-    def test_late_overflow_fails_only_its_problem(self, monkeypatch):
+    def test_late_overflow_fails_only_its_problem(self):
         # Size-weighted average sums overflow near the root.
         rng = np.random.default_rng(297)
         n = 300
@@ -535,15 +645,13 @@ class TestLinkageStack:
                 for _ in range(2)]
         with pytest.raises(LinkageOverflow) as err:
             linkage(bad, "average")
-        monkeypatch.setattr(cluster, "_STACK_BYTES", 3 * 8 * n * n)
-        got = _linkage_stack([good[0], bad, good[1]], "average")
-        assert isinstance(got[1], LinkageOverflow)
-        assert got[1].step == err.value.step > 0
-        assert got[::2] == [linkage(d0, "average") for d0 in good]
+        assert err.value.step > 0
+        assert cluster._stacked_linkage(
+            *_filled([good[0], bad, good[1]], "average")) is None
 
     def test_rejected_tree_fails_only_its_problem(self):
         # A negative dissimilarity gives a negative merge height, which
-        # validate_dendrogram rejects.
+        # validate_dendrogram rejects, and so does the stacked loop.
         bad = CondensedMatrix.from_square(
             [[0.0, -1.0, 2.0], [-1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
         rng = np.random.default_rng(3)
@@ -551,10 +659,9 @@ class TestLinkageStack:
                 for _ in range(2)]
         with pytest.raises(NegativeHeight) as err:
             linkage(bad, "single")
-        got = _linkage_stack([good[0], bad, good[1]], "single")
-        assert type(got[1]) is NegativeHeight
-        assert got[1].record == err.value.record
-        assert got[::2] == [linkage(d0, "single") for d0 in good]
+        assert err.value.record == 0
+        assert cluster._stacked_linkage(
+            *_filled([good[0], bad, good[1]], "single")) is None
 
     @pytest.mark.parametrize("method", LINKAGE_METHODS)
     def test_negative_dissimilarity_fails_only_its_problem(self, method):
@@ -566,105 +673,106 @@ class TestLinkageStack:
                            match=r"^record 0: height -1\.0 < 0$") as err:
             linkage(bad, method)
         assert err.value.record == 0
-        rng = np.random.default_rng(4)
-        good = [euclidean_dissimilarity(rng.normal(size=(3, 2)))
-                for _ in range(2)]
-        got = _linkage_stack([good[0], bad, good[1]], method)
-        assert type(got[1]) is NegativeHeight
-        assert str(got[1]) == str(err.value)
-        assert got[::2] == [linkage(d0, method) for d0 in good]
 
     @pytest.mark.parametrize("per_stack", [1, 2, 3])
     @pytest.mark.parametrize("method", LINKAGE_METHODS)
     def test_split_by_byte_budget(self, monkeypatch, per_stack, method):
         rng = np.random.default_rng(30)
-        ds = [euclidean_dissimilarity(rng.normal(size=(30, 2)))
-              for _ in range(7)]
-        refs = [linkage(d0, method) for d0 in ds]
-        sizes = []
-        stacked = cluster._stacked_linkage
-
-        def spy(part, method):
-            sizes.append(len(part))
-            return stacked(part, method)
-
-        monkeypatch.setattr(cluster, "_stacked_linkage", spy)
+        problems = [(rng.normal(size=(30, 2)), "euclidean", method)
+                    for _ in range(7)]
+        refs = [_reference(*p) for p in problems]
+        sizes = self._stack_sizes(monkeypatch)
         monkeypatch.setattr(cluster, "_STACK_BYTES",
                             per_stack * 8 * 30 * 30 + 7)
-        assert _linkage_stack(ds, method) == refs
-        assert sizes == {1: [], 2: [2, 2, 2], 3: [3, 3]}[per_stack]
+        assert cluster._cluster_stack(problems) == refs
+        # Equal stacks: 7 problems in stacks of 1, 2, 2, 2 or of 2, 2, 3;
+        # a stack of one goes to linkage.
+        assert sizes == {1: [], 2: [2, 2, 2], 3: [2, 2, 3]}[per_stack]
 
     @staticmethod
-    def _linkage_spy(monkeypatch):
-        """Route ``cluster.linkage`` through a wrapper; returns the list
-        of problems it was called with."""
+    def _stack_sizes(monkeypatch):
+        """Route ``cluster._stacked_linkage`` through a wrapper; returns
+        the list of stack sizes it was called with."""
+        sizes = []
+        real = cluster._stacked_linkage
+
+        def spy(dm, slices):
+            sizes.append(len(dm))
+            return real(dm, slices)
+
+        monkeypatch.setattr(cluster, "_stacked_linkage", spy)
+        return sizes
+
+    @staticmethod
+    def _dissimilarity_spy(monkeypatch):
+        """Route ``cluster.dissimilarity`` through a wrapper; returns the
+        list of data matrices it was called with."""
         calls = []
-        real = cluster.linkage
+        real = cluster.dissimilarity
 
-        def spy(d0, method):
-            calls.append(d0)
-            return real(d0, method)
+        def spy(kind, x):
+            calls.append(x)
+            return real(kind, x)
 
-        monkeypatch.setattr(cluster, "linkage", spy)
+        monkeypatch.setattr(cluster, "dissimilarity", spy)
         return calls
-
-    @staticmethod
-    def _key(result):
-        """A tree as itself, an error as its class, step and record."""
-        if isinstance(result, Dendrogram):
-            return result
-        return (type(result), getattr(result, "step", None),
-                getattr(result, "record", None))
 
     @pytest.mark.parametrize("method", LINKAGE_METHODS)
     def test_valid_stack_never_calls_linkage(self, monkeypatch, method):
         rng = np.random.default_rng(90)
-        ds = [euclidean_dissimilarity(rng.normal(size=(100, 2)))
-              for _ in range(9)]
-        refs = [linkage(d0, method) for d0 in ds]
-        calls = self._linkage_spy(monkeypatch)
-        assert _linkage_stack(ds, method) == refs
+        problems = [(rng.normal(size=(100, 2)), "euclidean", method)
+                    for _ in range(5)]
+        problems += [(rng.normal(size=(100, 3)), kind, method)
+                     for kind in DISSIMILARITY_KINDS for _ in range(2)]
+        refs = [_reference(*p) for p in problems]
+        calls = self._dissimilarity_spy(monkeypatch)
+        assert cluster._cluster_stack(problems) == refs
+        # In stacks of 3, later stacks reuse the slots of earlier ones.
+        monkeypatch.setattr(cluster, "_STACK_BYTES", 3 * 8 * 100 * 100)
+        assert cluster._cluster_stack(problems) == refs
         assert calls == []
 
     @pytest.mark.parametrize("method, bad", [
-        ("ward", CondensedMatrix(3, np.array([1e160, 2e160, 3e160]))),
-        ("average", CondensedMatrix(4, np.array(
-            [1e308, 1.5e308, 1.7e308, 1e308, 1.2e308, 1.6e308]))),
-        ("single", CondensedMatrix(3, np.array([-1.0, 2.0, 3.0]))),
-        ("complete", CondensedMatrix(4, np.array(
-            [1.0, -2.0, 3.0, 4.0, 5.0, 6.0]))),
+        # Ward's squared update overflows at its second merge.
+        ("ward", ([[0.0, 0.0], [1e154, 0.0], [0.0, 1.2e154]], "euclidean")),
+        # A constant row has no correlation.
+        ("average", ([[1.0, 2.0], [3.0, 3.0], [2.0, 5.0], [0.0, 1.0]],
+                     "correlation")),
+        # Squared differences overflow, in two columns and in three.
+        ("single", ([[0.0, 0.0], [2e154, 0.0], [0.0, 1.0]], "euclidean")),
+        ("complete", ([[0.0, 0.0, 1.0], [1.0, 1e155, 0.0],
+                       [2.0, 3.0, 0.0], [1.0, 1.0, 1.0]], "euclidean")),
     ])
     def test_failing_stack_reruns_every_problem(self, monkeypatch, method,
                                                 bad):
-        rng = np.random.default_rng(bad.n)
-        ds = [euclidean_dissimilarity(rng.normal(size=(bad.n, 2)))
-              for _ in range(4)]
-        ds.insert(2, bad)
-        refs = []
-        for d0 in ds:
-            try:
-                refs.append(linkage(d0, method))
-            except BranchEmbedError as err:
-                refs.append(err)
+        x, kind = np.array(bad[0]), bad[1]
+        rng = np.random.default_rng(len(x))
+        problems = [(rng.normal(size=x.shape), kind, method)
+                    for _ in range(4)]
+        problems.insert(2, (x, kind, method))
+        refs = [_reference(*p) for p in problems]
         assert isinstance(refs[2], BranchEmbedError)
-        calls = self._linkage_spy(monkeypatch)
-        got = _linkage_stack(ds, method)
-        assert len(calls) == len(ds)
-        assert all(c is d0 for c, d0 in zip(calls, ds))
-        assert [self._key(g) for g in got] == [self._key(r) for r in refs]
+        calls = self._dissimilarity_spy(monkeypatch)
+        got = cluster._cluster_stack(problems)
+        assert len(calls) == len(problems)
+        assert all(np.array_equal(c, p[0]) for c, p in zip(calls, problems))
+        assert [_key(g) for g in got] == [_key(r) for r in refs]
 
     def test_default_budget_holds_a_table_row(self):
         assert cluster._STACK_BYTES // (8 * 100 * 100) >= 9
 
     def test_empty_and_invalid_stacks(self):
         rng = np.random.default_rng(4)
-        d3 = euclidean_dissimilarity(rng.normal(size=(3, 2)))
-        d4 = euclidean_dissimilarity(rng.normal(size=(4, 2)))
-        assert _linkage_stack([], "single") == []
-        with pytest.raises(ValueError):
-            _linkage_stack([d3, d4], "single")
-        with pytest.raises(ValueError):
-            _linkage_stack([d3, d3], "median")
+        x3 = rng.normal(size=(3, 2))
+        x4 = rng.normal(size=(4, 2))
+        assert cluster._cluster_stack([]) == []
+        with pytest.raises(ValueError, match="same n"):
+            cluster._cluster_stack([(x3, "euclidean", "single"),
+                                    (x4, "euclidean", "single")])
+        with pytest.raises(ValueError, match="unknown linkage"):
+            cluster._cluster_stack([(x3, "euclidean", "median")] * 2)
+        with pytest.raises(ValueError, match="unknown dissimilarity"):
+            cluster._cluster_stack([(x3, "cosine", "single")] * 2)
 
 
 class TestAgainstScipy:

@@ -47,6 +47,18 @@ class TestGaussianMatrix:
         with pytest.raises(ValueError):
             gaussian_matrix(0, 5, 0)
 
+    @pytest.mark.parametrize("rows, cols, name", [
+        (5.0, 2, "rows"), (5, 2.0, "cols"), (True, 2, "rows"),
+        ("5", 2, "rows"),
+    ])
+    def test_rejects_non_integer_sizes(self, rows, cols, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            gaussian_matrix(rows, cols, 0)
+
+    def test_accepts_numpy_integer_sizes(self):
+        assert np.array_equal(gaussian_matrix(np.int64(4), np.int32(3), 9),
+                              gaussian_matrix(4, 3, 9))
+
 
 class TestBlobs:
     def test_sizes_as_even_as_possible(self):
