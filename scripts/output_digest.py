@@ -19,27 +19,18 @@ of these.  The digest is the only line on stdout.  Stderr gets one
 digests differ, a diff of their stderr names the outputs that moved.  A
 run takes a few seconds, most of it the table.
 
-The correlation dissimilarity and the Pearson step go through BLAS, so
-the digest moves with the BLAS kernel and also with its thread count.
-The script therefore pins one BLAS thread before numpy loads, as
-``benchmarks/run.py`` does, and its digest does not depend on the
-caller's thread settings; with numpy's bundled OpenBLAS on a SkylakeX
-kernel it is ``60e86a579120...``.  The kernel itself is still picked per
-CPU, so compare two trees on the same machine.
+No output path calls BLAS, so the digest does not depend on the BLAS
+kernel or its thread count: it is ``001ce59ef28f...`` under the
+Prescott, Haswell and SkylakeX kernels of numpy's bundled OpenBLAS,
+with one BLAS thread and with the default count.
 """
 
 from __future__ import annotations
 
-import os
-
-# One BLAS thread: set before numpy is first imported.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import hashlib  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
 
 
 def main(argv) -> int:

@@ -22,8 +22,10 @@ condition, and one, after every strategy has embedded every original
 tree, reclusters all those embeddings.  A call orders its problems by
 linkage method and runs the steps of :func:`~branchembed.linkage` on
 equal (B, n, n) stacks filled straight from the data and coordinates,
-each numpy call serving the whole stack.  The default sweep gives one
-stack of 7 originals and three of 21 embeddings per trial.  The trees
+each numpy call serving the whole stack; a correlation reclustering of
+2-D points takes the closed form ``cluster._sides_tree`` instead.  The
+default sweep gives one stack of 7 originals and two of 18 Euclidean
+embeddings per trial, and 27 closed-form trees.  The trees
 equal :func:`~branchembed.linkage`'s bit for bit, a reclustering that
 fails counts against its own cell only, and an original tree that fails
 counts against its own condition's row only.  Every cell gets at most
@@ -80,8 +82,10 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("trials", "rows", "cols"):
+        for name in ("trials", "rows", "cols", "seed"):
             _check_integer(name, getattr(self, name))
+        # A numpy integer seed would overflow in the seed arithmetic.
+        object.__setattr__(self, "seed", int(self.seed))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.rows < 3:

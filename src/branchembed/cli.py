@@ -24,9 +24,8 @@ from .bench import BenchConfig, default_strategies, run_table_experiment
 from .cluster import (
     DISSIMILARITY_KINDS,
     LINKAGE_METHODS,
+    _cluster_data,
     check_condition,
-    dissimilarity,
-    linkage,
 )
 from .datasets import load_csv, rescale_minmax
 from .dendrogram import parse_merge_table
@@ -106,7 +105,7 @@ def _cmd_embed(args) -> int:
         labels = loaded.labels
         kind = args.metric
         original_method = args.linkage
-        original = linkage(dissimilarity(kind, data), args.linkage)
+        original = _cluster_data(data, kind, args.linkage)
 
     strategy = _strategy_from_args(args)
     emb = branching_embed(original, strategy)

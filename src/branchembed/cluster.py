@@ -22,11 +22,19 @@ Memory is one n x n float64 matrix.  The merge arithmetic and the
 tie-break are those of the stepwise full-matrix scan, so the merge tables
 are equal to its, bit for bit.
 
+Two-column data under correlation needs no matrix at all: every value
+is exactly 0 or 2, so single, complete and average linkage all give the
+tree that the tie-break alone fixes, which :func:`_sides_tree` builds in
+O(n).  :func:`_cluster_data` is the one dispatch that the library, the
+CLI and the benchmark use to cluster data, and it sends those problems
+there.
+
 At small n a step costs numpy call overhead rather than arithmetic, so
 the benchmark clusters many problems of one n at once through
 :func:`_cluster_stack`.  A problem is ``(x, kind, method)``, and its
 result is what ``linkage(dissimilarity(kind, x), method)`` returns or
-raises, bit for bit.  Problems are ordered by method and cut into equal
+raises, bit for bit.  Problems with a closed form take it, together;
+the others are ordered by method and cut into equal
 (B, n, n) stacks of at most :data:`_STACK_BYTES` (1.625 MiB, 21 problems
 at n = 100), each filled straight from the data, with no condensed
 matrix in between, and run by one loop that applies each method's
@@ -36,14 +44,18 @@ dead with inf, so it moves no data between slots, and it checks all B
 trees at once with :func:`~branchembed.dendrogram._valid_records`.  It
 has no error path of its own: a stack of one, a stack whose fill is not
 finite, and a stack in which any problem fails go through
-:func:`linkage` one problem at a time, so :func:`dissimilarity` and
-:func:`linkage` alone decide every failure.
+:func:`_cluster_data` one problem at a time, so :func:`dissimilarity`
+and :func:`linkage` alone decide every failure.
+
+No value passes through BLAS, so every tree is the same under any BLAS
+kernel and thread count.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+from collections import deque
 
 import numpy as np
 
@@ -111,29 +123,43 @@ def correlation_dissimilarity(x) -> CondensedMatrix:
     """Condensed ``1 - r`` where r is the Pearson correlation of two rows.
 
     Values lie in [0, 2]: 0 for perfectly positively correlated rows, 2 for
-    perfectly anticorrelated ones.  Round-off can push 1 - r a few ulps
-    outside that range, so the result is clamped back onto it.  A constant
-    row has no defined correlation and raises :class:`ZeroVarianceRow`.
+    perfectly anticorrelated ones.  A constant row has no defined
+    correlation and raises :class:`ZeroVarianceRow`.
+
+    Two-column rows correlate exactly +1 or -1: a row centres to
+    ``(x1 - x0) / 2 * (-1, 1)``, so ``1 - r`` is exactly 0 for two rows
+    that rise (``x1 > x0``) or fall alike and exactly 2 otherwise.  Wider
+    rows are centred and scaled to unit length, and each pair's ``r`` is
+    the dot product of its two unit rows, summed per pair in the chunks
+    of :func:`~branchembed.dendrogram._pair_chunks` as in
+    :func:`euclidean_dissimilarity`, never by a BLAS matrix product, so
+    the values do not depend on the BLAS kernel or its thread count.
+    Round-off can push ``1 - r`` a few ulps outside [0, 2], so it is
+    clamped back onto it.
     """
     x = _check_data(x)
-    values = _row_correlations(x)[_upper_mask(x.shape[0])]
-    np.subtract(1.0, values, out=values)
-    return CondensedMatrix(x.shape[0], np.clip(values, 0.0, 2.0, out=values))
-
-
-def _row_correlations(x: np.ndarray) -> np.ndarray:
-    """The n x n Pearson correlations of the rows of checked data ``x``,
-    as products of its centred rows scaled to unit length.  Raises
-    :class:`ZeroVarianceRow` for a constant row."""
-    if x.shape[1] < 2:
+    n, p = x.shape
+    if p < 2:
         raise ValueError("row correlation needs at least 2 columns")
     constant = np.all(x == x[:, :1], axis=1)
     if constant.any():
         raise ZeroVarianceRow(int(np.flatnonzero(constant)[0]))
+    out = np.empty(n * (n - 1) // 2)
+    if p == 2:
+        rises = x[:, 1] > x[:, 0]
+        for s, e, i, j in _pair_chunks(n):
+            out[s:e] = rises.take(i) != rises.take(j)
+        out *= 2.0
+        return CondensedMatrix(n, out)
     centered = x - x.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
     unit = centered / norms[:, None]
-    return unit @ unit.T
+    pairs = _dendrogram._PAIR_CHUNK * 8 // max(p, 8)
+    for s, e, i, j in _pair_chunks(n, pairs):
+        out[s:e] = np.einsum("ij,ij->i", unit.take(i, axis=0),
+                             unit.take(j, axis=0))
+    np.subtract(1.0, out, out=out)
+    return CondensedMatrix(n, np.clip(out, 0.0, 2.0, out=out))
 
 
 def dissimilarity(kind: str, x) -> CondensedMatrix:
@@ -282,9 +308,138 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     return validate_dendrogram(merges, n)
 
 
+# Linkage methods under which two-column correlation has a closed form.
+_SIDES_METHODS = ("single", "complete", "average")
+
+
+def _has_sides_tree(x: np.ndarray, kind: str, method: str) -> bool:
+    """Whether the problem ``(x, kind, method)``, ``x`` checked, is
+    clustered by :func:`_sides_tree`."""
+    return (kind == "correlation" and method in _SIDES_METHODS
+            and x.shape[1] == 2)
+
+
+def _cluster_data(x, kind: str, method: str) -> Dendrogram:
+    """``linkage(dissimilarity(kind, x), method)``, bit for bit, with the
+    same errors.  Two-column correlation under single, complete or
+    average linkage takes the closed form :func:`_sides_tree`."""
+    x = _check_data(x)
+    if _has_sides_tree(x, kind, method):
+        return _sides_tree(x, method)
+    return linkage(dissimilarity(kind, x), method)
+
+
+def _cluster_one(x, kind: str, method: str):
+    """:func:`_cluster_data`'s tree, or the :class:`BranchEmbedError` it
+    raised."""
+    try:
+        return _cluster_data(x, kind, method)
+    except BranchEmbedError as err:
+        return err
+
+
+def _sides_tree(x, method: str) -> Dendrogram:
+    """``linkage(correlation_dissimilarity(x), method)`` of two-column
+    data under single, complete or average linkage, bit for bit, with the
+    same errors, in O(n) time and memory.
+
+    Every value of that matrix is exactly 0, for two rows on the same
+    side (both rising, ``x1 > x0``, or both falling), or exactly 2, and
+    all three methods keep it so: a cluster is 0 from its own side and 2
+    from the other.  So each step merges, at height 0, the tie-break's
+    smallest pair on one side, and when each side is down to one
+    cluster, the last merge joins the two at height 2 (see
+    :func:`_sides_trees`).
+    """
+    if method not in _SIDES_METHODS:
+        raise ValueError(f"no closed form under {method!r} linkage")
+    x = _check_data(x)
+    if x.shape[1] != 2:
+        raise ValueError("the closed form needs two-column data")
+    tree, = _sides_trees([(x, method)])
+    if isinstance(tree, BranchEmbedError):
+        raise tree
+    return tree
+
+
+def _sides_trees(problems) -> list:
+    """:func:`_sides_tree` of ``(x, method)`` problems, ``x`` checked
+    two-column data over one n, as a list holding each one's
+    :class:`Dendrogram` or the :class:`ZeroVarianceRow` it raised.  The
+    trees are checked together by
+    :func:`~branchembed.dendrogram._valid_records`; one that failed
+    would go through :func:`linkage`, which then decides."""
+    out = []
+    for x, _ in problems:
+        try:
+            out.append(_sides_merges(x))
+        except ZeroVarianceRow as err:
+            out.append(err)
+    good = [b for b, merges in enumerate(out)
+            if not isinstance(merges, ZeroVarianceRow)]
+    if not good:
+        return out
+    n = problems[0][0].shape[0]
+    left, right, size = (np.array([out[b][k] for b in good], dtype=np.int64)
+                         for k in range(3))
+    height = np.array([out[b][3] for b in good])
+    valid = _dendrogram._valid_records(left, right, height, size, n)
+    for k, b in enumerate(good):
+        if valid[k]:
+            out[b] = _dendrogram._frozen(n, left[k], right[k], height[k],
+                                         size[k])
+            continue
+        x, method = problems[b]
+        try:
+            out[b] = linkage(correlation_dissimilarity(x), method)
+        except BranchEmbedError as err:
+            out[b] = err
+    return out
+
+
+def _sides_merges(x: np.ndarray) -> tuple:
+    """The merge table of :func:`_sides_tree` for checked two-column
+    ``x``, as lists of left ids, right ids and sizes, and a list of
+    heights.  Raises :class:`ZeroVarianceRow` for a constant row.
+
+    Each side keeps a queue of its cluster ids in ascending order.  Of
+    the queues holding at least two ids, the step takes the one whose
+    head is the smaller id: its two smallest ids are the tie-break's
+    smallest pair at 0.  The new id, n + step, is larger than every id
+    before it, so it joins the end of its queue and the queue stays
+    sorted.
+    """
+    n = x.shape[0]
+    rises = x[:, 1] > x[:, 0]
+    constant = x[:, 1] == x[:, 0]
+    if constant.any():
+        raise ZeroVarianceRow(int(np.flatnonzero(constant)[0]))
+    up = deque(np.flatnonzero(rises).tolist())
+    down = deque(np.flatnonzero(~rises).tolist())
+    across = bool(up) and bool(down)
+    within = n - 1 - across
+    node_size = [1] * n
+    left, right = [], []
+    for step in range(within):
+        queue = (up if len(up) > 1 and (len(down) < 2 or up[0] < down[0])
+                 else down)
+        a = queue.popleft()
+        b = queue.popleft()
+        queue.append(n + step)
+        left.append(a)
+        right.append(b)
+        node_size.append(node_size[a] + node_size[b])
+    if across:
+        a, b = up[0], down[0]
+        left.append(min(a, b))
+        right.append(max(a, b))
+        node_size.append(n)
+    return left, right, node_size[n:], [0.0] * within + [2.0] * across
+
+
 # Bytes of float64 matrix one stack in _cluster_stack may hold: 21
-# problems at n=100, so the 63 reclusterings of a benchmark-table trial
-# fill three equal stacks.
+# problems at n=100, so the 36 Euclidean reclusterings of a
+# benchmark-table trial fill two equal stacks of 18.
 _STACK_BYTES = 13 << 17
 
 
@@ -294,14 +449,15 @@ def _cluster_stack(problems) -> list:
     one :class:`Dendrogram` per problem, or the :class:`BranchEmbedError`
     that problem raised.
 
-    Problems are ordered by linkage method and cut into equal stacks of
-    at most :data:`_STACK_BYTES` of matrices, each filled straight from
-    its problems' data and clustered by one loop whose numpy calls serve
-    the whole stack, which at small n costs far less than a loop per
-    problem.  A stack of one, a stack whose fill is not finite, and a
-    stack in which any tree fails go through the expression above one
-    problem at a time.  The trees equal it bit for bit, and so do the
-    errors.
+    Problems with a closed form go to :func:`_sides_trees` together.  The
+    others are ordered by linkage method and cut into equal stacks of at
+    most :data:`_STACK_BYTES` of matrices, each filled straight from its
+    problems' data and clustered by one loop whose numpy calls serve the
+    whole stack, which at small n costs far less than a loop per problem.
+    A stack of one, a stack whose fill is not finite, and a stack in
+    which any tree fails go through :func:`_cluster_data` one problem at
+    a time.  The trees equal the expression above bit for bit, and so do
+    the errors.
     """
     rank = {method: r for r, method in enumerate(LINKAGE_METHODS)}
     checked = []
@@ -316,7 +472,16 @@ def _cluster_stack(problems) -> list:
     n = checked[0][0].shape[0]
     if any(x.shape[0] != n for x, _, _ in checked):
         raise ValueError("stacked problems must all have the same n")
-    order = sorted(range(len(checked)), key=lambda b: rank[checked[b][2]])
+    out = [None] * len(checked)
+    sides = [b for b, problem in enumerate(checked)
+             if _has_sides_tree(*problem)]
+    trees = _sides_trees([(checked[b][0], checked[b][2]) for b in sides])
+    for b, tree in zip(sides, trees):
+        out[b] = tree
+    order = sorted((b for b in range(len(checked)) if out[b] is None),
+                   key=lambda b: rank[checked[b][2]])
+    if not order:
+        return out
     per_stack = max(1, _STACK_BYTES // (8 * n * n))
     count = -(-len(order) // per_stack)
     cuts = [len(order) * k // count for k in range(count + 1)]
@@ -328,7 +493,6 @@ def _cluster_stack(problems) -> list:
     # workload that put peak RSS at 35.8-36.0 MiB in 4 of 5 runs at seed
     # 104729, against 34.8-35.1 MiB in 19 runs with the map.
     buf = mmap.mmap(-1, 8 * -(-len(order) // count) * n * n)
-    out = [None] * len(checked)
     for lo, hi in zip(cuts, cuts[1:]):
         part = [checked[b] for b in order[lo:hi]]
         trees = None
@@ -345,15 +509,6 @@ def _cluster_stack(problems) -> list:
     return out
 
 
-def _cluster_one(x, kind: str, method: str):
-    """``linkage(dissimilarity(kind, x), method)``, or the
-    :class:`BranchEmbedError` it raised."""
-    try:
-        return linkage(dissimilarity(kind, x), method)
-    except BranchEmbedError as err:
-        return err
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _fill_stack(dm: np.ndarray, problems) -> list | None:
     """Fill ``dm``, a (B, n, n) array, with the full dissimilarity
@@ -365,23 +520,25 @@ def _fill_stack(dm: np.ndarray, problems) -> list | None:
 
     Every value equals :func:`dissimilarity`'s for its pair: a 2-column
     Euclidean fill is ``sqrt(dx*dx + dy*dy)`` by broadcasting, which is
-    what the per-pair sum of squares gives for two columns; wider data
-    takes :func:`euclidean_dissimilarity`'s values; correlation takes the
-    same products of unit rows, read from the upper triangle.
+    what the per-pair sum of squares gives for two columns; wider
+    Euclidean data and correlation take :func:`euclidean_dissimilarity`'s
+    and :func:`correlation_dissimilarity`'s values.  Problems that share
+    their data matrix (the same object) and kind are filled once, and
+    the other slots copy that fill.
     """
     n = dm.shape[1]
     mask = _upper_mask(n)
-    # The stack may hold an earlier stack's matrices, and a wide
-    # Euclidean fill writes no diagonal.
+    # The stack may hold an earlier stack's matrices, and a condensed
+    # fill writes no diagonal.
     diag = np.arange(n)
     dm[:, diag, diag] = 0.0
+    filled = {}
     try:
-        for sq, (x, kind, _) in zip(dm, problems):
-            if kind == "correlation":
-                np.subtract(1.0, _row_correlations(x), out=sq)
-                np.clip(sq, 0.0, 2.0, out=sq)
-                sq.T[mask] = sq[mask]
-            elif x.shape[1] == 2:
+        for b, (sq, (x, kind, _)) in enumerate(zip(dm, problems)):
+            first = filled.setdefault((id(x), kind), b)
+            if first != b:
+                sq[...] = dm[first]
+            elif kind == "euclidean" and x.shape[1] == 2:
                 np.subtract.outer(x[:, 0], x[:, 0], out=sq)
                 sq *= sq
                 dy = np.subtract.outer(x[:, 1], x[:, 1])
@@ -389,7 +546,9 @@ def _fill_stack(dm: np.ndarray, problems) -> list | None:
                 sq += dy
                 np.sqrt(sq, out=sq)
             else:
-                values = euclidean_dissimilarity(x).values
+                fill = (euclidean_dissimilarity if kind == "euclidean"
+                        else correlation_dissimilarity)
+                values = fill(x).values
                 sq[mask] = values
                 sq.T[mask] = values
     except BranchEmbedError:

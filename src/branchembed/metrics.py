@@ -10,11 +10,15 @@ scorer, which fills and centres the original tree's two vectors once.
 
 Reclustering uses the dissimilarity kind that built the original tree
 (Euclidean unless ``dissimilarity="correlation"``).  Row correlation of
-2-vectors is degenerate, all values 0 or 2, which is exactly why
-mirroring it matters when comparing against such a baseline.  For
+2-vectors is degenerate, every value exactly 0 or 2, which is why
+mirroring it matters when comparing against such a baseline; the
+cluster-id tie-break alone then fixes the reclustered tree, which
+:func:`convert_dendrogram` builds in closed form.  For
 Euclidean reclustering both scores are invariant under rigid motions and
 uniform scaling of the coordinates, since the distances change at most
 by a common factor and Pearson correlation ignores affine changes.
+The Pearson sums go through ``einsum``, not BLAS, so no score depends on
+the BLAS kernel or its thread count.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cluster import check_condition, linkage
-from .cluster import dissimilarity as _dissimilarity
+from .cluster import _cluster_data, check_condition
 from .dendrogram import Dendrogram, _pair_matrices
 from .embed import AngleStrategy, Embedding
 from .errors import SizeMismatch, ZeroVariance
@@ -59,19 +62,25 @@ def _centred(v: np.ndarray) -> np.ndarray:
 _TINY = np.finfo(np.float64).tiny
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of two vectors by ``einsum``, whose sum does not
+    depend on the BLAS kernel or its thread count, as ``a @ b``'s does."""
+    return np.einsum("i,i->", a, b)
+
+
 def _pearson_vec(a: np.ndarray, b: np.ndarray) -> float:
     """Pearson correlation of two vectors already passed through
     :func:`_centred`.  If a squared norm or their product leaves the
     normal float64 range, both vectors are first :func:`_rescaled`."""
     with np.errstate(over="ignore", under="ignore"):
-        aa, bb = a @ a, b @ b
+        aa, bb = _dot(a, a), _dot(b, b)
         den = aa * bb
     if not (aa >= _TINY and bb >= _TINY and _TINY <= den < math.inf):
         a = _rescaled(a)
         b = _rescaled(b)
-        aa, bb = a @ a, b @ b
+        aa, bb = _dot(a, a), _dot(b, b)
         den = aa * bb
-    r = float(a @ b) / float(np.sqrt(den))
+    r = float(_dot(a, b)) / float(np.sqrt(den))
     return min(1.0, max(-1.0, r))
 
 
@@ -104,7 +113,7 @@ def convert_dendrogram(coords: Union[Embedding, np.ndarray],
     kind on the coordinates, then the given linkage method.  Ward on
     correlation dissimilarities is rejected (:func:`check_condition`)."""
     check_condition(dissimilarity, method)
-    return linkage(_dissimilarity(dissimilarity, _coords_of(coords)), method)
+    return _cluster_data(_coords_of(coords), dissimilarity, method)
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,14 @@ import math
 import numpy as np
 
 from branchembed import (
+    DISSIMILARITY_KINDS,
     LINKAGE_METHODS,
     AngleStrategy,
     BenchTable,
     Dendrogram,
     validate_dendrogram,
 )
-from branchembed import bench
+from branchembed import bench, cluster
 from branchembed.cluster import _lw_combine
 from branchembed.errors import BranchEmbedError
 from branchembed.metrics import _Scorer, convert_dendrogram
@@ -320,10 +321,29 @@ def naive_linkage_oracle(d0, method):
     return validate_dendrogram(merges, n)
 
 
+def fill_spy(monkeypatch):
+    """Route ``cluster.euclidean_dissimilarity`` and
+    ``cluster.correlation_dissimilarity`` through wrappers; returns the
+    list of the kinds they were called for, in call order."""
+    calls = []
+    for kind in DISSIMILARITY_KINDS:
+        name = f"{kind}_dissimilarity"
+        real = getattr(cluster, name)
+
+        def spy(x, kind=kind, real=real):
+            calls.append(kind)
+            return real(x)
+
+        monkeypatch.setattr(cluster, name, spy)
+    return calls
+
+
 def percell_table(cfg):
     """Reference benchmark loop: embed, recluster and score one cell at a
-    time, with one ``linkage`` per cell.  Same seeds, sums and failure
-    counts as ``run_table_experiment``.  The data generator and the
+    time, with one ``linkage`` per cell (``convert_dendrogram``'s closed
+    form for 2-D correlation, which ``test_cluster.TestSidesTree`` checks
+    against ``linkage``).  Same seeds, sums and failure counts as
+    ``run_table_experiment``.  The data generator and the
     embedder are looked up on ``branchembed.bench`` at call time, so a
     test that patches them there patches both loops."""
     shape = (len(cfg.conditions), len(cfg.strategies))

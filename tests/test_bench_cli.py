@@ -32,7 +32,7 @@ from branchembed.cli import main
 from branchembed.embed import Embedding
 from branchembed.errors import BranchEmbedError
 from branchembed.svgplot import PALETTE, render_svg_scatter
-from helpers import percell_table
+from helpers import fill_spy, percell_table
 
 TINY = dict(trials=3, rows=12, cols=4)
 
@@ -75,6 +75,17 @@ class TestBenchConfig:
     def test_rejects_non_integer_sizes(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             BenchConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "0", None])
+    def test_rejects_non_integer_seed(self, value):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            BenchConfig(seed=value)
+
+    @pytest.mark.parametrize("seed", [-1, -(1 << 70), np.int64(-5)])
+    def test_negative_seed_runs(self, seed):
+        cfg = BenchConfig(trials=2, rows=5, cols=2, seed=seed)
+        assert run_table_experiment(cfg).to_csv() == \
+            percell_table(cfg).to_csv()
 
     @pytest.mark.parametrize("field", ["conditions", "strategies"])
     def test_rejects_empty_sweeps(self, field):
@@ -276,9 +287,17 @@ class TestMethodStacks:
     def test_one_stack_per_method(self, monkeypatch):
         sizes = self._stack_sizes(monkeypatch)
         table = run_table_experiment(BenchConfig(trials=1))
-        # The 7 originals, then 63 embeddings in three stacks of 21.
-        assert sizes == [7, 21, 21, 21]
+        # The 7 originals, then the 36 Euclidean embeddings in two stacks
+        # of 18; the 27 correlation reclusterings take the closed form.
+        assert sizes == [7, 18, 18]
         assert not table.failures.any()
+
+    def test_one_fill_per_kind(self, monkeypatch):
+        calls = fill_spy(monkeypatch)
+        cfg = BenchConfig(trials=1)
+        table = run_table_experiment(cfg)
+        assert sorted(calls) == ["correlation", "euclidean"]
+        assert table.to_csv() == percell_table(cfg).to_csv()
 
     def test_default_budget_holds_a_method_group(self):
         assert cluster._STACK_BYTES // (8 * 100 * 100) >= 21
@@ -308,11 +327,11 @@ class TestMethodStacks:
         monkeypatch.setattr(bench, "gaussian_matrix", constant_row)
         sizes = self._stack_sizes(monkeypatch)
         table = run_table_experiment(cfg)
-        # At n=12 a trial's 63 embeddings fit in one stack.  Trial 1's
-        # correlation originals fail, so its originals' stack reruns one
-        # problem at a time and its stack holds only the 36 Euclidean
-        # embeddings.
-        assert sizes == [7, 63, 36]
+        # A trial's 36 Euclidean embeddings fit in one stack at n=12, and
+        # its 27 correlation reclusterings take the closed form.  Trial
+        # 1's correlation originals fail, so its originals' stack reruns
+        # one problem at a time.
+        assert sizes == [7, 36, 36]
         expected = np.zeros((7, 9), dtype=np.int64)
         expected[[kind == "correlation" for kind, _ in cfg.conditions]] = 1
         assert np.array_equal(table.failures, expected)

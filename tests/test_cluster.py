@@ -38,8 +38,15 @@ from branchembed import (
     validate_dendrogram,
 )
 from branchembed import cluster, dendrogram
-from branchembed.bench import DEFAULT_CONDITIONS
-from helpers import naive_linkage_oracle, rowloop_euclidean, stepwise_linkage
+from branchembed.bench import DEFAULT_CONDITIONS, default_strategies
+from branchembed.cli import main
+from branchembed.metrics import convert_dendrogram
+from helpers import (
+    fill_spy,
+    naive_linkage_oracle,
+    rowloop_euclidean,
+    stepwise_linkage,
+)
 
 EPS = 1e-9
 
@@ -224,17 +231,42 @@ class TestCorrelation:
 
     @pytest.mark.parametrize("n", [2, 3, 40, 300])
     def test_matches_index_gather(self, n):
-        # The triangle used to be gathered with triu_indices; the boolean
-        # mask must give the same values in the same order.
+        # Each pair's r is the einsum dot product of its two unit rows,
+        # gathered here with triu_indices in one piece; the chunked pair
+        # walk must give the same values in the same order.
         rng = np.random.default_rng(4300 + n)
         x = rng.normal(size=(n, 5))
         centered = x - x.mean(axis=1, keepdims=True)
         unit = centered / np.sqrt(np.einsum("ij,ij->i", centered,
                                             centered))[:, None]
-        corr = unit @ unit.T
         iu, ju = np.triu_indices(n, 1)
-        expected = np.clip(1.0 - corr[iu, ju], 0.0, 2.0)
+        corr = np.einsum("ij,ij->i", unit[iu], unit[ju])
+        expected = np.clip(1.0 - corr, 0.0, 2.0)
         assert np.array_equal(correlation_dissimilarity(x).values, expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 300])
+    def test_two_columns_exact(self, n):
+        # Two-column rows correlate exactly +1 or -1, so 1 - r is exactly
+        # 1 - sign(x1 - x0) * sign(y1 - y0), at any scale.
+        rng = np.random.default_rng(4400 + n)
+        x = rng.normal(size=(n, 2))
+        iu, ju = np.triu_indices(n, 1)
+        rise = np.sign(x[:, 1] - x[:, 0])
+        expected = 1.0 - rise[iu] * rise[ju]
+        for scale in (1.0, 2.0 ** 40, 2.0 ** -40, 1e300, 1e-300):
+            got = correlation_dissimilarity(x * scale).values
+            assert np.array_equal(got, expected), scale
+        # The definition agrees to round-off.
+        if 2 < n <= 40:
+            assert got == pytest.approx(brute_correlation(x), abs=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_chunked_walk_equals_one_chunk(self, monkeypatch, p):
+        rng = np.random.default_rng(4500 + p)
+        x = rng.normal(size=(60, p))
+        whole = correlation_dissimilarity(x).values
+        monkeypatch.setattr(dendrogram, "_PAIR_CHUNK", 7)
+        assert np.array_equal(correlation_dissimilarity(x).values, whole)
 
     def test_symmetric_square(self):
         rng = np.random.default_rng(43)
@@ -735,9 +767,10 @@ class TestLinkageStack:
     @pytest.mark.parametrize("method, bad", [
         # Ward's squared update overflows at its second merge.
         ("ward", ([[0.0, 0.0], [1e154, 0.0], [0.0, 1.2e154]], "euclidean")),
-        # A constant row has no correlation.
-        ("average", ([[1.0, 2.0], [3.0, 3.0], [2.0, 5.0], [0.0, 1.0]],
-                     "correlation")),
+        # A constant row has no correlation.  Two-column data would go
+        # to the closed form, not to a stack.
+        ("average", ([[1.0, 2.0, 0.0], [3.0, 3.0, 3.0], [2.0, 5.0, 1.0],
+                      [0.0, 1.0, 3.0]], "correlation")),
         # Squared differences overflow, in two columns and in three.
         ("single", ([[0.0, 0.0], [2e154, 0.0], [0.0, 1.0]], "euclidean")),
         ("complete", ([[0.0, 0.0, 1.0], [1.0, 1e155, 0.0],
@@ -758,6 +791,18 @@ class TestLinkageStack:
         assert all(np.array_equal(c, p[0]) for c, p in zip(calls, problems))
         assert [_key(g) for g in got] == [_key(r) for r in refs]
 
+    def test_one_fill_per_data_and_kind(self, monkeypatch):
+        # A trial's originals share one data matrix: each kind fills it
+        # once, and the other slots copy that fill, ward squaring its own.
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(30, 5))
+        problems = [(x, kind, method) for kind, method in DEFAULT_CONDITIONS]
+        problems.append((x.copy(), "euclidean", "single"))
+        refs = [_reference(*p) for p in problems]
+        calls = fill_spy(monkeypatch)
+        assert cluster._cluster_stack(problems) == refs
+        assert calls == ["euclidean", "correlation", "euclidean"]
+
     def test_default_budget_holds_a_table_row(self):
         assert cluster._STACK_BYTES // (8 * 100 * 100) >= 9
 
@@ -773,6 +818,144 @@ class TestLinkageStack:
             cluster._cluster_stack([(x3, "euclidean", "median")] * 2)
         with pytest.raises(ValueError, match="unknown dissimilarity"):
             cluster._cluster_stack([(x3, "cosine", "single")] * 2)
+
+
+def _linkage_spy(monkeypatch):
+    """Route ``cluster.linkage`` through a wrapper; returns the list of
+    the methods it was called with."""
+    calls = []
+    real = cluster.linkage
+
+    def spy(d0, method):
+        calls.append(method)
+        return real(d0, method)
+
+    monkeypatch.setattr(cluster, "linkage", spy)
+    return calls
+
+
+class TestSidesTree:
+    """``_sides_tree(x, method)`` gives two-column ``x`` under single,
+    complete and average linkage the tree, or the error, of
+    ``linkage(correlation_dissimilarity(x), method)``, bit for bit, and
+    ``_cluster_stack``, ``convert_dendrogram`` and ``embed`` reach it
+    through one dispatch."""
+
+    @staticmethod
+    def _check(x):
+        d0 = correlation_dissimilarity(x)
+        for method in ("single", "complete", "average"):
+            got = cluster._sides_tree(x, method)
+            assert got == linkage(d0, method), method
+            assert got == stepwise_linkage(d0, method), method
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 100])
+    def test_random(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            self._check(rng.normal(size=(n, 2)))
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 100])
+    @pytest.mark.parametrize("rise", [1.0, -1.0])
+    def test_one_sided(self, n, rise):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 2))
+        x[:, 1] = x[:, 0] + rise * rng.uniform(0.1, 1.0, n)
+        self._check(x)
+        assert not cluster._sides_tree(x, "average").height.any()
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 40, 2.0 ** -40])
+    @pytest.mark.parametrize("n", [3, 17, 100])
+    def test_embeddings_of_every_strategy(self, n, scale):
+        rng = np.random.default_rng(n)
+        tree = linkage(euclidean_dissimilarity(rng.normal(size=(n, 5))),
+                       "average")
+        strategies = default_strategies()
+        assert len(strategies) == 9
+        for strategy in strategies:
+            self._check(branching_embed(tree, strategy).coords * scale)
+
+    def test_constant_row_gives_the_same_error(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(9, 2))
+        x[4] = 0.25
+        x[7] = -3.0
+        with pytest.raises(ZeroVarianceRow) as ref:
+            correlation_dissimilarity(x)
+        assert ref.value.row == 4
+        for method in ("single", "complete", "average"):
+            with pytest.raises(ZeroVarianceRow) as err:
+                cluster._sides_tree(x, method)
+            assert (str(err.value), err.value.row) == \
+                (str(ref.value), ref.value.row)
+        # In a stack call the closed form returns the error in its slot,
+        # without calling linkage.
+        problems = [(rng.normal(size=(9, 2)), "correlation", "average")
+                    for _ in range(3)]
+        problems.insert(1, (x, "correlation", "average"))
+        refs = [_reference(*p) for p in problems]
+        calls = _linkage_spy(monkeypatch)
+        got = cluster._cluster_stack(problems)
+        assert [_key(g) for g in got] == [_key(r) for r in refs]
+        assert isinstance(got[1], ZeroVarianceRow)
+        assert calls == []
+
+    def test_ward_goes_through_the_stack(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        tree = linkage(euclidean_dissimilarity(rng.normal(size=(20, 4))),
+                       "average")
+        problems = [(branching_embed(tree, s).coords, "correlation", "ward")
+                    for s in default_strategies()[:4]]
+        refs = [_reference(*p) for p in problems]
+        assert all(isinstance(r, Dendrogram) for r in refs)
+        sizes = TestLinkageStack._stack_sizes(monkeypatch)
+        assert cluster._cluster_stack(problems) == refs
+        assert sizes == [4]
+        with pytest.raises(ValueError, match="ward"):
+            cluster._sides_tree(problems[0][0], "ward")
+
+    def test_rejects_other_shapes(self):
+        rng = np.random.default_rng(7)
+        with pytest.raises(ValueError, match="two-column"):
+            cluster._sides_tree(rng.normal(size=(5, 3)), "single")
+        with pytest.raises(ValueError, match="finite"):
+            cluster._sides_tree([[0.0, 1.0], [np.nan, 2.0]], "single")
+
+    def test_rejected_tree_goes_to_linkage(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        xs = [rng.normal(size=(12, 2)) for _ in range(3)]
+        refs = [linkage(correlation_dissimilarity(x), "complete")
+                for x in xs]
+        monkeypatch.setattr(dendrogram, "_valid_records",
+                            lambda left, *_: np.zeros(len(left), bool))
+        calls = _linkage_spy(monkeypatch)
+        assert cluster._sides_trees([(x, "complete") for x in xs]) == refs
+        assert calls == ["complete"] * 3
+
+    def test_one_dispatch(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(15, 2))
+        calls = []
+        real = cluster._sides_tree
+
+        def spy(x, method):
+            calls.append(method)
+            return real(x, method)
+
+        monkeypatch.setattr(cluster, "_sides_tree", spy)
+        for method in ("single", "complete", "average"):
+            assert convert_dendrogram(x, method, "correlation") == \
+                linkage(correlation_dissimilarity(x), method)
+        convert_dendrogram(x, "ward")
+        assert calls == ["single", "complete", "average"]
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"{a!r},{b!r}\n" for a, b in x.tolist()))
+        assert main(["embed", "--input", str(data), "--metric",
+                     "correlation", "--linkage", "single",
+                     "--converted-linkage", "complete",
+                     "--out", str(tmp_path / "coords.csv"),
+                     "--report", str(tmp_path / "report.json")]) == 0
+        assert calls[3:] == ["single", "complete"]
 
 
 class TestAgainstScipy:
