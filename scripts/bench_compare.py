@@ -14,13 +14,16 @@ end-to-end metrics and their bounds come from CHANGE_DIR's
 seed adds the per-layer self times and call counts.  The file is written
 to the current directory; if it exists, its entries for other workloads
 and seeds, traced ones included, are kept, so a held-out seed can be
-added by a second call.  A file written on a host whose facts differ
+added by a second call.  Before the first run, both checkouts' ``src/``
+trees are byte-compiled, so neither side's ``setup_s`` includes
+compiling the package while the other's reads cached bytecode.  A file written on a host whose facts differ
 from this one's is not merged into: the script stops with an error.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -145,6 +148,8 @@ def main(argv=None) -> int:
             "change_wins counts the pairs in which the change's run is "
             "better than the parent's."),
     })
+    for side in SIDES:
+        compileall.compile_dir(dirs[side] / "src", quiet=1)
     for workload in workloads:
         for seed in args.seeds:
             runs = run_pairs(dirs, workload, seed, args.pairs, trace=False)

@@ -23,7 +23,7 @@ tree, reclusters all those embeddings.  A call orders its problems by
 linkage method and runs the steps of :func:`~branchembed.linkage` on
 equal (B, n, n) stacks filled straight from the data and coordinates,
 each numpy call serving the whole stack; a correlation reclustering of
-2-D points takes the closed form ``cluster._sides_tree`` instead.  The
+2-D points takes the closed form ``cluster._sides_trees`` instead.  The
 default sweep gives one stack of 7 originals and two of 18 Euclidean
 embeddings per trial, and 27 closed-form trees.  The trees
 equal :func:`~branchembed.linkage`'s bit for bit, a reclustering that
@@ -41,9 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import _cluster_stack, check_condition
-# What _cluster_stack computes for each problem, importable from here so
-# that a per-cell loop can spell out a cell the way a trial computes it.
-from .cluster import dissimilarity, linkage  # noqa: F401
 from .datasets import _check_integer, gaussian_matrix
 from .embed import AngleStrategy, branching_embed
 from .errors import BranchEmbedError

@@ -24,28 +24,29 @@ are equal to its, bit for bit.
 
 Two-column data under correlation needs no matrix at all: every value
 is exactly 0 or 2, so single, complete and average linkage all give the
-tree that the tie-break alone fixes, which :func:`_sides_tree` builds in
-O(n).  :func:`_cluster_data` is the one dispatch that the library, the
-CLI and the benchmark use to cluster data, and it sends those problems
-there.
+tree that the tie-break alone fixes, which :func:`_sides_trees` builds in
+O(n).
 
-At small n a step costs numpy call overhead rather than arithmetic, so
-the benchmark clusters many problems of one n at once through
-:func:`_cluster_stack`.  A problem is ``(x, kind, method)``, and its
-result is what ``linkage(dissimilarity(kind, x), method)`` returns or
-raises, bit for bit.  Problems with a closed form take it, together;
-the others are ordered by method and cut into equal
+:func:`_cluster_stack` is the one dispatch that the library, the CLI and
+the benchmark use to cluster data.  A problem is ``(x, kind, method)``,
+and its result is what ``linkage(dissimilarity(kind, x), method)``
+returns or raises, bit for bit; :func:`_cluster_data` is a call with one
+problem, which raises the error.  Problems with a closed form take it,
+together.  At small n a step costs numpy call overhead rather than
+arithmetic, so the others are ordered by method and cut into equal
 (B, n, n) stacks of at most :data:`_STACK_BYTES` (1.625 MiB, 21 problems
 at n = 100), each filled straight from the data, with no condensed
 matrix in between, and run by one loop that applies each method's
 update to its own run of the stack.  The stacked loop keeps a merged
 cluster in the slot of one of its children and marks the other slot
 dead with inf, so it moves no data between slots, and it checks all B
-trees at once with :func:`~branchembed.dendrogram._valid_records`.  It
-has no error path of its own: a stack of one, a stack whose fill is not
-finite, and a stack in which any problem fails go through
-:func:`_cluster_data` one problem at a time, so :func:`dissimilarity`
-and :func:`linkage` alone decide every failure.
+trees at once with :func:`~branchembed.dendrogram._valid_records`.
+Neither the closed form nor the stacked loop has an error path of its
+own: a closed-form tree that fails validation joins the stacks, and a
+stack of one, a stack whose fill is not finite and a stack in which any
+problem fails go through ``linkage(dissimilarity(kind, x), method)`` one
+problem at a time, so :func:`dissimilarity` and :func:`linkage` alone
+decide every failure.
 
 No value passes through BLAS, so every tree is the same under any BLAS
 kernel and thread count.
@@ -129,7 +130,11 @@ def correlation_dissimilarity(x) -> CondensedMatrix:
     Two-column rows correlate exactly +1 or -1: a row centres to
     ``(x1 - x0) / 2 * (-1, 1)``, so ``1 - r`` is exactly 0 for two rows
     that rise (``x1 > x0``) or fall alike and exactly 2 otherwise.  Wider
-    rows are centred and scaled to unit length, and each pair's ``r`` is
+    rows are first multiplied by the power of two that brings their
+    largest absolute value into [0.5, 1), as
+    :func:`~branchembed.metrics._rescaled` does, which is exact, so their
+    sums of squares neither overflow nor underflow at any scale.  Then
+    they are centred and scaled to unit length, and each pair's ``r`` is
     the dot product of its two unit rows, summed per pair in the chunks
     of :func:`~branchembed.dendrogram._pair_chunks` as in
     :func:`euclidean_dissimilarity`, never by a BLAS matrix product, so
@@ -151,7 +156,8 @@ def correlation_dissimilarity(x) -> CondensedMatrix:
             out[s:e] = rises.take(i) != rises.take(j)
         out *= 2.0
         return CondensedMatrix(n, out)
-    centered = x - x.mean(axis=1, keepdims=True)
+    centered = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1))[1][:, None])
+    centered -= centered.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
     unit = centered / norms[:, None]
     pairs = _dendrogram._PAIR_CHUNK * 8 // max(p, 8)
@@ -202,11 +208,7 @@ def _lw_combine(method: str, row_i, row_j, ni: int, nj: int,
 def _square(d: CondensedMatrix, method: str) -> np.ndarray:
     """The full matrix of ``d``, squared for ward, with an infinite
     diagonal."""
-    n = d.n
-    mask = _upper_mask(n)
-    dm = np.empty((n, n))
-    dm[mask] = d.values
-    dm.T[mask] = d.values
+    dm = d.to_square()
     np.fill_diagonal(dm, np.inf)
     if method == "ward":
         dm *= dm
@@ -308,40 +310,22 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     return validate_dendrogram(merges, n)
 
 
-# Linkage methods under which two-column correlation has a closed form.
-_SIDES_METHODS = ("single", "complete", "average")
-
-
-def _has_sides_tree(x: np.ndarray, kind: str, method: str) -> bool:
-    """Whether the problem ``(x, kind, method)``, ``x`` checked, is
-    clustered by :func:`_sides_tree`."""
-    return (kind == "correlation" and method in _SIDES_METHODS
-            and x.shape[1] == 2)
-
-
 def _cluster_data(x, kind: str, method: str) -> Dendrogram:
     """``linkage(dissimilarity(kind, x), method)``, bit for bit, with the
-    same errors.  Two-column correlation under single, complete or
-    average linkage takes the closed form :func:`_sides_tree`."""
-    x = _check_data(x)
-    if _has_sides_tree(x, kind, method):
-        return _sides_tree(x, method)
-    return linkage(dissimilarity(kind, x), method)
+    same errors: a one-problem :func:`_cluster_stack` call."""
+    tree, = _cluster_stack([(x, kind, method)])
+    if isinstance(tree, BranchEmbedError):
+        raise tree
+    return tree
 
 
-def _cluster_one(x, kind: str, method: str):
-    """:func:`_cluster_data`'s tree, or the :class:`BranchEmbedError` it
-    raised."""
-    try:
-        return _cluster_data(x, kind, method)
-    except BranchEmbedError as err:
-        return err
-
-
-def _sides_tree(x, method: str) -> Dendrogram:
-    """``linkage(correlation_dissimilarity(x), method)`` of two-column
-    data under single, complete or average linkage, bit for bit, with the
-    same errors, in O(n) time and memory.
+def _sides_trees(xs) -> list:
+    """``linkage(correlation_dissimilarity(x), method)`` of each checked
+    two-column ``x`` in ``xs`` (all over one n) under single, complete
+    or average linkage, which give the same tree, in O(n) time and
+    memory each.  Returns a list holding each one's :class:`Dendrogram`,
+    the :class:`ZeroVarianceRow` it raised, or ``None`` for a tree that
+    :func:`~branchembed.dendrogram._valid_records` rejects.
 
     Every value of that matrix is exactly 0, for two rows on the same
     side (both rising, ``x1 > x0``, or both falling), or exactly 2, and
@@ -349,28 +333,10 @@ def _sides_tree(x, method: str) -> Dendrogram:
     from the other.  So each step merges, at height 0, the tie-break's
     smallest pair on one side, and when each side is down to one
     cluster, the last merge joins the two at height 2 (see
-    :func:`_sides_trees`).
+    :func:`_sides_merges`).
     """
-    if method not in _SIDES_METHODS:
-        raise ValueError(f"no closed form under {method!r} linkage")
-    x = _check_data(x)
-    if x.shape[1] != 2:
-        raise ValueError("the closed form needs two-column data")
-    tree, = _sides_trees([(x, method)])
-    if isinstance(tree, BranchEmbedError):
-        raise tree
-    return tree
-
-
-def _sides_trees(problems) -> list:
-    """:func:`_sides_tree` of ``(x, method)`` problems, ``x`` checked
-    two-column data over one n, as a list holding each one's
-    :class:`Dendrogram` or the :class:`ZeroVarianceRow` it raised.  The
-    trees are checked together by
-    :func:`~branchembed.dendrogram._valid_records`; one that failed
-    would go through :func:`linkage`, which then decides."""
     out = []
-    for x, _ in problems:
+    for x in xs:
         try:
             out.append(_sides_merges(x))
         except ZeroVarianceRow as err:
@@ -379,26 +345,19 @@ def _sides_trees(problems) -> list:
             if not isinstance(merges, ZeroVarianceRow)]
     if not good:
         return out
-    n = problems[0][0].shape[0]
+    n = xs[0].shape[0]
     left, right, size = (np.array([out[b][k] for b in good], dtype=np.int64)
                          for k in range(3))
     height = np.array([out[b][3] for b in good])
     valid = _dendrogram._valid_records(left, right, height, size, n)
     for k, b in enumerate(good):
-        if valid[k]:
-            out[b] = _dendrogram._frozen(n, left[k], right[k], height[k],
-                                         size[k])
-            continue
-        x, method = problems[b]
-        try:
-            out[b] = linkage(correlation_dissimilarity(x), method)
-        except BranchEmbedError as err:
-            out[b] = err
+        out[b] = (_dendrogram._frozen(n, left[k], right[k], height[k],
+                                      size[k]) if valid[k] else None)
     return out
 
 
 def _sides_merges(x: np.ndarray) -> tuple:
-    """The merge table of :func:`_sides_tree` for checked two-column
+    """The merge table of :func:`_sides_trees` for checked two-column
     ``x``, as lists of left ids, right ids and sizes, and a list of
     heights.  Raises :class:`ZeroVarianceRow` for a constant row.
 
@@ -449,15 +408,17 @@ def _cluster_stack(problems) -> list:
     one :class:`Dendrogram` per problem, or the :class:`BranchEmbedError`
     that problem raised.
 
-    Problems with a closed form go to :func:`_sides_trees` together.  The
-    others are ordered by linkage method and cut into equal stacks of at
-    most :data:`_STACK_BYTES` of matrices, each filled straight from its
-    problems' data and clustered by one loop whose numpy calls serve the
-    whole stack, which at small n costs far less than a loop per problem.
-    A stack of one, a stack whose fill is not finite, and a stack in
-    which any tree fails go through :func:`_cluster_data` one problem at
-    a time.  The trees equal the expression above bit for bit, and so do
-    the errors.
+    Two-column correlation under single, complete or average linkage
+    has a closed form, and those problems go to :func:`_sides_trees`
+    together.  The others, and any closed-form tree that fails
+    validation, are ordered by linkage method and cut into equal stacks
+    of at most :data:`_STACK_BYTES` of matrices, each filled straight
+    from its problems' data and clustered by one loop whose numpy calls
+    serve the whole stack, which at small n costs far less than a loop
+    per problem.  A stack of one, a stack whose fill is not finite, and
+    a stack in which any tree fails go through
+    ``linkage(dissimilarity(kind, x), method)`` one problem at a time.
+    The trees equal that expression bit for bit, and so do the errors.
     """
     rank = {method: r for r, method in enumerate(LINKAGE_METHODS)}
     checked = []
@@ -473,10 +434,10 @@ def _cluster_stack(problems) -> list:
     if any(x.shape[0] != n for x, _, _ in checked):
         raise ValueError("stacked problems must all have the same n")
     out = [None] * len(checked)
-    sides = [b for b, problem in enumerate(checked)
-             if _has_sides_tree(*problem)]
-    trees = _sides_trees([(checked[b][0], checked[b][2]) for b in sides])
-    for b, tree in zip(sides, trees):
+    sides = [b for b, (x, kind, method) in enumerate(checked)
+             if kind == "correlation" and method != "ward"
+             and x.shape[1] == 2]
+    for b, tree in zip(sides, _sides_trees([checked[b][0] for b in sides])):
         out[b] = tree
     order = sorted((b for b in range(len(checked)) if out[b] is None),
                    key=lambda b: rank[checked[b][2]])
@@ -486,13 +447,15 @@ def _cluster_stack(problems) -> list:
     count = -(-len(order) // per_stack)
     cuts = [len(order) * k // count for k in range(count + 1)]
     # One anonymous map serves every stack of the call and goes back to
-    # the OS when the call ends.  A stack from malloc is mapped the first
-    # time, but glibc then raises its mmap threshold to the freed stack's
-    # size and serves later stacks from the heap, which may keep up to
-    # twice that size free and resident: on the benchmark's `table`
-    # workload that put peak RSS at 35.8-36.0 MiB in 4 of 5 runs at seed
-    # 104729, against 34.8-35.1 MiB in 19 runs with the map.
-    buf = mmap.mmap(-1, 8 * -(-len(order) // count) * n * n)
+    # the OS when the call ends; a call whose stacks all hold one problem
+    # maps nothing.  A stack from malloc is mapped the first time, but
+    # glibc then raises its mmap threshold to the freed stack's size and
+    # serves later stacks from the heap, which may keep up to twice that
+    # size free and resident: on the benchmark's `table` workload that
+    # put peak RSS at 35.8-36.0 MiB in 4 of 5 runs at seed 104729,
+    # against 34.8-35.1 MiB in 19 runs with the map.
+    largest = -(-len(order) // count)
+    buf = mmap.mmap(-1, 8 * largest * n * n) if largest > 1 else None
     for lo, hi in zip(cuts, cuts[1:]):
         part = [checked[b] for b in order[lo:hi]]
         trees = None
@@ -503,7 +466,12 @@ def _cluster_stack(problems) -> list:
             if slices is not None:
                 trees = _stacked_linkage(dm, slices)
         if trees is None:
-            trees = [_cluster_one(*problem) for problem in part]
+            trees = []
+            for x, kind, method in part:
+                try:
+                    trees.append(linkage(dissimilarity(kind, x), method))
+                except BranchEmbedError as err:
+                    trees.append(err)
         for b, tree in zip(order[lo:hi], trees):
             out[b] = tree
     return out

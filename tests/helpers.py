@@ -357,8 +357,8 @@ def percell_table(cfg):
                       & ((1 << 64) - 1))
         for ci, (kind, method) in enumerate(cfg.conditions):
             try:
-                original = bench.linkage(bench.dissimilarity(kind, data),
-                                         method)
+                original = cluster.linkage(
+                    cluster.dissimilarity(kind, data), method)
                 scorer = _Scorer(original)
             except BranchEmbedError:
                 failures[ci, :] += 1

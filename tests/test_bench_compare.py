@@ -1,7 +1,8 @@
 """Tests for scripts/bench_compare.py's file layout and merging.
 
 ``run_once`` is replaced by a stub, so no benchmark runs: the tests
-check which sections a call writes and what a second call keeps.
+check which sections a call writes, what a second call keeps and that
+both checkouts are byte-compiled first.
 """
 
 import importlib.util
@@ -28,7 +29,9 @@ def bench_compare(tmp_path, monkeypatch):
 
     monkeypatch.setattr(module, "run_once", fake_run_once)
     for side in module.SIDES:
-        (tmp_path / side).mkdir()
+        package = tmp_path / side / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
         "workloads": [{"name": "a"}, {"name": "b"}],
         "end_to_end": [
@@ -62,6 +65,15 @@ def test_writes_pairs_and_one_traced_run_per_side(bench_compare, tmp_path):
     traced = [c for c in bench_compare.calls if c[3]]
     assert sorted(traced) == sorted(
         (side, w, 0, True) for side in ("parent", "change") for w in "ab")
+
+
+def test_compiles_both_checkouts(bench_compare, tmp_path):
+    # Otherwise one side's setup_s may include byte-compiling the
+    # package and the other's not.
+    assert _main(bench_compare, "--pairs", "1") == 0
+    for side in bench_compare.SIDES:
+        cache = tmp_path / side / "src" / "pkg" / "__pycache__"
+        assert any(cache.glob("__init__.*.pyc")), side
 
 
 def test_second_call_keeps_other_entries(bench_compare, tmp_path):

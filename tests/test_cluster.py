@@ -260,6 +260,29 @@ class TestCorrelation:
         if 2 < n <= 40:
             assert got == pytest.approx(brute_correlation(x), abs=1e-12)
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_rows_scaled_by_powers_of_two(self, p):
+        # Each row is first brought to a largest absolute value in
+        # [0.5, 1) by an exact power of two, so rows scaled by 2^k give
+        # the same bits, even where their sums of squares would overflow
+        # or underflow.
+        rng = np.random.default_rng(4600 + p)
+        x = rng.normal(size=(40, p))
+        whole = correlation_dissimilarity(x).values
+        ks = (-900, -300, 300, 900)
+        for k in ks:
+            got = correlation_dissimilarity(np.ldexp(x, k)).values
+            assert np.array_equal(got, whole), k
+        per_row = np.ldexp(x, rng.choice(ks, size=(len(x), 1)))
+        assert np.array_equal(correlation_dissimilarity(per_row).values,
+                              whole)
+
+    def test_tiny_and_huge_rows(self):
+        d = correlation_dissimilarity(
+            [[0.0, 1e-200, 0.0], [1.0, 2.0, 3.0], [0.0, 1e200, 2e200]])
+        assert d.value(0, 1) == 1.0
+        assert d.value(1, 2) == pytest.approx(0.0, abs=1e-12)
+
     @pytest.mark.parametrize("p", [2, 5])
     def test_chunked_walk_equals_one_chunk(self, monkeypatch, p):
         rng = np.random.default_rng(4500 + p)
@@ -803,6 +826,28 @@ class TestLinkageStack:
         assert cluster._cluster_stack(problems) == refs
         assert calls == ["euclidean", "correlation", "euclidean"]
 
+    @pytest.mark.parametrize("cols", [2, 3])
+    def test_one_problem_maps_nothing(self, monkeypatch, cols):
+        # A one-problem call, as convert_dendrogram and cli embed make,
+        # runs no stack, so it needs no stack memory.
+        rng = np.random.default_rng(60 + cols)
+        x = rng.normal(size=(30, cols))
+        maps = []
+        real = cluster.mmap.mmap
+
+        def spy(*args):
+            maps.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cluster.mmap, "mmap", spy)
+        # The default conditions are all that check_condition allows.
+        for kind, method in DEFAULT_CONDITIONS:
+            got, = cluster._cluster_stack([(x, kind, method)])
+            assert got == linkage(dissimilarity(kind, x), method)
+        assert maps == []
+        cluster._cluster_stack([(x, "euclidean", "single")] * 2)
+        assert len(maps) == 1
+
     def test_default_budget_holds_a_table_row(self):
         assert cluster._STACK_BYTES // (8 * 100 * 100) >= 9
 
@@ -835,17 +880,17 @@ def _linkage_spy(monkeypatch):
 
 
 class TestSidesTree:
-    """``_sides_tree(x, method)`` gives two-column ``x`` under single,
-    complete and average linkage the tree, or the error, of
-    ``linkage(correlation_dissimilarity(x), method)``, bit for bit, and
-    ``_cluster_stack``, ``convert_dendrogram`` and ``embed`` reach it
-    through one dispatch."""
+    """The closed form, ``_sides_trees``, gives two-column ``x`` under
+    single, complete and average correlation linkage the tree, or the
+    error, of ``linkage(correlation_dissimilarity(x), method)``, bit for
+    bit, and ``_cluster_stack``, ``convert_dendrogram`` and ``embed``
+    reach it through one dispatch."""
 
     @staticmethod
     def _check(x):
         d0 = correlation_dissimilarity(x)
         for method in ("single", "complete", "average"):
-            got = cluster._sides_tree(x, method)
+            got = cluster._cluster_data(x, "correlation", method)
             assert got == linkage(d0, method), method
             assert got == stepwise_linkage(d0, method), method
 
@@ -862,7 +907,8 @@ class TestSidesTree:
         x = rng.normal(size=(n, 2))
         x[:, 1] = x[:, 0] + rise * rng.uniform(0.1, 1.0, n)
         self._check(x)
-        assert not cluster._sides_tree(x, "average").height.any()
+        assert not cluster._cluster_data(
+            x, "correlation", "average").height.any()
 
     @pytest.mark.parametrize("scale", [1.0, 2.0 ** 40, 2.0 ** -40])
     @pytest.mark.parametrize("n", [3, 17, 100])
@@ -885,7 +931,7 @@ class TestSidesTree:
         assert ref.value.row == 4
         for method in ("single", "complete", "average"):
             with pytest.raises(ZeroVarianceRow) as err:
-                cluster._sides_tree(x, method)
+                cluster._cluster_data(x, "correlation", method)
             assert (str(err.value), err.value.row) == \
                 (str(ref.value), ref.value.row)
         # In a stack call the closed form returns the error in its slot,
@@ -911,15 +957,11 @@ class TestSidesTree:
         sizes = TestLinkageStack._stack_sizes(monkeypatch)
         assert cluster._cluster_stack(problems) == refs
         assert sizes == [4]
-        with pytest.raises(ValueError, match="ward"):
-            cluster._sides_tree(problems[0][0], "ward")
 
     def test_rejects_other_shapes(self):
-        rng = np.random.default_rng(7)
-        with pytest.raises(ValueError, match="two-column"):
-            cluster._sides_tree(rng.normal(size=(5, 3)), "single")
         with pytest.raises(ValueError, match="finite"):
-            cluster._sides_tree([[0.0, 1.0], [np.nan, 2.0]], "single")
+            cluster._cluster_data([[0.0, 1.0], [np.nan, 2.0]],
+                                  "correlation", "single")
 
     def test_rejected_tree_goes_to_linkage(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -929,25 +971,26 @@ class TestSidesTree:
         monkeypatch.setattr(dendrogram, "_valid_records",
                             lambda left, *_: np.zeros(len(left), bool))
         calls = _linkage_spy(monkeypatch)
-        assert cluster._sides_trees([(x, "complete") for x in xs]) == refs
+        problems = [(x, "correlation", "complete") for x in xs]
+        assert cluster._cluster_stack(problems) == refs
         assert calls == ["complete"] * 3
 
     def test_one_dispatch(self, monkeypatch, tmp_path):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(15, 2))
         calls = []
-        real = cluster._sides_tree
+        real = cluster._sides_trees
 
-        def spy(x, method):
-            calls.append(method)
-            return real(x, method)
+        def spy(xs):
+            calls.append(len(xs))
+            return real(xs)
 
-        monkeypatch.setattr(cluster, "_sides_tree", spy)
+        monkeypatch.setattr(cluster, "_sides_trees", spy)
         for method in ("single", "complete", "average"):
             assert convert_dendrogram(x, method, "correlation") == \
                 linkage(correlation_dissimilarity(x), method)
         convert_dendrogram(x, "ward")
-        assert calls == ["single", "complete", "average"]
+        assert calls == [1, 1, 1, 0]
         data = tmp_path / "data.csv"
         data.write_text("".join(f"{a!r},{b!r}\n" for a, b in x.tolist()))
         assert main(["embed", "--input", str(data), "--metric",
@@ -955,7 +998,7 @@ class TestSidesTree:
                      "--converted-linkage", "complete",
                      "--out", str(tmp_path / "coords.csv"),
                      "--report", str(tmp_path / "report.json")]) == 0
-        assert calls[3:] == ["single", "complete"]
+        assert calls[4:] == [1, 1]
 
 
 class TestAgainstScipy:
