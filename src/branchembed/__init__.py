@@ -64,6 +64,7 @@ from .errors import (
     NonMonotonic,
     ParseError,
     RaggedRow,
+    SizeLimit,
     SizeMismatch,
     ZeroVariance,
     ZeroVarianceRow,
@@ -105,6 +106,7 @@ __all__ = [
     "PALETTE",
     "ParseError",
     "RaggedRow",
+    "SizeLimit",
     "SizeMismatch",
     "SplitEvent",
     "SplitMix64",

@@ -18,9 +18,11 @@ the merged entry is larger than it.  A step with m active clusters
 therefore costs O(m) plus O(m) per rescanned row, so typical inputs take
 O(n^2) time, however many pairs tie; an input that makes most rows stale
 at most steps (complete or average linkage can) takes up to O(n^3).
-Memory is one n x n float64 matrix.  The merge arithmetic and the
-tie-break are those of the stepwise full-matrix scan, so the merge tables
-are equal to its, bit for bit.
+Memory is one n x n float64 matrix, and a matrix larger than physical
+memory raises :class:`~branchembed.errors.SizeLimit` before it is
+allocated.  The merge arithmetic and the tie-break are those of the
+stepwise full-matrix scan, so the merge tables are equal to its, bit for
+bit.
 
 Two-column data under correlation needs no matrix at all: every value
 is exactly 0 or 2, so single, complete and average linkage all give the
@@ -40,13 +42,18 @@ matrix in between, and run by one loop that applies each method's
 update to its own run of the stack.  The stacked loop keeps a merged
 cluster in the slot of one of its children and marks the other slot
 dead with inf, so it moves no data between slots, and it checks all B
-trees at once with :func:`~branchembed.dendrogram._valid_records`.
+trees at once with :func:`~branchembed.dendrogram._valid_records`.  A
+stack of one, as every one-problem call makes, is filled the same way
+and run by :func:`linkage`'s own loop, so reclustering n points holds
+one n x n matrix and nothing the size of the condensed vector.
 Neither the closed form nor the stacked loop has an error path of its
 own: a closed-form tree that fails validation joins the stacks, and a
-stack of one, a stack whose fill is not finite and a stack in which any
+stack whose fill is not finite and a stack of several in which any
 problem fails go through ``linkage(dissimilarity(kind, x), method)`` one
 problem at a time, so :func:`dissimilarity` and :func:`linkage` alone
-decide every failure.
+decide every failure.  The loop of a stack of one is :func:`linkage`'s
+own, on the matrix :func:`linkage` would build, so its errors are
+:func:`linkage`'s already.
 
 No value passes through BLAS, so every tree is the same under any BLAS
 kernel and thread count.
@@ -64,6 +71,7 @@ from . import dendrogram as _dendrogram
 from .dendrogram import (
     CondensedMatrix,
     Dendrogram,
+    _check_size,
     _pair_chunks,
     _upper_mask,
     validate_dendrogram,
@@ -205,9 +213,14 @@ def _lw_combine(method: str, row_i, row_j, ni: int, nj: int,
     return ((ni + nk) * row_i + (nj + nk) * row_j - nk * d_ij) / (ni + nj + nk)
 
 
+# Ward's square of a large value overflows to inf, which the loop of
+# _linkage_square reports as LinkageOverflow.
+@np.errstate(over="ignore")
 def _square(d: CondensedMatrix, method: str) -> np.ndarray:
     """The full matrix of ``d``, squared for ward, with an infinite
-    diagonal."""
+    diagonal.  Raises :class:`SizeLimit` before allocating a matrix
+    larger than physical memory."""
+    _check_size("the n x n matrix", 8 * d.n * d.n)
     dm = d.to_square()
     np.fill_diagonal(dm, np.inf)
     if method == "ward":
@@ -215,10 +228,6 @@ def _square(d: CondensedMatrix, method: str) -> np.ndarray:
     return dm
 
 
-# Ward squares its inputs, and average and ward add weighted rows, so
-# large finite inputs can overflow.  An overflowed entry stays inf until
-# its two clusters merge, so every overflow shows as a non-finite minimum.
-@np.errstate(over="ignore", invalid="ignore")
 def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     """Agglomerative clustering of ``d0`` under the given linkage method.
 
@@ -229,7 +238,8 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     does).  Raises :class:`LinkageOverflow` if a merged dissimilarity
     (for ward, a squared one) exceeds the float64 range, and, under every
     method, :class:`NegativeHeight` at record 0 if ``d0`` holds a negative
-    value.
+    value, and :class:`SizeLimit` if its n x n matrix would not fit in
+    physical memory.
     """
     if method not in LINKAGE_METHODS:
         raise ValueError(f"unknown linkage method {method!r}")
@@ -238,8 +248,19 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
         # is at the smallest value, so they fail at record 0 as well.
         low = float(d0.values.min())
         raise NegativeHeight(f"record 0: height {low!r} < 0", record=0)
-    n = d0.n
-    dm = _square(d0, method)
+    return _linkage_square(_square(d0, method), method)
+
+
+# Ward squares its inputs, and average and ward add weighted rows, so
+# large finite inputs can overflow.  An overflowed entry stays inf until
+# its two clusters merge, so every overflow shows as a non-finite minimum.
+@np.errstate(over="ignore", invalid="ignore")
+def _linkage_square(dm: np.ndarray, method: str) -> Dendrogram:
+    """The steps of :func:`linkage` on ``dm``, the full matrix that
+    :func:`_square` makes (ward's squared, an infinite diagonal), which
+    they overwrite.  Raises what :func:`linkage` raises after its
+    checks."""
+    n = dm.shape[0]
     # row_min[r] is the smallest entry of row r over the active columns.
     row_min = dm.min(axis=1)
 
@@ -415,10 +436,15 @@ def _cluster_stack(problems) -> list:
     of at most :data:`_STACK_BYTES` of matrices, each filled straight
     from its problems' data and clustered by one loop whose numpy calls
     serve the whole stack, which at small n costs far less than a loop
-    per problem.  A stack of one, a stack whose fill is not finite, and
-    a stack in which any tree fails go through
+    per problem.  A stack of one is filled the same way, into a (1, n, n)
+    array, and clustered by :func:`linkage`'s own loop, whose errors are
+    then :func:`linkage`'s.  A stack whose fill is not finite, and a
+    stack of several in which any tree fails, go through
     ``linkage(dissimilarity(kind, x), method)`` one problem at a time.
     The trees equal that expression bit for bit, and so do the errors.
+    A matrix or stack larger than physical memory raises
+    :class:`~branchembed.errors.SizeLimit` for the whole call before it
+    is allocated.
     """
     rank = {method: r for r, method in enumerate(LINKAGE_METHODS)}
     checked = []
@@ -455,16 +481,31 @@ def _cluster_stack(problems) -> list:
     # put peak RSS at 35.8-36.0 MiB in 4 of 5 runs at seed 104729,
     # against 34.8-35.1 MiB in 19 runs with the map.
     largest = -(-len(order) // count)
-    buf = mmap.mmap(-1, 8 * largest * n * n) if largest > 1 else None
+    buf = None
+    if largest > 1:
+        _check_size("a stack of matrices", 8 * largest * n * n)
+        buf = mmap.mmap(-1, 8 * largest * n * n)
     for lo, hi in zip(cuts, cuts[1:]):
         part = [checked[b] for b in order[lo:hi]]
-        trees = None
-        if len(part) > 1:
+        if buf is None:
+            _check_size("the n x n matrix", 8 * n * n)
+            dm = np.empty((1, n, n))
+        else:
             dm = np.frombuffer(buf, count=len(part) * n * n)
             dm = dm.reshape(len(part), n, n)
-            slices = _fill_stack(dm, part)
-            if slices is not None:
-                trees = _stacked_linkage(dm, slices)
+        slices = _fill_stack(dm, part)
+        trees = None
+        if slices is not None and len(part) > 1:
+            trees = _stacked_linkage(dm, slices)
+        elif slices is not None:
+            # linkage's own steps on the square it would build, so an
+            # error they raise is the one linkage raises.
+            try:
+                trees = [_linkage_square(dm[0], part[0][2])]
+            except BranchEmbedError as err:
+                trees = [err]
+        # Free a one-problem matrix before a rerun builds its own.
+        del dm
         if trees is None:
             trees = []
             for x, kind, method in part:
@@ -488,18 +529,25 @@ def _fill_stack(dm: np.ndarray, problems) -> list | None:
 
     Every value equals :func:`dissimilarity`'s for its pair: a 2-column
     Euclidean fill is ``sqrt(dx*dx + dy*dy)`` by broadcasting, which is
-    what the per-pair sum of squares gives for two columns; wider
-    Euclidean data and correlation take :func:`euclidean_dissimilarity`'s
-    and :func:`correlation_dissimilarity`'s values.  Problems that share
-    their data matrix (the same object) and kind are filled once, and
-    the other slots copy that fill.
+    what the per-pair sum of squares gives for two columns, with
+    ``dy*dy`` made a block of rows at a time (about
+    :data:`~branchembed.dendrogram._PAIR_CHUNK` entries), so the fill
+    needs no second n x n array; wider Euclidean data and correlation
+    take :func:`euclidean_dissimilarity`'s and
+    :func:`correlation_dissimilarity`'s condensed values, copied in
+    through :func:`~branchembed.dendrogram._upper_mask`, which is made
+    only for them.  Problems that share their data matrix (the same
+    object) and kind are filled once, and the other slots copy that
+    fill.
     """
     n = dm.shape[1]
-    mask = _upper_mask(n)
+    mask = None
     # The stack may hold an earlier stack's matrices, and a condensed
     # fill writes no diagonal.
     diag = np.arange(n)
     dm[:, diag, diag] = 0.0
+    # Rows of dy*dy per block, about a pair chunk's worth of entries.
+    rows = max(1, _dendrogram._PAIR_CHUNK // n)
     filled = {}
     try:
         for b, (sq, (x, kind, _)) in enumerate(zip(dm, problems)):
@@ -509,14 +557,17 @@ def _fill_stack(dm: np.ndarray, problems) -> list | None:
             elif kind == "euclidean" and x.shape[1] == 2:
                 np.subtract.outer(x[:, 0], x[:, 0], out=sq)
                 sq *= sq
-                dy = np.subtract.outer(x[:, 1], x[:, 1])
-                dy *= dy
-                sq += dy
+                for r in range(0, n, rows):
+                    dy = np.subtract.outer(x[r:r + rows, 1], x[:, 1])
+                    dy *= dy
+                    sq[r:r + rows] += dy
                 np.sqrt(sq, out=sq)
             else:
                 fill = (euclidean_dissimilarity if kind == "euclidean"
                         else correlation_dissimilarity)
                 values = fill(x).values
+                if mask is None:
+                    mask = _upper_mask(n)
                 sq[mask] = values
                 sq.T[mask] = values
     except BranchEmbedError:

@@ -15,7 +15,9 @@ monotonicity the cophenetic matrix derived here is an ultrametric.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -28,12 +30,29 @@ from .errors import (
     NegativeHeight,
     NonMonotonic,
     ParseError,
+    SizeLimit,
     SizeMismatch,
 )
 
 # Relative slack when checking parent >= child heights; round-off in
 # weighted-average cluster updates can undershoot by a few ulps.
 _HEIGHT_SLACK = 1e-12
+
+
+# Bytes of physical memory, read once (inf where the OS does not tell).
+# An array larger than this could never be held, so the n x n matrices
+# and the pair vectors are refused before allocation.
+try:
+    _MEMORY_LIMIT = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+except (AttributeError, OSError, ValueError):
+    _MEMORY_LIMIT = math.inf
+
+
+def _check_size(what: str, nbytes: int) -> None:
+    """Raise :class:`SizeLimit` if ``what``, an array of ``nbytes``
+    bytes, is larger than physical memory."""
+    if nbytes > _MEMORY_LIMIT:
+        raise SizeLimit(what, nbytes, _MEMORY_LIMIT)
 
 
 def _upper_mask(n: int) -> np.ndarray:
@@ -280,10 +299,28 @@ _PAIR_CHUNK = 8192
 def _pair_chunks(n: int, pairs: int | None = None):
     """Walk the pairs i < j of n items in condensed order, a chunk of
     whole rows of at most ``pairs`` pairs (default :data:`_PAIR_CHUNK`)
-    at a time.  Yields ``(s, e, i, j)``: the chunk's condensed slice
-    ``s:e`` and int64 arrays of its pairs' item ids."""
+    at a time.  Returns an iterable of ``(s, e, i, j)``: the chunk's
+    condensed slice ``s:e`` and read-only int64 arrays of its pairs'
+    item ids.  A walk that is one chunk (n <= 128 at the default) is
+    made once per n and reused."""
     if pairs is None:
         pairs = _PAIR_CHUNK
+    if n * (n - 1) // 2 > pairs:
+        return _walk(n, pairs)
+    return (_whole_walk(n),)
+
+
+@functools.lru_cache(maxsize=8)
+def _whole_walk(n: int) -> tuple:
+    """The one chunk of :func:`_pair_chunks` over all pairs of n items."""
+    chunk = next(_walk(n, n * (n - 1) // 2))
+    for ids in chunk[2:]:
+        ids.setflags(write=False)
+    return chunk
+
+
+def _walk(n: int, pairs: int):
+    """The chunks of :func:`_pair_chunks`, made as they are walked."""
     row_start = [r * (2 * n - r - 1) // 2 for r in range(n)]
     starts = np.array(row_start, dtype=np.int64)
     r0 = 0
@@ -332,7 +369,51 @@ def _layout(d: Dendrogram):
             np.array(gap_record, dtype=np.int64))
 
 
-def _pair_matrices(d: Dendrogram, want_coph: bool, want_kin: bool):
+@functools.lru_cache(maxsize=8)
+def _range_offsets(n: int) -> tuple:
+    """Where the sparse table of :func:`_lca_table` over the n - 1 gaps
+    of n leaves keeps each range.  Level j holds the n - 2**j minima of
+    2**j gaps, and the levels are stored back to back.  A range of L
+    gaps starting at gap lo is covered by two level-j blocks, j =
+    floor(log2 L): the one starting at lo and the one ending at
+    lo + L - 1.  Returns read-only int64 arrays ``first`` and ``second``
+    such that their indices in the table are lo + first[L] and
+    lo + second[L]."""
+    first = np.zeros(n, dtype=np.int64)
+    second = np.zeros(n, dtype=np.int64)
+    base = 0
+    width = 1
+    while width < n:
+        lengths = np.arange(width, min(2 * width, n))
+        first[lengths] = base
+        second[lengths] = base + lengths - width
+        base += n - width
+        width *= 2
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
+
+
+def _lca_table(d: Dendrogram) -> tuple:
+    """What :func:`_pair_matrices` looks lowest common ancestors up in:
+    each leaf's position and depth, and the sparse table of gap keys
+    ``depth * n + record`` laid out as :func:`_range_offsets` says."""
+    n = d.n_leaves
+    pos, depth, gap_record = _layout(d)
+    level = depth[n:][gap_record]
+    level *= n
+    level += gap_record
+    levels = [level]
+    width = 1
+    while 2 * width <= n - 1:
+        level = np.minimum(level[:-width], level[width:])
+        levels.append(level)
+        width *= 2
+    return pos, depth[:n], np.concatenate(levels)
+
+
+def _pair_matrices(d: Dendrogram, want_coph: bool, want_kin: bool,
+                   lca: tuple | None = None):
     """Fill cophenetic and/or kinship condensed vectors.
 
     The lowest common ancestor of leaves i and j is the record owning the
@@ -344,64 +425,50 @@ def _pair_matrices(d: Dendrogram, want_coph: bool, want_kin: bool):
     costs two table lookups (Bender & Farach-Colton, *The LCA Problem
     Revisited*, 2000).  The pairs are filled in the chunks of
     :func:`_pair_chunks`, each with a fixed number of numpy calls, so the
-    cost is O(n^2) time with two condensed vectors plus O(n log n) and
-    chunk temporaries of memory.  Cophenetic values are the stored merge
-    heights and kinship values the integer path lengths
-    ``depth[i] + depth[j] - 2 * depth[lca]``, exactly.
+    cost is O(n^2) time with the wanted condensed vectors plus
+    O(n log n) and chunk temporaries of memory.  A caller that fills
+    the two vectors one at a time passes the tree's :func:`_lca_table`
+    to both calls.  Cophenetic values are the stored merge heights and
+    kinship values the integer path lengths
+    ``depth[i] + depth[j] - 2 * depth[lca]``, exactly.  Raises
+    :class:`SizeLimit` before allocating vectors larger than physical
+    memory.
     """
     n = d.n_leaves
     m = n * (n - 1) // 2
+    _check_size("the pair vectors", 8 * m * (want_coph + want_kin))
     coph = np.empty(m) if want_coph else None
     kin = np.empty(m) if want_kin else None
-    pos, depth, gap_record = _layout(d)
-    leaf_depth = depth[:n]
+    pos, leaf_depth, table = _lca_table(d) if lca is None else lca
+    first, second = _range_offsets(n)
 
-    # Level j of the sparse table holds the minimum key over the 2**j
-    # gaps starting at each gap; the levels are stored back to back.
-    level = depth[n:][gap_record]
-    level *= n
-    level += gap_record
-    levels = [level]
-    width = 1
-    while 2 * width <= n - 1:
-        level = np.minimum(level[:-width], level[width:])
-        levels.append(level)
-        width *= 2
-    table = np.concatenate(levels)
-    # A range of L gaps starting at gap lo is covered by two level-j
-    # blocks, j = floor(log2 L): the one starting at lo and the one ending
-    # at lo + L - 1.  Their indices in ``table`` are lo + first[L] and
-    # lo + second[L].
-    first = np.empty(n, dtype=np.int64)
-    second = np.empty(n, dtype=np.int64)
-    base = 0
-    for power, lev in enumerate(levels):
-        lengths = np.arange(1 << power, min(2 << power, n))
-        first[lengths] = base
-        second[lengths] = base + lengths - (1 << power)
-        base += lev.size
-
+    # Every index is in range, so a take into ``out`` may use "clip",
+    # which writes straight to ``out``; "raise" fills a buffer first.
+    # Each chunk's temporaries are dropped before the walk makes the
+    # next chunk's pairs.
     for s, e, i, j in _pair_chunks(n):
         pj = pos.take(j)
         pi = pos.take(i)
         lo = np.minimum(pi, pj)
         np.subtract(pi, pj, out=pi)
         span = np.abs(pi, out=pi)
-        np.take(second, span, out=pj)
+        np.take(second, span, out=pj, mode="clip")
         pj += lo
         key = first.take(span)
         key += lo
         del lo, pi, span
         key = table.take(key)
         np.minimum(key, table.take(pj), out=key)
+        del pj
         if want_coph:
-            np.take(d.height, key % n, out=coph[s:e])
+            np.take(d.height, key % n, out=coph[s:e], mode="clip")
         if want_kin:
             key //= n
             key *= -2
             key += leaf_depth.take(j)
             key += leaf_depth.take(i)
             kin[s:e] = key
+        del key
     return coph, kin
 
 

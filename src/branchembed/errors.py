@@ -80,6 +80,22 @@ class LinkageOverflow(BranchEmbedError, ValueError):
         self.step = step
 
 
+class SizeLimit(BranchEmbedError, MemoryError):
+    """An array the computation needs is larger than this machine's
+    physical memory, so it is refused before anything is allocated.
+
+    ``nbytes`` is the size of the refused array and ``limit`` the
+    physical memory, both in bytes.
+    """
+
+    def __init__(self, what, nbytes, limit):
+        super().__init__(
+            f"{what} needs {nbytes} bytes, more than the {limit} bytes "
+            f"of physical memory")
+        self.nbytes = nbytes
+        self.limit = limit
+
+
 class ZeroVariance(BranchEmbedError, ValueError):
     """A value vector is constant, so Pearson correlation is undefined."""
 

@@ -6,7 +6,9 @@ clustered, and correlate the resulting cophenetic and kinship matrices
 with the original dendrogram's, entry by entry over the strict upper
 triangle.  The two Pearson scores are called r_c (cophenetic) and r_k
 (kinship).  :func:`evaluate_embedding` and the benchmark share one
-scorer, which fills and centres the original tree's two vectors once.
+scorer, which fills and centres the original tree's two vectors once
+and the converted tree's one at a time, so scoring holds three
+condensed vectors (12 n^2 bytes) at most, never four.
 
 Reclustering uses the dissimilarity kind that built the original tree
 (Euclidean unless ``dissimilarity="correlation"``).  Row correlation of
@@ -31,7 +33,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .cluster import _cluster_data, check_condition
-from .dendrogram import Dendrogram, _pair_matrices
+from .dendrogram import Dendrogram, _lca_table, _pair_matrices
 from .embed import AngleStrategy, Embedding
 from .errors import SizeMismatch, ZeroVariance
 
@@ -47,8 +49,9 @@ def _rescaled(v: np.ndarray, out=None) -> np.ndarray:
 def _centred(v: np.ndarray) -> np.ndarray:
     """``v`` centred in place (pass an array the caller no longer needs,
     or a copy); a constant ``v`` has no correlation and is rejected.
-    If the sum of ``v`` overflows, ``v`` is first :func:`_rescaled`."""
-    if np.all(v == v[0]):
+    If the sum of ``v`` overflows, ``v`` is first :func:`_rescaled`.
+    Neither test makes a temporary the size of ``v``."""
+    if v.min() == v.max():
         raise ZeroVariance("correlation of a constant vector is undefined")
     with np.errstate(over="ignore"):
         mean = v.mean()
@@ -86,7 +89,8 @@ def _pearson_vec(a: np.ndarray, b: np.ndarray) -> float:
 
 class _Scorer:
     """r_c and r_k of converted trees against one original tree, whose
-    cophenetic and kinship vectors are filled and centred once."""
+    cophenetic and kinship vectors are filled and centred once, in one
+    pass."""
 
     def __init__(self, original: Dendrogram):
         coph, kin = _pair_matrices(original, True, True)
@@ -94,10 +98,16 @@ class _Scorer:
         self._kin = _centred(kin)
 
     def scores(self, converted: Dendrogram) -> tuple[float, float]:
-        """``(r_c, r_k)`` of ``converted``, a tree over the same leaves."""
-        coph, kin = _pair_matrices(converted, True, True)
-        return (_pearson_vec(self._coph, _centred(coph)),
-                _pearson_vec(self._kin, _centred(kin)))
+        """``(r_c, r_k)`` of ``converted``, a tree over the same leaves.
+        Its cophenetic vector is filled, correlated and dropped before
+        its kinship vector is filled; the two fills share one
+        :func:`~branchembed.dendrogram._lca_table`."""
+        lca = _lca_table(converted)
+        coph, _ = _pair_matrices(converted, True, False, lca)
+        r_c = _pearson_vec(self._coph, _centred(coph))
+        del coph
+        _, kin = _pair_matrices(converted, False, True, lca)
+        return r_c, _pearson_vec(self._kin, _centred(kin))
 
 
 def _coords_of(coords: Union[Embedding, np.ndarray]) -> np.ndarray:

@@ -26,12 +26,15 @@ def render_svg_scatter(coords: Union[Embedding, np.ndarray],
     The viewport is square and both axes share one scale factor (equal
     aspect), with a 5% margin around the data's bounding box.  With labels,
     point fills come from the fixed 10-color palette; without, every point
-    uses the first palette color.
+    uses the first palette color.  A NaN or infinite coordinate has no
+    place in the box and raises ``ValueError``.
     """
     pts = coords.coords if isinstance(coords, Embedding) else (
         np.asarray(coords, dtype=np.float64))
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
         raise ValueError(f"expected (n, 2) coordinates, got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("coordinates must be finite")
     if labels is not None:
         labels = np.asarray(labels)
         if labels.shape != (pts.shape[0],):

@@ -7,6 +7,7 @@ main() in process and assert on exit codes and written artifacts.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -388,6 +389,19 @@ class TestSvg:
     def test_label_length_checked(self):
         with pytest.raises(ValueError):
             render_svg_scatter(np.zeros((3, 2)), labels=np.array([1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        # One bad point would otherwise turn every point's position into
+        # nan, the finite ones included.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for at in ((0, 0), (1, 1)):
+                coords = np.array([[0.5, 0.0], [1.0, 1.0]])
+                coords[at] = bad
+                with pytest.raises(ValueError,
+                                   match="^coordinates must be finite$"):
+                    render_svg_scatter(coords)
 
 
 @pytest.fixture

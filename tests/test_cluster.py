@@ -560,6 +560,21 @@ def _key(result):
             getattr(result, "record", None))
 
 
+# Problems that fail, each with its linkage method.
+_FAILING = [
+    # Ward's squared update overflows at its second merge.
+    ("ward", ([[0.0, 0.0], [1e154, 0.0], [0.0, 1.2e154]], "euclidean")),
+    # A constant row has no correlation.  Two-column data would go to
+    # the closed form, not to a stack.
+    ("average", ([[1.0, 2.0, 0.0], [3.0, 3.0, 3.0], [2.0, 5.0, 1.0],
+                  [0.0, 1.0, 3.0]], "correlation")),
+    # Squared differences overflow, in two columns and in three.
+    ("single", ([[0.0, 0.0], [2e154, 0.0], [0.0, 1.0]], "euclidean")),
+    ("complete", ([[0.0, 0.0, 1.0], [1.0, 1e155, 0.0],
+                   [2.0, 3.0, 0.0], [1.0, 1.0, 1.0]], "euclidean")),
+]
+
+
 def _filled(ds, method):
     """A (B, n, n) stack of condensed matrices as ``_stacked_linkage``
     takes it, and its one method run.  Ward's squares may overflow, as
@@ -787,18 +802,7 @@ class TestLinkageStack:
         assert cluster._cluster_stack(problems) == refs
         assert calls == []
 
-    @pytest.mark.parametrize("method, bad", [
-        # Ward's squared update overflows at its second merge.
-        ("ward", ([[0.0, 0.0], [1e154, 0.0], [0.0, 1.2e154]], "euclidean")),
-        # A constant row has no correlation.  Two-column data would go
-        # to the closed form, not to a stack.
-        ("average", ([[1.0, 2.0, 0.0], [3.0, 3.0, 3.0], [2.0, 5.0, 1.0],
-                      [0.0, 1.0, 3.0]], "correlation")),
-        # Squared differences overflow, in two columns and in three.
-        ("single", ([[0.0, 0.0], [2e154, 0.0], [0.0, 1.0]], "euclidean")),
-        ("complete", ([[0.0, 0.0, 1.0], [1.0, 1e155, 0.0],
-                       [2.0, 3.0, 0.0], [1.0, 1.0, 1.0]], "euclidean")),
-    ])
+    @pytest.mark.parametrize("method, bad", _FAILING)
     def test_failing_stack_reruns_every_problem(self, monkeypatch, method,
                                                 bad):
         x, kind = np.array(bad[0]), bad[1]
@@ -825,6 +829,41 @@ class TestLinkageStack:
         calls = fill_spy(monkeypatch)
         assert cluster._cluster_stack(problems) == refs
         assert calls == ["euclidean", "correlation", "euclidean"]
+
+    @pytest.mark.parametrize("method, bad", _FAILING)
+    def test_one_problem_fails_as_linkage(self, method, bad):
+        # The fill or linkage's own steps on it fail, and the error is
+        # the one linkage(dissimilarity(kind, x), method) raises.
+        x, kind = np.array(bad[0]), bad[1]
+        ref = _reference(x, kind, method)
+        assert isinstance(ref, BranchEmbedError)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got, = cluster._cluster_stack([(x, kind, method)])
+        assert _key(got) == _key(ref)
+
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    def test_one_problem_fills_no_condensed_copy(self, monkeypatch, method):
+        # Two-column Euclidean data, as every embedding is, fills the
+        # square straight from the points.
+        rng = np.random.default_rng(70)
+        x = rng.normal(size=(40, 2))
+        ref = linkage(euclidean_dissimilarity(x), method)
+        calls = fill_spy(monkeypatch)
+        assert cluster._cluster_data(x, "euclidean", method) == ref
+        assert calls == []
+
+    @pytest.mark.parametrize("chunk", [1, 50, 8192])
+    def test_two_column_fill_in_row_blocks(self, monkeypatch, chunk):
+        # dy * dy is added a block of rows at a time: one row per block,
+        # two rows with a last block of one, and the whole matrix.
+        rng = np.random.default_rng(chunk)
+        x = rng.normal(size=(23, 2))
+        monkeypatch.setattr(dendrogram, "_PAIR_CHUNK", chunk)
+        dm = np.empty((1, 23, 23))
+        assert cluster._fill_stack(dm, [(x, "euclidean", "average")])
+        assert np.array_equal(
+            dm[0], cluster._square(euclidean_dissimilarity(x), "average"))
 
     @pytest.mark.parametrize("cols", [2, 3])
     def test_one_problem_maps_nothing(self, monkeypatch, cols):

@@ -388,6 +388,31 @@ class TestPairChunks:
                 assert e - s == sum(n - 1 - r for r in rows)
                 assert rows.size == 1 or e - s <= limit
 
+    def test_one_chunk_walk_is_made_once(self, monkeypatch):
+        # 128 items have 8128 pairs, one default chunk; 129 have 8256.
+        first = _pair_chunks(128)
+        assert len(first) == 1
+        assert _pair_chunks(128)[0] is first[0]
+        assert not any(ids.flags.writeable for ids in first[0][2:])
+        assert len(list(_pair_chunks(129))) == 2
+        # A smaller chunk walks the same n in several chunks again.
+        monkeypatch.setattr(dendrogram, "_PAIR_CHUNK", 60)
+        assert len(list(_pair_chunks(128))) > 1
+
+    @pytest.mark.parametrize("n", list(range(2, 40)) + [127, 128, 129, 1000])
+    def test_range_offsets(self, n):
+        # The levels' sizes, 2**j gaps per block, stored back to back.
+        sizes = [n - 1]
+        while 2 ** len(sizes) <= n - 1:
+            sizes.append(sizes[-1] - 2 ** (len(sizes) - 1))
+        base = np.cumsum([0] + sizes)
+        first, second = dendrogram._range_offsets(n)
+        for length in range(1, n):
+            level = length.bit_length() - 1
+            assert first[length] == base[level]
+            assert second[length] == base[level] + length - 2 ** level
+        assert not (first.flags.writeable or second.flags.writeable)
+
 
 class TestLeafOrder:
     def test_two_block(self, two_block):
