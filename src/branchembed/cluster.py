@@ -72,8 +72,8 @@ from .dendrogram import (
     CondensedMatrix,
     Dendrogram,
     _check_size,
+    _copy_rows,
     _pair_chunks,
-    _upper_mask,
     validate_dendrogram,
 )
 from .errors import (
@@ -534,14 +534,12 @@ def _fill_stack(dm: np.ndarray, problems) -> list | None:
     :data:`~branchembed.dendrogram._PAIR_CHUNK` entries), so the fill
     needs no second n x n array; wider Euclidean data and correlation
     take :func:`euclidean_dissimilarity`'s and
-    :func:`correlation_dissimilarity`'s condensed values, copied in
-    through :func:`~branchembed.dendrogram._upper_mask`, which is made
-    only for them.  Problems that share their data matrix (the same
-    object) and kind are filled once, and the other slots copy that
-    fill.
+    :func:`correlation_dissimilarity`'s condensed values, copied in row
+    by row through :func:`~branchembed.dendrogram._copy_rows`.  Problems
+    that share their data matrix (the same object) and kind are filled
+    once, and the other slots copy that fill.
     """
     n = dm.shape[1]
-    mask = None
     # The stack may hold an earlier stack's matrices, and a condensed
     # fill writes no diagonal.
     diag = np.arange(n)
@@ -565,11 +563,7 @@ def _fill_stack(dm: np.ndarray, problems) -> list | None:
             else:
                 fill = (euclidean_dissimilarity if kind == "euclidean"
                         else correlation_dissimilarity)
-                values = fill(x).values
-                if mask is None:
-                    mask = _upper_mask(n)
-                sq[mask] = values
-                sq.T[mask] = values
+                _copy_rows(fill(x).values, sq)
     except BranchEmbedError:
         return None
     if not math.isfinite(dm.max()):

@@ -106,15 +106,27 @@ def iris() -> LabeledData:
 
 def rescale_minmax(x) -> np.ndarray:
     """Rescale each column linearly onto [0, 1].  A constant column has no
-    range to map and raises :class:`ConstantColumn`."""
+    range to map and raises :class:`ConstantColumn`.  A column whose span
+    overflows is first multiplied by the exact power of two that brings
+    its largest magnitude into [0.5, 1); every other column keeps its
+    bits."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D data matrix, got ndim={x.ndim}")
     mins = x.min(axis=0)
-    spans = x.max(axis=0) - mins
+    maxs = x.max(axis=0)
+    with np.errstate(over="ignore"):
+        spans = maxs - mins
     flat = np.flatnonzero(spans == 0.0)
     if flat.size:
         raise ConstantColumn(int(flat[0]))
+    wide = spans == np.inf
+    if wide.any():
+        top = np.maximum(np.abs(mins), np.abs(maxs))
+        shift = np.where(wide, -np.frexp(top)[1], 0)
+        x = np.ldexp(x, shift)
+        mins = np.ldexp(mins, shift)
+        spans = np.ldexp(maxs, shift) - mins
     return (x - mins) / spans
 
 

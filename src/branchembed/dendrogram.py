@@ -55,12 +55,15 @@ def _check_size(what: str, nbytes: int) -> None:
         raise SizeLimit(what, nbytes, _MEMORY_LIMIT)
 
 
-def _upper_mask(n: int) -> np.ndarray:
-    """Boolean n x n mask of the strict upper triangle.  Boolean indexing
-    reads row-major, so ``square[_upper_mask(n)]`` is in condensed order;
-    the mask costs n^2 bytes where ``triu_indices`` costs 8 n^2."""
-    idx = np.arange(n)
-    return idx[:, None] < idx
+def _copy_rows(values: np.ndarray, sq: np.ndarray) -> None:
+    """Copy the condensed ``values`` of n items into both triangles of
+    the n x n ``sq`` one row at a time, with no temporary; the diagonal
+    is left as it is."""
+    n = sq.shape[0]
+    e = 0
+    for r in range(n - 1):
+        s, e = e, e + n - 1 - r
+        sq[r, r + 1:] = sq[r + 1:, r] = values[s:e]
 
 
 class MergeRecord(NamedTuple):
@@ -92,7 +95,8 @@ class CondensedMatrix:
                 f"expected {expected} condensed values for n={self.n}, "
                 f"got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        # NaN propagates through min and max; neither makes a temporary.
+        if not (math.isfinite(values.min()) and math.isfinite(values.max())):
             raise ValueError("condensed values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -112,17 +116,17 @@ class CondensedMatrix:
     def to_square(self) -> np.ndarray:
         """Full symmetric matrix with a zero diagonal."""
         sq = np.zeros((self.n, self.n))
-        mask = _upper_mask(self.n)
-        sq[mask] = self.values
-        sq.T[mask] = self.values
+        _copy_rows(self.values, sq)
         return sq
 
     @classmethod
     def from_square(cls, square: np.ndarray) -> "CondensedMatrix":
+        """The strict upper triangle of ``square``, gathered row by row."""
         sq = np.asarray(square, dtype=np.float64)
         if sq.ndim != 2 or sq.shape[0] != sq.shape[1]:
             raise ValueError("expected a square matrix")
-        return cls(sq.shape[0], sq[_upper_mask(sq.shape[0])])
+        rows = [sq[r, r + 1:] for r in range(sq.shape[0] - 1)]
+        return cls(sq.shape[0], np.concatenate(rows or [np.empty(0)]))
 
 
 @dataclass(frozen=True)

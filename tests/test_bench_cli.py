@@ -495,6 +495,18 @@ class TestCliEmbed:
                      "--rescale", "--out", str(out)])
         assert code == 0
 
+    def test_embed_rescale_huge_span(self, tmp_path):
+        # The first column's span, 2e308, overflows float64.
+        src = tmp_path / "wide.csv"
+        src.write_text("a,b\n1e308,1\n-1e308,2\n0,3\n")
+        out = tmp_path / "coords.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["embed", "--input", str(src), "--has-header",
+                         "--rescale", "--out", str(out)])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 4
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["embed", "--input", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o.csv")])

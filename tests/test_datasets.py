@@ -1,5 +1,7 @@
 """Tests for data generation, the bundled table, rescaling, and CSV I/O."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,18 @@ class TestRescale:
         got = rescale_minmax(rng.normal(size=(40, 6)))
         assert got.min(axis=0) == pytest.approx(np.zeros(6))
         assert got.max(axis=0) == pytest.approx(np.ones(6))
+
+    def test_huge_span_scaled_exactly(self):
+        # Only the first column's span, 2e308, overflows; the third
+        # column keeps the bits of the plain formula.
+        x = np.array([[1e308, 1.0, 1e300], [-1e308, 2.0, -1e300],
+                      [0.0, 3.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rescale_minmax(x)
+        assert np.array_equal(got[:, :2], [[1.0, 0.0], [0.0, 0.5],
+                                           [0.5, 1.0]])
+        assert np.array_equal(got[:, 2], (x[:, 2] + 1e300) / 2e300)
 
     def test_constant_column_rejected(self):
         x = np.array([[1.0, 3.0], [2.0, 3.0]])

@@ -169,10 +169,20 @@ class TestCondensedMatrix:
 
     def test_square_round_trip(self):
         rng = np.random.default_rng(7)
-        vals = rng.uniform(size=10 * 9 // 2)
-        cm = CondensedMatrix(10, vals)
-        back = CondensedMatrix.from_square(cm.to_square())
-        assert np.array_equal(back.values, vals)
+        for n in (2, 3, 10, 129):
+            vals = rng.uniform(-1.0, 1.0, size=n * (n - 1) // 2)
+            vals[0] = -0.0
+            sq = CondensedMatrix(n, vals).to_square()
+            assert np.array_equal(sq, sq.T)
+            assert not np.diagonal(sq).any()
+            back = CondensedMatrix.from_square(sq)
+            assert back.values.tobytes() == vals.tobytes(), n
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_from_square_too_small(self, n):
+        with pytest.raises(ValueError,
+                           match="^a condensed matrix needs at least 2 items$"):
+            CondensedMatrix.from_square(np.zeros((n, n)))
 
     @pytest.mark.parametrize("n", [2, 3, 17, 64])
     def test_from_square_matches_index_gather(self, n):
@@ -188,8 +198,9 @@ class TestCondensedMatrix:
             CondensedMatrix(4, np.zeros(5))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            CondensedMatrix(3, np.array([1.0, np.nan, 2.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                CondensedMatrix(3, np.array([1.0, bad, 2.0]))
 
 
 class TestCophenetic:

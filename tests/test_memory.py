@@ -23,6 +23,7 @@ import pytest
 from branchembed import (
     AngleStrategy,
     BranchEmbedError,
+    CondensedMatrix,
     SizeLimit,
     branching_embed,
     convert_dendrogram,
@@ -77,6 +78,35 @@ class TestPeakMemory:
         peak, report = _peak(evaluate_embedding, tree, emb, "average")
         assert 0.0 < report.r_c <= 1.0
         assert peak < 13.5 * n * n, peak / n ** 2
+
+
+class TestCondensedLayer:
+    """Copies between a condensed vector and its n x n matrix make no
+    temporary of n^2 size: ``linkage`` holds its matrix (8 n^2), and
+    ``from_square`` its condensed vector (about 4 n^2)."""
+
+    N = 600
+
+    @pytest.fixture(scope="class")
+    def d0(self):
+        return euclidean_dissimilarity(gaussian_matrix(self.N, 5, 15))
+
+    def test_linkage(self, d0):
+        peak, tree = _peak(linkage, d0, "average")
+        assert tree.n_leaves == self.N
+        assert peak < 8.5 * self.N ** 2, peak / self.N ** 2
+
+    def test_construction(self, d0):
+        values = np.array(d0.values)
+        peak, got = _peak(CondensedMatrix, self.N, values)
+        assert got.values is values
+        assert peak < 0.05 * self.N ** 2, peak / self.N ** 2
+
+    def test_from_square(self, d0):
+        sq = d0.to_square()
+        peak, got = _peak(CondensedMatrix.from_square, sq)
+        assert np.array_equal(got.values, d0.values)
+        assert peak < 4.5 * self.N ** 2, peak / self.N ** 2
 
 
 def _one_pass(scorer, converted):
