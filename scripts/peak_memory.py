@@ -6,10 +6,10 @@ SRC_DIR is the directory holding the ``branchembed`` package (``src`` in a
 checkout); the package is imported from there.  The pipeline is the
 benchmark's ``large`` one at N rows (default 2000): a seeded N x 5
 Gaussian matrix, its Euclidean dissimilarity, average ``linkage``, the
-fixed 15 degree embedding, then ``convert_dendrogram`` of the embedding,
-the ``_Scorer`` of the original tree and its ``scores`` of the converted
-one.  A last stage runs ``evaluate_embedding``, which does the last
-three in one call.  Each stage's peak is what tracemalloc saw above the
+fixed 15 degree embedding, then ``convert_dendrogram`` of the embedding
+and the ``scores`` of the converted tree against the original
+(``metrics._scores``, one metric at a time).  A last stage runs
+``evaluate_embedding``, which does the last two in one call.  Each stage's peak is what tracemalloc saw above the
 memory held when the stage began, in MB (10^6 bytes) and in units of
 N^2 bytes.  A stage's inputs are freed once no later stage needs them,
 so the closing ``ru_maxrss`` line is the largest stage plus what the
@@ -58,9 +58,8 @@ def main(argv=None) -> int:
     del d
     emb = stage("embed", be.branching_embed, tree, be.AngleStrategy.fixed(15))
     conv = stage("convert_dendrogram", be.convert_dendrogram, emb, "average")
-    scorer = stage("_Scorer", metrics._Scorer, tree)
-    stage("scores", scorer.scores, conv)
-    del conv, scorer
+    stage("scores", metrics._scores, tree, [conv])
+    del conv
     stage("evaluate_embedding", be.evaluate_embedding, tree, emb, "average")
     tracemalloc.stop()
     # Linux reports ru_maxrss in KiB.

@@ -12,8 +12,9 @@ Ward is only meaningful on Euclidean distances, so a (correlation, ward)
 condition is rejected up front.  Trial t uses the data stream seeded with
 ``seed + t``; the random angle strategy gets an unrelated per-trial stream
 so angles never correlate with data.  Cells are scored exactly as
-:func:`~branchembed.evaluate_embedding` scores them, by one shared
-scorer per trial and condition.
+:func:`~branchembed.evaluate_embedding` scores them, by the same
+scoring function, called once per trial and condition with all of that
+condition's reclustered trees.
 
 Clustering is the hot path, so each trial makes two calls to the
 stacked clusterer ``cluster._cluster_stack``, which documents its stack
@@ -27,10 +28,12 @@ each numpy call serving the whole stack; a correlation reclustering of
 default sweep gives one stack of 7 originals and two of 18 Euclidean
 embeddings per trial, and 27 closed-form trees.  The trees
 equal :func:`~branchembed.linkage`'s bit for bit, a reclustering that
-fails counts against its own cell only, and an original tree that fails
-counts against its own condition's row only.  Every cell gets at most
-one addition per trial, so the sums do not depend on how problems are
-stacked.  Stacks never span trials.
+fails counts against its own cell only, and an original tree that fails,
+or cannot be scored, counts against its own condition's row only: each
+of the row's cells gets one failure, not two, if its embedding or
+reclustering failed as well.  Every cell gets at most one addition per
+trial, so the sums do not depend on how problems are stacked.  Stacks
+never span trials.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .cluster import _cluster_stack, check_condition
 from .datasets import _check_integer, gaussian_matrix
 from .embed import AngleStrategy, branching_embed
 from .errors import BranchEmbedError
-from .metrics import _Scorer
+from .metrics import _scores
 
 DEFAULT_CONDITIONS = (
     ("euclidean", "single"),
@@ -157,16 +160,12 @@ def run_table_experiment(cfg: BenchConfig) -> BenchTable:
         angle_seed = (cfg.seed + _ANGLE_STREAM_OFFSET + trial) & ((1 << 64) - 1)
         originals = _cluster_stack(
             [(data, kind, method) for kind, method in cfg.conditions])
-        # (condition, strategy, scorer) and a reclustering problem per
-        # embedding, then every embedding of the trial reclustered.
+        # (condition, strategy) and a reclustering problem per embedding,
+        # then every embedding of the trial reclustered.
         cells, problems = [], []
         for ci, ((kind, method), original) in enumerate(
                 zip(cfg.conditions, originals)):
-            try:
-                if isinstance(original, BranchEmbedError):
-                    raise original
-                scorer = _Scorer(original)
-            except BranchEmbedError:
+            if isinstance(original, BranchEmbedError):
                 failures[ci, :] += 1
                 continue
             for si, strategy in enumerate(cfg.strategies):
@@ -177,19 +176,32 @@ def run_table_experiment(cfg: BenchConfig) -> BenchTable:
                 except BranchEmbedError:
                     failures[ci, si] += 1
                     continue
-                cells.append((ci, si, scorer))
+                cells.append((ci, si))
                 problems.append((emb.coords, kind, method))
-        for (ci, si, scorer), tree in zip(cells, _cluster_stack(problems)):
-            try:
-                if isinstance(tree, BranchEmbedError):
-                    raise tree
-                r_c, r_k = scorer.scores(tree)
-            except BranchEmbedError:
+        # Each condition's reclustered trees, scored in one call.
+        reclustered = {}
+        for (ci, si), tree in zip(cells, _cluster_stack(problems)):
+            if isinstance(tree, BranchEmbedError):
                 failures[ci, si] += 1
+            else:
+                reclustered.setdefault(ci, []).append((si, tree))
+        for ci, pairs in reclustered.items():
+            scored = [si for si, _ in pairs]
+            try:
+                scores = _scores(originals[ci], [tree for _, tree in pairs])
+            except BranchEmbedError:
+                # The original cannot be scored: one failure per cell
+                # that has not failed already.
+                failures[ci, scored] += 1
                 continue
-            sum_rc[ci, si] += r_c
-            sum_rk[ci, si] += r_k
-            counts[ci, si] += 1
+            for si, score in zip(scored, scores):
+                if isinstance(score, BranchEmbedError):
+                    failures[ci, si] += 1
+                    continue
+                r_c, r_k = score
+                sum_rc[ci, si] += r_c
+                sum_rk[ci, si] += r_k
+                counts[ci, si] += 1
 
     with np.errstate(invalid="ignore"):
         mean_rc = sum_rc / counts

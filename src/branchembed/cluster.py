@@ -595,22 +595,21 @@ def _stacked_linkage(dm: np.ndarray, slices) -> list | None:
     so rows keep length n and a dead slot is never picked or read as a
     minimum.  No value depends on slots (the tie-break reads node ids,
     and IEEE addition, multiplication, min and max are commutative), so
-    the trees equal :func:`linkage`'s.  Rows, columns and per-slot values
-    are read and written by flat index, row ``b * n + slot`` of the
-    stack.  Returns the list of trees, or ``None`` as soon as any
-    problem's minimum turns non-finite, or if any tree fails
+    the trees equal :func:`linkage`'s.  Rows and per-slot values are
+    read and written by flat index, row ``b * n + slot`` of the stack,
+    and columns as ``dm[at, :, slot]``, one slot per problem ``at``.
+    Returns the list of trees, or ``None`` as soon as any problem's
+    minimum turns non-finite, or if any tree fails
     :func:`~branchembed.dendrogram._valid_records`.
     """
     count, n, _ = dm.shape
     rows = dm.reshape(count * n, n)
-    flat = dm.reshape(-1)
     row_min = dm.min(axis=2)
     node_of = np.tile(np.arange(n, dtype=np.int64), (count, 1))
     sizes = np.ones((count, n), dtype=np.int64)
-    # Flat index of slot 0 of each problem's rows, and of each row's
-    # entry in column 0, so row b * n + s is slot s of problem b.
-    base = np.arange(0, count * n, n)
-    col0 = np.arange(0, count * n * n, n).reshape(count, n)
+    # Row b * n + s of ``rows`` is slot s of problem b.
+    at = np.arange(count)
+    base = at * n
     # records[:, :, step] holds (left, right, size) of every problem's
     # merge at that step, heights[:, step] its height (squared for ward).
     records = np.empty((count, 3, n - 1), dtype=np.int64)
@@ -643,8 +642,8 @@ def _stacked_linkage(dm: np.ndarray, slices) -> list | None:
         stale = (row_min == np.minimum(row_a, row_b)) & (new_row > row_min)
         np.minimum(row_min, new_row, out=row_min)
         rows[ra] = new_row
-        flat.put(col0 + pa[:, None], new_row)
-        flat.put(col0 + pb[:, None], np.inf)
+        dm[at, :, pa] = new_row
+        dm[at, :, pb] = np.inf
         stale.put(ra, True)
         redo = np.flatnonzero(stale)
         row_min.put(redo, rows.take(redo, axis=0).min(axis=1))

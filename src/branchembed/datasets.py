@@ -105,16 +105,20 @@ def iris() -> LabeledData:
 
 
 def rescale_minmax(x) -> np.ndarray:
-    """Rescale each column linearly onto [0, 1].  A constant column has no
-    range to map and raises :class:`ConstantColumn`.  A column whose span
-    overflows is first multiplied by the exact power of two that brings
-    its largest magnitude into [0.5, 1); every other column keeps its
+    """Rescale each column linearly onto [0, 1].  A matrix holding inf or
+    NaN raises ValueError, and a constant column, which has no range to
+    map, raises :class:`ConstantColumn`.  A column whose span overflows
+    is first multiplied by the exact power of two that brings its
+    largest magnitude into [0.5, 1); every other column keeps its
     bits."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D data matrix, got ndim={x.ndim}")
     mins = x.min(axis=0)
     maxs = x.max(axis=0)
+    # inf and NaN reach a column's minimum or maximum.
+    if not (np.isfinite(mins).all() and np.isfinite(maxs).all()):
+        raise ValueError("data matrix must be finite")
     with np.errstate(over="ignore"):
         spans = maxs - mins
     flat = np.flatnonzero(spans == 0.0)

@@ -401,12 +401,14 @@ def _range_offsets(n: int) -> tuple:
 def _lca_table(d: Dendrogram) -> tuple:
     """What :func:`_pair_matrices` looks lowest common ancestors up in:
     each leaf's position and depth, and the sparse table of gap keys
-    ``depth * n + record`` laid out as :func:`_range_offsets` says."""
+    ``depth << s | record`` laid out as :func:`_range_offsets` says.
+    ``s = (n - 1).bit_length()`` bits hold every record id, at most
+    n - 2."""
     n = d.n_leaves
     pos, depth, gap_record = _layout(d)
     level = depth[n:][gap_record]
-    level *= n
-    level += gap_record
+    level <<= (n - 1).bit_length()
+    level |= gap_record
     levels = [level]
     width = 1
     while 2 * width <= n - 1:
@@ -424,9 +426,10 @@ def _pair_matrices(d: Dendrogram, want_coph: bool, want_kin: bool,
     shallowest gap between their leaf positions (see :func:`_layout`).
     That gap is unique: two gaps of equal depth in the range would have
     the gap of their own common ancestor between them, at a smaller
-    depth.  Each gap gets the key ``depth * n + record``, a sparse table
-    holds the minimum key of every range of 2**j gaps, and each pair
-    costs two table lookups (Bender & Farach-Colton, *The LCA Problem
+    depth.  Each gap gets the key ``depth << s | record`` (see
+    :func:`_lca_table`), which decodes by a mask and a shift.  A sparse
+    table holds the minimum key of every range of 2**j gaps, and each
+    pair costs two table lookups (Bender & Farach-Colton, *The LCA Problem
     Revisited*, 2000).  The pairs are filled in the chunks of
     :func:`_pair_chunks`, each with a fixed number of numpy calls, so the
     cost is O(n^2) time with the wanted condensed vectors plus
@@ -445,6 +448,8 @@ def _pair_matrices(d: Dendrogram, want_coph: bool, want_kin: bool,
     kin = np.empty(m) if want_kin else None
     pos, leaf_depth, table = _lca_table(d) if lca is None else lca
     first, second = _range_offsets(n)
+    shift = (n - 1).bit_length()
+    mask = (1 << shift) - 1
 
     # Every index is in range, so a take into ``out`` may use "clip",
     # which writes straight to ``out``; "raise" fills a buffer first.
@@ -465,9 +470,9 @@ def _pair_matrices(d: Dendrogram, want_coph: bool, want_kin: bool,
         np.minimum(key, table.take(pj), out=key)
         del pj
         if want_coph:
-            np.take(d.height, key % n, out=coph[s:e], mode="clip")
+            np.take(d.height, key & mask, out=coph[s:e], mode="clip")
         if want_kin:
-            key //= n
+            key >>= shift
             key *= -2
             key += leaf_depth.take(j)
             key += leaf_depth.take(i)

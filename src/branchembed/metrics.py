@@ -6,9 +6,10 @@ clustered, and correlate the resulting cophenetic and kinship matrices
 with the original dendrogram's, entry by entry over the strict upper
 triangle.  The two Pearson scores are called r_c (cophenetic) and r_k
 (kinship).  :func:`evaluate_embedding` and the benchmark share one
-scorer, which fills and centres the original tree's two vectors once
-and the converted tree's one at a time, so scoring holds three
-condensed vectors (12 n^2 bytes) at most, never four.
+scoring function, which scores one metric at a time: the original
+tree's vector is filled and centred, and each converted tree's is
+filled, correlated with it and dropped in turn, so scoring holds two
+condensed vectors (8 n^2 bytes) at most.
 
 Reclustering uses the dissimilarity kind that built the original tree
 (Euclidean unless ``dissimilarity="correlation"``).  Row correlation of
@@ -33,7 +34,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .cluster import _cluster_data, check_condition
-from .dendrogram import Dendrogram, _lca_table, _pair_matrices
+from .dendrogram import Dendrogram, _check_size, _lca_table, _pair_matrices
 from .embed import AngleStrategy, Embedding
 from .errors import SizeMismatch, ZeroVariance
 
@@ -87,27 +88,40 @@ def _pearson_vec(a: np.ndarray, b: np.ndarray) -> float:
     return min(1.0, max(-1.0, r))
 
 
-class _Scorer:
-    """r_c and r_k of converted trees against one original tree, whose
-    cophenetic and kinship vectors are filled and centred once, in one
-    pass."""
+def _scores(original: Dendrogram, converted: list) -> list:
+    """r_c and r_k of each tree in ``converted`` against ``original``,
+    all over the same leaves, one metric at a time.
 
-    def __init__(self, original: Dendrogram):
-        coph, kin = _pair_matrices(original, True, True)
-        self._coph = _centred(coph)
-        self._kin = _centred(kin)
-
-    def scores(self, converted: Dendrogram) -> tuple[float, float]:
-        """``(r_c, r_k)`` of ``converted``, a tree over the same leaves.
-        Its cophenetic vector is filled, correlated and dropped before
-        its kinship vector is filled; the two fills share one
-        :func:`~branchembed.dendrogram._lca_table`."""
-        lca = _lca_table(converted)
-        coph, _ = _pair_matrices(converted, True, False, lca)
-        r_c = _pearson_vec(self._coph, _centred(coph))
-        del coph
-        _, kin = _pair_matrices(converted, False, True, lca)
-        return r_c, _pearson_vec(self._kin, _centred(kin))
+    Each tree's :func:`~branchembed.dendrogram._lca_table` is built
+    once.  For cophenetic, then kinship, the original's vector is filled
+    and centred, and each converted tree's vector is filled, centred,
+    correlated with it and dropped, so at most two condensed vectors are
+    alive; :class:`SizeLimit` is raised before anything is filled if
+    those two do not fit in physical memory.  Returns, per converted
+    tree, ``(r_c, r_k)`` or the :class:`ZeroVariance` its own vectors
+    raised.  Raises :class:`ZeroVariance` if the original's vectors
+    cannot be scored.
+    """
+    m = original.n_leaves * (original.n_leaves - 1) // 2
+    _check_size("the pair vectors", 16 * m)
+    tables = [_lca_table(tree) for tree in converted]
+    lca = _lca_table(original)
+    out = [[] for _ in converted]
+    for want, at in (((True, False), 0), ((False, True), 1)):
+        ref = _centred(_pair_matrices(original, *want, lca)[at])
+        for k, (tree, table) in enumerate(zip(converted, tables)):
+            if isinstance(out[k], ZeroVariance):
+                continue
+            try:
+                vec = _centred(_pair_matrices(tree, *want, table)[at])
+            except ZeroVariance as err:
+                # Its traceback would keep the vector alive.
+                out[k] = err.with_traceback(None)
+                continue
+            out[k].append(_pearson_vec(ref, vec))
+            del vec
+        del ref
+    return [r if isinstance(r, ZeroVariance) else tuple(r) for r in out]
 
 
 def _coords_of(coords: Union[Embedding, np.ndarray]) -> np.ndarray:
@@ -168,7 +182,10 @@ def evaluate_embedding(original: Dendrogram,
         )
     converted = convert_dendrogram(pts, converted_method,
                                    dissimilarity or "euclidean")
-    r_c, r_k = _Scorer(original).scores(converted)
+    scores = _scores(original, [converted])[0]
+    if isinstance(scores, ZeroVariance):
+        raise scores
+    r_c, r_k = scores
     return EvalReport(
         r_c=r_c,
         r_k=r_k,

@@ -29,7 +29,7 @@ from branchembed import (
 from branchembed import bench, cluster
 from branchembed.cluster import _lw_combine
 from branchembed.errors import BranchEmbedError
-from branchembed.metrics import _Scorer, convert_dendrogram
+from branchembed.metrics import _scores, convert_dendrogram
 
 
 def random_dendrogram(n, rng, max_step=1.0):
@@ -342,7 +342,8 @@ def percell_table(cfg):
     """Reference benchmark loop: embed, recluster and score one cell at a
     time, with one ``linkage`` per cell (``convert_dendrogram``'s closed
     form for 2-D correlation, which ``test_cluster.TestSidesTree`` checks
-    against ``linkage``).  Same seeds, sums and failure counts as
+    against ``linkage``) and one ``metrics._scores`` call on a one-tree
+    list.  Same seeds, sums and failure counts as
     ``run_table_experiment``.  The data generator and the
     embedder are looked up on ``branchembed.bench`` at call time, so a
     test that patches them there patches both loops."""
@@ -359,7 +360,6 @@ def percell_table(cfg):
             try:
                 original = cluster.linkage(
                     cluster.dissimilarity(kind, data), method)
-                scorer = _Scorer(original)
             except BranchEmbedError:
                 failures[ci, :] += 1
                 continue
@@ -368,8 +368,11 @@ def percell_table(cfg):
                     strategy = AngleStrategy.random(angle_seed + strategy.seed)
                 try:
                     emb = bench.branching_embed(original, strategy)
-                    r_c, r_k = scorer.scores(
-                        convert_dendrogram(emb, method, kind))
+                    scores = _scores(
+                        original, [convert_dendrogram(emb, method, kind)])[0]
+                    if isinstance(scores, BranchEmbedError):
+                        raise scores
+                    r_c, r_k = scores
                 except BranchEmbedError:
                     failures[ci, si] += 1
                     continue

@@ -244,6 +244,35 @@ class TestTableFailures:
         assert np.array_equal(table.failures, expected)
         assert table.to_csv() == percell_table(cfg).to_csv()
 
+    def test_unscorable_original_fails_each_cell_once(self, monkeypatch):
+        # Trial 1's rows are all equal, so every original tree merges at
+        # height 0 only and its cophenetic vector cannot be correlated.
+        # That is known only once its embeddings are reclustered; the
+        # "30" embedding of the same trees fails first, and its cells
+        # still get one failure, not two.
+        cfg = BenchConfig(trials=3, rows=10, cols=3, seed=4,
+                          conditions=DEFAULT_CONDITIONS[:4])
+        real = bench.gaussian_matrix
+
+        def equal_rows(rows, cols, seed):
+            x = real(rows, cols, seed)
+            if seed == cfg.seed + 1:
+                x[:] = x[0]
+            return x
+
+        def fail(emb):
+            raise BranchEmbedError("injected")
+
+        monkeypatch.setattr(bench, "gaussian_matrix", equal_rows)
+        flat = equal_rows(cfg.rows, cfg.cols, cfg.seed + 1)
+        targets = [linkage(euclidean_dissimilarity(flat), method)
+                   for _, method in cfg.conditions]
+        assert all(not t.height.any() for t in targets)
+        _patch_embed(monkeypatch, targets, "30", fail)
+        table = run_table_experiment(cfg)
+        assert np.array_equal(table.failures, np.ones((4, 9), dtype=np.int64))
+        assert table.to_csv() == percell_table(cfg).to_csv()
+
     def test_stacked_linkage_failure_lands_in_its_cell(self, monkeypatch):
         # One ward embedding, scaled so its largest squared distance is
         # about 1e308: the Euclidean fill stays finite, ward's update
@@ -506,6 +535,17 @@ class TestCliEmbed:
                          "--rescale", "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 4
+
+    def test_embed_rescale_non_finite(self, tmp_path, capsys):
+        src = tmp_path / "inf.csv"
+        src.write_text("a,b\n1,2\ninf,3\n0,4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["embed", "--input", str(src), "--has-header",
+                         "--rescale", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: data matrix must be finite\n"
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["embed", "--input", str(tmp_path / "nope.csv"),

@@ -166,6 +166,12 @@ class TestRescale:
             rescale_minmax(x)
         assert err.value.column == 1
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        x = np.array([[1.0, 2.0], [3.0, bad], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="data matrix must be finite"):
+            rescale_minmax(x)
+
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             rescale_minmax(np.array([1.0, 2.0]))

@@ -359,6 +359,15 @@ class TestPairMatrices:
         for d in _reclustered_trees(1800 + seed):
             self.check(d)
 
+    # A gap key is ``depth << s | record``, s = (n - 1).bit_length(),
+    # which steps up between 2 and 3, 64 and 65, and 128 and 129.
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 128, 129])
+    def test_key_shift_boundaries(self, n):
+        rng = np.random.default_rng(1950 + n)
+        for d in (_caterpillar(n), _caterpillar(n, False),
+                  balanced_dendrogram(n), random_dendrogram(n, rng)):
+            self.check(d)
+
     def test_large_tree(self):
         rng = np.random.default_rng(1900)
         self.check(random_dendrogram(600, rng), brute=False)

@@ -1,10 +1,10 @@
 """Memory of the scoring pipeline, and the named limit on array sizes.
 
 Reclustering fills ``linkage``'s n x n matrix straight from the
-coordinates, with no condensed copy, and the scorer fills the converted
-tree's cophenetic and kinship vectors one at a time.  The peaks are
-measured with tracemalloc, which sees numpy's allocations, in units of
-n^2 bytes: the matrix is 8 and each condensed vector about 4.
+coordinates, with no condensed copy, and scoring takes one metric at a
+time, holding the original tree's vector and one converted tree's.  The
+peaks are measured with tracemalloc, which sees numpy's allocations, in
+units of n^2 bytes: the matrix is 8 and each condensed vector about 4.
 
 The size limit is tested by lowering it to a few KiB, never by
 allocating near this machine's memory.
@@ -34,7 +34,7 @@ from branchembed import (
 )
 from branchembed import cluster, dendrogram
 from branchembed.dendrogram import _pair_matrices
-from branchembed.metrics import _Scorer, _centred, _pearson_vec
+from branchembed.metrics import _centred, _pearson_vec, _scores
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,7 +63,7 @@ def tree_and_embedding():
 
 class TestPeakMemory:
     """At n = 600 the chunk temporaries of the pair walk still add about
-    n^2 bytes, so the bounds leave that much over 8 and 12 n^2."""
+    n^2 bytes, so the bounds leave that much over 8 n^2."""
 
     def test_convert_dendrogram_holds_one_matrix(self, tree_and_embedding):
         tree, emb = tree_and_embedding
@@ -72,12 +72,12 @@ class TestPeakMemory:
         assert got == linkage(euclidean_dissimilarity(emb.coords), "average")
         assert peak < 9 * n * n, peak / n ** 2
 
-    def test_evaluate_embedding_holds_three_vectors(self, tree_and_embedding):
+    def test_evaluate_embedding_holds_two_vectors(self, tree_and_embedding):
         tree, emb = tree_and_embedding
         n = tree.n_leaves
         peak, report = _peak(evaluate_embedding, tree, emb, "average")
         assert 0.0 < report.r_c <= 1.0
-        assert peak < 13.5 * n * n, peak / n ** 2
+        assert peak < 10 * n * n, peak / n ** 2
 
 
 class TestCondensedLayer:
@@ -109,15 +109,17 @@ class TestCondensedLayer:
         assert peak < 4.5 * self.N ** 2, peak / self.N ** 2
 
 
-def _one_pass(scorer, converted):
-    """``(r_c, r_k)`` with both converted vectors filled in one pass."""
-    coph, kin = _pair_matrices(converted, True, True)
-    return (_pearson_vec(scorer._coph, _centred(coph)),
-            _pearson_vec(scorer._kin, _centred(kin)))
+def _one_pass(original, converted):
+    """``(r_c, r_k)`` with each tree's two vectors filled in one pass."""
+    coph, kin = _pair_matrices(original, True, True)
+    conv_coph, conv_kin = _pair_matrices(converted, True, True)
+    return (_pearson_vec(_centred(coph), _centred(conv_coph)),
+            _pearson_vec(_centred(kin), _centred(conv_kin)))
 
 
 class TestScorerPasses:
-    """Scoring the converted vectors one at a time changes no bit."""
+    """Scoring one metric at a time, over several converted trees,
+    changes no bit."""
 
     @staticmethod
     def _trees(n):
@@ -139,14 +141,15 @@ class TestScorerPasses:
         # The correlation tree is the closed form: heights 0 and 2 only.
         assert set(converted[1].height.tolist()) == {0.0, 2.0}
         assert set(original.height.tolist()) == {1.0, 2.0}
-        scorer = _Scorer(original)
-        for tree in converted + [original]:
-            assert scorer.scores(tree) == _one_pass(scorer, tree)
+        trees = converted + [original]
+        assert _scores(original, trees) == \
+            [_one_pass(original, tree) for tree in trees]
 
 
 class TestSizeLimit:
-    """An n x n matrix, a stack's map or a pair vector larger than
-    physical memory raises :class:`SizeLimit` before it is allocated."""
+    """An n x n matrix, a stack's map, a pair vector or the two pair
+    vectors scoring holds, if larger than physical memory, raise
+    :class:`SizeLimit` before they are allocated."""
 
     LIMIT = 4096
 
@@ -187,6 +190,17 @@ class TestSizeLimit:
         assert err.nbytes == nbytes
         assert peak < err.nbytes
 
+    def test_scoring_budget(self, monkeypatch, inputs):
+        # Each vector (8 m bytes) fits, the two scoring holds do not.
+        _, _, tree, emb = inputs
+        m = 4950
+        monkeypatch.setattr(dendrogram, "_MEMORY_LIMIT", 12 * m)
+        peak, err = _peak(evaluate_embedding, tree, emb, "average",
+                          dissimilarity="correlation")
+        assert isinstance(err, SizeLimit)
+        assert err.nbytes == 16 * m
+        assert peak < 8 * m
+
     def test_pair_vectors(self, lowered, inputs):
         _, _, tree, _ = inputs
         for want in ((True, False), (False, True), (True, True)):
@@ -218,7 +232,7 @@ def test_peak_memory_script():
     lines = run.stdout.splitlines()
     assert lines[0].startswith("n=200:")
     stages = ["dissimilarity", "linkage", "embed", "convert_dendrogram",
-              "_Scorer", "scores", "evaluate_embedding", "ru_maxrss"]
+              "scores", "evaluate_embedding", "ru_maxrss"]
     assert [line.split()[0] for line in lines[2:]] == stages
     for line in lines[2:]:
         assert re.fullmatch(r"\S+ +\d+\.\d\d +\d+\.\d\d", line)
