@@ -27,13 +27,14 @@ each numpy call serving the whole stack; a correlation reclustering of
 2-D points takes the closed form ``cluster._sides_trees`` instead.  The
 default sweep gives one stack of 7 originals and two of 18 Euclidean
 embeddings per trial, and 27 closed-form trees.  The trees
-equal :func:`~branchembed.linkage`'s bit for bit, a reclustering that
-fails counts against its own cell only, and an original tree that fails,
-or cannot be scored, counts against its own condition's row only: each
-of the row's cells gets one failure, not two, if its embedding or
-reclustering failed as well.  Every cell gets at most one addition per
-trial, so the sums do not depend on how problems are stacked.  Stacks
-never span trials.
+equal :func:`~branchembed.linkage`'s bit for bit.
+
+A trial's scores are one array, NaN in each cell without a score: an
+embedding, reclustering or converted tree that fails leaves its own
+cell NaN, and an original tree that fails, or cannot be scored, leaves
+its condition's row NaN.  So a cell fails at most once per trial and
+gets at most one addition, and the sums do not depend on how problems
+are stacked.  Stacks never span trials.
 """
 
 from __future__ import annotations
@@ -140,72 +141,67 @@ class BenchTable:
         return out.getvalue()
 
 
+def _trial(cfg: BenchConfig, trial: int) -> np.ndarray:
+    """Trial ``trial`` of the sweep: a ``(2, conditions, strategies)``
+    array of r_c and r_k, NaN in every cell that failed.
+
+    A trial depends on ``cfg.seed + trial`` only, so
+    ``_trial(cfg, t)`` equals ``_trial(replace(cfg, seed=cfg.seed + t),
+    0)`` bit for bit."""
+    scores = np.full((2, len(cfg.conditions), len(cfg.strategies)), np.nan)
+    data = gaussian_matrix(cfg.rows, cfg.cols, cfg.seed + trial)
+    angle_seed = (cfg.seed + _ANGLE_STREAM_OFFSET + trial) & ((1 << 64) - 1)
+    originals = _cluster_stack(
+        [(data, kind, method) for kind, method in cfg.conditions])
+    # (condition, strategy) and a reclustering problem per embedding,
+    # then every embedding of the trial reclustered.
+    cells, problems = [], []
+    for ci, ((kind, method), original) in enumerate(
+            zip(cfg.conditions, originals)):
+        if isinstance(original, BranchEmbedError):
+            continue
+        for si, strategy in enumerate(cfg.strategies):
+            if strategy.kind == "random":
+                strategy = AngleStrategy.random(angle_seed + strategy.seed)
+            try:
+                emb = branching_embed(original, strategy)
+            except BranchEmbedError:
+                continue
+            cells.append((ci, si))
+            problems.append((emb.coords, kind, method))
+    # Each condition's reclustered trees, scored in one call.
+    reclustered = {}
+    for (ci, si), tree in zip(cells, _cluster_stack(problems)):
+        if isinstance(tree, BranchEmbedError):
+            continue
+        reclustered.setdefault(ci, []).append((si, tree))
+    for ci, pairs in reclustered.items():
+        scored, trees = zip(*pairs)
+        try:
+            scores[:, ci, scored] = _scores(originals[ci], trees).T
+        except BranchEmbedError:
+            continue
+    return scores
+
+
 def run_table_experiment(cfg: BenchConfig) -> BenchTable:
     """Run the full sweep and return the mean-score table.
 
-    Sums are accumulated in trial order, so a given config is exactly
-    reproducible.  A failed cell evaluation (degenerate correlation input,
-    for example) increments the cell's failure count and is excluded from
-    its mean; a cell that never succeeds reports NaN.
+    Each trial's :func:`_trial` scores are added in trial order, so a
+    given config is exactly reproducible.  A cell that is NaN in a trial
+    (degenerate correlation input, for example) gets one failure and no
+    addition to its mean; a cell that never succeeds reports NaN.
     """
-    n_cond = len(cfg.conditions)
-    n_strat = len(cfg.strategies)
-    sum_rc = np.zeros((n_cond, n_strat))
-    sum_rk = np.zeros((n_cond, n_strat))
-    counts = np.zeros((n_cond, n_strat), dtype=np.int64)
-    failures = np.zeros((n_cond, n_strat), dtype=np.int64)
-
+    sums = np.zeros((2, len(cfg.conditions), len(cfg.strategies)))
+    failures = np.zeros(sums.shape[1:], dtype=np.int64)
     for trial in range(cfg.trials):
-        data = gaussian_matrix(cfg.rows, cfg.cols, cfg.seed + trial)
-        angle_seed = (cfg.seed + _ANGLE_STREAM_OFFSET + trial) & ((1 << 64) - 1)
-        originals = _cluster_stack(
-            [(data, kind, method) for kind, method in cfg.conditions])
-        # (condition, strategy) and a reclustering problem per embedding,
-        # then every embedding of the trial reclustered.
-        cells, problems = [], []
-        for ci, ((kind, method), original) in enumerate(
-                zip(cfg.conditions, originals)):
-            if isinstance(original, BranchEmbedError):
-                failures[ci, :] += 1
-                continue
-            for si, strategy in enumerate(cfg.strategies):
-                if strategy.kind == "random":
-                    strategy = AngleStrategy.random(angle_seed + strategy.seed)
-                try:
-                    emb = branching_embed(original, strategy)
-                except BranchEmbedError:
-                    failures[ci, si] += 1
-                    continue
-                cells.append((ci, si))
-                problems.append((emb.coords, kind, method))
-        # Each condition's reclustered trees, scored in one call.
-        reclustered = {}
-        for (ci, si), tree in zip(cells, _cluster_stack(problems)):
-            if isinstance(tree, BranchEmbedError):
-                failures[ci, si] += 1
-            else:
-                reclustered.setdefault(ci, []).append((si, tree))
-        for ci, pairs in reclustered.items():
-            scored = [si for si, _ in pairs]
-            try:
-                scores = _scores(originals[ci], [tree for _, tree in pairs])
-            except BranchEmbedError:
-                # The original cannot be scored: one failure per cell
-                # that has not failed already.
-                failures[ci, scored] += 1
-                continue
-            for si, score in zip(scored, scores):
-                if isinstance(score, BranchEmbedError):
-                    failures[ci, si] += 1
-                    continue
-                r_c, r_k = score
-                sum_rc[ci, si] += r_c
-                sum_rk[ci, si] += r_k
-                counts[ci, si] += 1
-
+        scores = _trial(cfg, trial)
+        failed = np.isnan(scores).any(0)
+        np.add(sums, scores, out=sums, where=~failed)
+        failures += failed
+    # A cell scores or fails exactly once per trial.
     with np.errstate(invalid="ignore"):
-        mean_rc = sum_rc / counts
-        mean_rk = sum_rk / counts
+        mean_rc, mean_rk = sums / (cfg.trials - failures)
     return BenchTable(
         conditions=cfg.conditions,
         strategy_labels=tuple(s.label() for s in cfg.strategies),

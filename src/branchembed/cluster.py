@@ -533,9 +533,8 @@ def _fill_stack(dm: np.ndarray, problems) -> list | None:
     ``dy*dy`` made a block of rows at a time (about
     :data:`~branchembed.dendrogram._PAIR_CHUNK` entries), so the fill
     needs no second n x n array; wider Euclidean data and correlation
-    take :func:`euclidean_dissimilarity`'s and
-    :func:`correlation_dissimilarity`'s condensed values, copied in row
-    by row through :func:`~branchembed.dendrogram._copy_rows`.  Problems
+    take :func:`dissimilarity`'s condensed values, copied in row by row
+    through :func:`~branchembed.dendrogram._copy_rows`.  Problems
     that share their data matrix (the same object) and kind are filled
     once, and the other slots copy that fill.
     """
@@ -561,9 +560,7 @@ def _fill_stack(dm: np.ndarray, problems) -> list | None:
                     sq[r:r + rows] += dy
                 np.sqrt(sq, out=sq)
             else:
-                fill = (euclidean_dissimilarity if kind == "euclidean"
-                        else correlation_dissimilarity)
-                _copy_rows(fill(x).values, sq)
+                _copy_rows(dissimilarity(kind, x).values, sq)
     except BranchEmbedError:
         return None
     if not math.isfinite(dm.max()):

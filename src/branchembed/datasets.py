@@ -105,15 +105,17 @@ def iris() -> LabeledData:
 
 
 def rescale_minmax(x) -> np.ndarray:
-    """Rescale each column linearly onto [0, 1].  A matrix holding inf or
-    NaN raises ValueError, and a constant column, which has no range to
-    map, raises :class:`ConstantColumn`.  A column whose span overflows
-    is first multiplied by the exact power of two that brings its
-    largest magnitude into [0.5, 1); every other column keeps its
-    bits."""
+    """Rescale each column linearly onto [0, 1].  A matrix with no rows
+    or holding inf or NaN raises ValueError, and a constant column,
+    which has no range to map, raises :class:`ConstantColumn`.  A column
+    whose span overflows is first multiplied by the exact power of two
+    that brings its largest magnitude into [0.5, 1); every other column
+    keeps its bits."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D data matrix, got ndim={x.ndim}")
+    if not len(x):
+        raise ValueError("data matrix has no rows")
     mins = x.min(axis=0)
     maxs = x.max(axis=0)
     # inf and NaN reach a column's minimum or maximum.

@@ -418,9 +418,10 @@ def _lca_table(d: Dendrogram) -> tuple:
     return pos, depth[:n], np.concatenate(levels)
 
 
-def _pair_matrices(d: Dendrogram, want_coph: bool, want_kin: bool,
-                   lca: tuple | None = None):
-    """Fill cophenetic and/or kinship condensed vectors.
+def _pair_matrices(d: Dendrogram, kinship: bool,
+                   lca: tuple | None = None) -> np.ndarray:
+    """Fill the cophenetic condensed vector, or the kinship one if
+    ``kinship``.
 
     The lowest common ancestor of leaves i and j is the record owning the
     shallowest gap between their leaf positions (see :func:`_layout`).
@@ -432,20 +433,18 @@ def _pair_matrices(d: Dendrogram, want_coph: bool, want_kin: bool,
     pair costs two table lookups (Bender & Farach-Colton, *The LCA Problem
     Revisited*, 2000).  The pairs are filled in the chunks of
     :func:`_pair_chunks`, each with a fixed number of numpy calls, so the
-    cost is O(n^2) time with the wanted condensed vectors plus
-    O(n log n) and chunk temporaries of memory.  A caller that fills
-    the two vectors one at a time passes the tree's :func:`_lca_table`
-    to both calls.  Cophenetic values are the stored merge heights and
-    kinship values the integer path lengths
-    ``depth[i] + depth[j] - 2 * depth[lca]``, exactly.  Raises
-    :class:`SizeLimit` before allocating vectors larger than physical
+    cost is O(n^2) time with the condensed vector plus O(n log n) and
+    chunk temporaries of memory.  A caller that fills both vectors of a
+    tree passes its :func:`_lca_table` to both calls.  Cophenetic values
+    are the stored merge heights and kinship values the integer path
+    lengths ``depth[i] + depth[j] - 2 * depth[lca]``, exactly.  Raises
+    :class:`SizeLimit` before allocating a vector larger than physical
     memory.
     """
     n = d.n_leaves
     m = n * (n - 1) // 2
-    _check_size("the pair vectors", 8 * m * (want_coph + want_kin))
-    coph = np.empty(m) if want_coph else None
-    kin = np.empty(m) if want_kin else None
+    _check_size("the pair vector", 8 * m)
+    out = np.empty(m)
     pos, leaf_depth, table = _lca_table(d) if lca is None else lca
     first, second = _range_offsets(n)
     shift = (n - 1).bit_length()
@@ -469,30 +468,28 @@ def _pair_matrices(d: Dendrogram, want_coph: bool, want_kin: bool,
         key = table.take(key)
         np.minimum(key, table.take(pj), out=key)
         del pj
-        if want_coph:
-            np.take(d.height, key & mask, out=coph[s:e], mode="clip")
-        if want_kin:
+        if kinship:
             key >>= shift
             key *= -2
             key += leaf_depth.take(j)
             key += leaf_depth.take(i)
-            kin[s:e] = key
+            out[s:e] = key
+        else:
+            np.take(d.height, key & mask, out=out[s:e], mode="clip")
         del key
-    return coph, kin
+    return out
 
 
 def cophenetic_matrix(d: Dendrogram) -> CondensedMatrix:
     """Pairwise merge heights: entry (i, j) is the height of the lowest
     common ancestor of leaves i and j."""
-    coph, _ = _pair_matrices(d, True, False)
-    return CondensedMatrix(d.n_leaves, coph)
+    return CondensedMatrix(d.n_leaves, _pair_matrices(d, False))
 
 
 def kinship_matrix(d: Dendrogram) -> CondensedMatrix:
     """Pairwise tree path lengths: entry (i, j) counts the edges on the
     leaf-to-leaf path through the lowest common ancestor."""
-    _, kin = _pair_matrices(d, False, True)
-    return CondensedMatrix(d.n_leaves, kin)
+    return CondensedMatrix(d.n_leaves, _pair_matrices(d, True))
 
 
 def leaf_order(d: Dendrogram) -> list[int]:

@@ -47,13 +47,16 @@ def _rescaled(v: np.ndarray, out=None) -> np.ndarray:
     return np.ldexp(v, -math.frexp(np.abs(v).max())[1], out=out)
 
 
+_CONSTANT = "correlation of a constant vector is undefined"
+
+
 def _centred(v: np.ndarray) -> np.ndarray:
     """``v`` centred in place (pass an array the caller no longer needs,
     or a copy); a constant ``v`` has no correlation and is rejected.
     If the sum of ``v`` overflows, ``v`` is first :func:`_rescaled`.
     Neither test makes a temporary the size of ``v``."""
     if v.min() == v.max():
-        raise ZeroVariance("correlation of a constant vector is undefined")
+        raise ZeroVariance(_CONSTANT)
     with np.errstate(over="ignore"):
         mean = v.mean()
     if not math.isfinite(mean):
@@ -88,7 +91,7 @@ def _pearson_vec(a: np.ndarray, b: np.ndarray) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def _scores(original: Dendrogram, converted: list) -> list:
+def _scores(original: Dendrogram, converted) -> np.ndarray:
     """r_c and r_k of each tree in ``converted`` against ``original``,
     all over the same leaves, one metric at a time.
 
@@ -97,31 +100,27 @@ def _scores(original: Dendrogram, converted: list) -> list:
     and centred, and each converted tree's vector is filled, centred,
     correlated with it and dropped, so at most two condensed vectors are
     alive; :class:`SizeLimit` is raised before anything is filled if
-    those two do not fit in physical memory.  Returns, per converted
-    tree, ``(r_c, r_k)`` or the :class:`ZeroVariance` its own vectors
-    raised.  Raises :class:`ZeroVariance` if the original's vectors
-    cannot be scored.
+    those two do not fit in physical memory.  Returns a
+    ``(len(converted), 2)`` array of ``(r_c, r_k)`` rows, NaN where a
+    converted tree's vector is constant.  Raises :class:`ZeroVariance`
+    if the original's vectors cannot be scored.
     """
     m = original.n_leaves * (original.n_leaves - 1) // 2
     _check_size("the pair vectors", 16 * m)
     tables = [_lca_table(tree) for tree in converted]
     lca = _lca_table(original)
-    out = [[] for _ in converted]
-    for want, at in (((True, False), 0), ((False, True), 1)):
-        ref = _centred(_pair_matrices(original, *want, lca)[at])
+    out = np.full((len(tables), 2), np.nan)
+    for col, kinship in enumerate((False, True)):
+        ref = _centred(_pair_matrices(original, kinship, lca))
         for k, (tree, table) in enumerate(zip(converted, tables)):
-            if isinstance(out[k], ZeroVariance):
-                continue
             try:
-                vec = _centred(_pair_matrices(tree, *want, table)[at])
-            except ZeroVariance as err:
-                # Its traceback would keep the vector alive.
-                out[k] = err.with_traceback(None)
+                vec = _centred(_pair_matrices(tree, kinship, table))
+            except ZeroVariance:
                 continue
-            out[k].append(_pearson_vec(ref, vec))
+            out[k, col] = _pearson_vec(ref, vec)
             del vec
         del ref
-    return [r if isinstance(r, ZeroVariance) else tuple(r) for r in out]
+    return out
 
 
 def _coords_of(coords: Union[Embedding, np.ndarray]) -> np.ndarray:
@@ -182,10 +181,9 @@ def evaluate_embedding(original: Dendrogram,
         )
     converted = convert_dendrogram(pts, converted_method,
                                    dissimilarity or "euclidean")
-    scores = _scores(original, [converted])[0]
-    if isinstance(scores, ZeroVariance):
-        raise scores
-    r_c, r_k = scores
+    r_c, r_k = _scores(original, [converted])[0].tolist()
+    if math.isnan(r_c) or math.isnan(r_k):
+        raise ZeroVariance(_CONSTANT)
     return EvalReport(
         r_c=r_c,
         r_k=r_k,

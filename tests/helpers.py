@@ -157,15 +157,16 @@ def rowloop_euclidean(x):
     return out
 
 
-def scatter_pair_matrices(d: Dendrogram, want_coph, want_kin):
+def scatter_pair_matrices(d: Dendrogram):
     """Reference cophenetic/kinship fill: every leaf pair meets at exactly
     one merge record, so writing all cross pairs of each record's two
-    child leaf sets touches each condensed slot once.  Same
-    ``(coph, kin)`` return as ``dendrogram._pair_matrices``."""
+    child leaf sets touches each condensed slot once.  Returns the
+    condensed vectors ``(coph, kin)`` that ``dendrogram._pair_matrices``
+    fills one at a time."""
     n = d.n_leaves
     m = n * (n - 1) // 2
-    coph = np.empty(m) if want_coph else None
-    kin = np.empty(m) if want_kin else None
+    coph = np.empty(m)
+    kin = np.empty(m)
     depth = np.zeros(d.n_nodes, dtype=np.int64)
     for k in range(n - 2, -1, -1):
         depth[d.left[k]] = depth[d.right[k]] = depth[n + k] + 1
@@ -176,10 +177,8 @@ def scatter_pair_matrices(d: Dendrogram, want_coph, want_kin):
         lo = np.minimum(a[:, None], b[None, :])
         hi = np.maximum(a[:, None], b[None, :])
         idx = lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
-        if want_coph:
-            coph[idx] = d.height[k]
-        if want_kin:
-            kin[idx] = depth[a][:, None] + depth[b][None, :] - 2 * depth[n + k]
+        coph[idx] = d.height[k]
+        kin[idx] = depth[a][:, None] + depth[b][None, :] - 2 * depth[n + k]
         leafsets.append(np.concatenate((a, b)))
     return coph, kin
 
@@ -343,10 +342,11 @@ def percell_table(cfg):
     time, with one ``linkage`` per cell (``convert_dendrogram``'s closed
     form for 2-D correlation, which ``test_cluster.TestSidesTree`` checks
     against ``linkage``) and one ``metrics._scores`` call on a one-tree
-    list.  Same seeds, sums and failure counts as
-    ``run_table_experiment``.  The data generator and the
-    embedder are looked up on ``branchembed.bench`` at call time, so a
-    test that patches them there patches both loops."""
+    list, whose NaN score counts as a failure.  It keeps its own sums,
+    counts and failure counts per cell, and gives the same seeds and the
+    same table, bit for bit, as ``run_table_experiment``.  The data
+    generator and the embedder are looked up on ``branchembed.bench`` at
+    call time, so a test that patches them there patches both loops."""
     shape = (len(cfg.conditions), len(cfg.strategies))
     sum_rc = np.zeros(shape)
     sum_rk = np.zeros(shape)
@@ -370,8 +370,8 @@ def percell_table(cfg):
                     emb = bench.branching_embed(original, strategy)
                     scores = _scores(
                         original, [convert_dendrogram(emb, method, kind)])[0]
-                    if isinstance(scores, BranchEmbedError):
-                        raise scores
+                    if np.isnan(scores).any():
+                        raise BranchEmbedError("a constant vector")
                     r_c, r_k = scores
                 except BranchEmbedError:
                     failures[ci, si] += 1

@@ -8,6 +8,7 @@ main() in process and assert on exit codes and written artifacts.
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,6 +193,16 @@ def _patch_embed(monkeypatch, targets, label, change):
     monkeypatch.setattr(bench, "branching_embed", patched)
 
 
+def _assert_percell(table, cfg):
+    """``table`` equals ``helpers.percell_table(cfg)``: its CSV, and its
+    means and failure counts at full precision."""
+    ref = percell_table(cfg)
+    assert table.to_csv() == ref.to_csv()
+    assert np.array_equal(table.mean_r_c, ref.mean_r_c, equal_nan=True)
+    assert np.array_equal(table.mean_r_k, ref.mean_r_k, equal_nan=True)
+    assert np.array_equal(table.failures, ref.failures)
+
+
 class TestTableFailures:
     """``run_table_experiment`` reclusters each (trial, condition) as one
     stack; its table, failure counts included, equals the
@@ -210,8 +221,7 @@ class TestTableFailures:
     ])
     def test_csv_equals_percell(self, kw):
         cfg = BenchConfig(**kw)
-        assert run_table_experiment(cfg).to_csv() == \
-            percell_table(cfg).to_csv()
+        _assert_percell(run_table_experiment(cfg), cfg)
 
     def test_embed_failure_lands_in_its_cells(self, monkeypatch):
         cfg = BenchConfig(trials=3, rows=14, cols=4, seed=5)
@@ -224,7 +234,7 @@ class TestTableFailures:
         expected = np.zeros((7, 9), dtype=np.int64)
         expected[:, table.strategy_labels.index("30")] = 1
         assert np.array_equal(table.failures, expected)
-        assert table.to_csv() == percell_table(cfg).to_csv()
+        _assert_percell(table, cfg)
 
     def test_failed_original_fails_its_row(self, monkeypatch):
         cfg = BenchConfig(trials=2, rows=12, cols=3, seed=9)
@@ -242,7 +252,7 @@ class TestTableFailures:
         expected = np.zeros((7, 9), dtype=np.int64)
         expected[[kind == "correlation" for kind, _ in cfg.conditions]] = 1
         assert np.array_equal(table.failures, expected)
-        assert table.to_csv() == percell_table(cfg).to_csv()
+        _assert_percell(table, cfg)
 
     def test_unscorable_original_fails_each_cell_once(self, monkeypatch):
         # Trial 1's rows are all equal, so every original tree merges at
@@ -271,7 +281,7 @@ class TestTableFailures:
         _patch_embed(monkeypatch, targets, "30", fail)
         table = run_table_experiment(cfg)
         assert np.array_equal(table.failures, np.ones((4, 9), dtype=np.int64))
-        assert table.to_csv() == percell_table(cfg).to_csv()
+        _assert_percell(table, cfg)
 
     def test_stacked_linkage_failure_lands_in_its_cell(self, monkeypatch):
         # One ward embedding, scaled so its largest squared distance is
@@ -292,7 +302,25 @@ class TestTableFailures:
         expected = np.zeros((3, 9), dtype=np.int64)
         expected[1, table.strategy_labels.index("even")] = 1
         assert np.array_equal(table.failures, expected)
-        assert table.to_csv() == percell_table(cfg).to_csv()
+        _assert_percell(table, cfg)
+
+
+class TestTrial:
+    """``bench._trial``: one trial's r_c and r_k, NaN in each failed
+    cell."""
+
+    def test_reruns_alone(self):
+        # At n=3 many cells fail: the rerun of trial t as trial 0 of the
+        # seed seed + t must give the same bits, NaN cells included.
+        cfg = BenchConfig(trials=4, rows=3, cols=2, seed=5)
+        runs = [bench._trial(cfg, t) for t in range(cfg.trials)]
+        assert all(r.shape == (2, 7, 9) for r in runs)
+        failed = sum(np.isnan(r).any(0) for r in runs)
+        assert failed.any() and not failed.all()
+        for t, got in enumerate(runs):
+            alone = bench._trial(replace(cfg, seed=cfg.seed + t), 0)
+            assert got.tobytes() == alone.tobytes()
+        assert np.array_equal(run_table_experiment(cfg).failures, failed)
 
 
 class TestMethodStacks:

@@ -776,15 +776,28 @@ class TestLinkageStack:
     @staticmethod
     def _dissimilarity_spy(monkeypatch):
         """Route ``cluster.dissimilarity`` through a wrapper; returns the
-        list of data matrices it was called with."""
+        list of data matrices it was called with outside
+        ``cluster._fill_stack``, whose condensed fills call it too: the
+        reruns as ``linkage(dissimilarity(kind, x), method)``."""
         calls = []
+        filling = []
         real = cluster.dissimilarity
+        real_fill = cluster._fill_stack
 
         def spy(kind, x):
-            calls.append(x)
+            if not filling:
+                calls.append(x)
             return real(kind, x)
 
+        def fill(dm, problems):
+            filling.append(True)
+            try:
+                return real_fill(dm, problems)
+            finally:
+                filling.pop()
+
         monkeypatch.setattr(cluster, "dissimilarity", spy)
+        monkeypatch.setattr(cluster, "_fill_stack", fill)
         return calls
 
     @pytest.mark.parametrize("method", LINKAGE_METHODS)

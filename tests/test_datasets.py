@@ -176,6 +176,10 @@ class TestRescale:
         with pytest.raises(ValueError):
             rescale_minmax(np.array([1.0, 2.0]))
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="^data matrix has no rows$"):
+            rescale_minmax(np.empty((0, 3)))
+
 
 class TestLabeledData:
     def test_label_length_checked(self):

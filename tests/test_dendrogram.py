@@ -310,14 +310,15 @@ class TestPairMatrices:
 
     @staticmethod
     def check(d, brute=True):
-        coph, kin = _pair_matrices(d, True, True)
-        ref_coph, ref_kin = scatter_pair_matrices(d, True, True)
+        coph = _pair_matrices(d, False)
+        kin = _pair_matrices(d, True)
+        ref_coph, ref_kin = scatter_pair_matrices(d)
         assert np.array_equal(coph, ref_coph)
         assert np.array_equal(kin, ref_kin)
-        assert np.array_equal(_pair_matrices(d, True, False)[0], coph)
-        assert np.array_equal(_pair_matrices(d, False, True)[1], kin)
-        assert _pair_matrices(d, True, False)[1] is None
-        assert _pair_matrices(d, False, True)[0] is None
+        # One LCA table serves both fills.
+        lca = dendrogram._lca_table(d)
+        assert np.array_equal(_pair_matrices(d, False, lca), coph)
+        assert np.array_equal(_pair_matrices(d, True, lca), kin)
         if brute:
             assert np.array_equal(coph, brute_cophenetic(d))
             assert np.array_equal(kin, brute_kinship(d))
@@ -340,7 +341,7 @@ class TestPairMatrices:
         self.check(d)
         # The two leaves of record 0 sit 59 edges down; the last leaf
         # added hangs one edge below the root.
-        assert _pair_matrices(d, False, True)[1].max() == 59 + 1
+        assert _pair_matrices(d, True).max() == 59 + 1
 
     @pytest.mark.parametrize("n", [4, 7, 16, 33, 100])
     def test_balanced(self, n):

@@ -30,7 +30,7 @@ from branchembed import (
     linkage,
     validate_dendrogram,
 )
-from branchembed.metrics import _centred, _pearson_vec
+from branchembed.metrics import _centred, _pearson_vec, _scores
 from helpers import random_dendrogram
 
 
@@ -96,6 +96,34 @@ class TestPearsonUpper:
             warnings.simplefilter("error")
             got = _pearson(a * 2.0**ka, b * 2.0**kb)
         assert got == pytest.approx(ref, rel=0, abs=1e-15)
+
+
+class TestScores:
+    """``metrics._scores``: one ``(r_c, r_k)`` row per converted tree,
+    NaN where that tree's vector is constant."""
+
+    def test_nan_row(self):
+        n = 12
+        original = linkage(euclidean_dissimilarity(gaussian_matrix(n, 3, 7)),
+                           "average")
+        good = convert_dendrogram(
+            branching_embed(original, AngleStrategy.fixed(30.0)), "single")
+        # Evenly spaced points on a line: single linkage merges them all
+        # at 1, so the cophenetic vector is constant and kinship's is not.
+        line = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+        flat = convert_dendrogram(line, "single")
+        assert set(flat.height.tolist()) == {1.0}
+        got = _scores(original, [good, flat, good])
+        assert got.shape == (3, 2)
+        assert np.isnan(got[1, 0]) and not np.isnan(got[1, 1])
+        assert not np.isnan(got[[0, 2]]).any()
+        for k, tree in enumerate((good, flat, good)):
+            assert np.array_equal(got[k], _scores(original, [tree])[0],
+                                  equal_nan=True)
+        with pytest.raises(ZeroVariance,
+                           match="^correlation of a constant vector is "
+                                 "undefined$"):
+            evaluate_embedding(original, line, "single")
 
 
 class TestConvertDendrogram:

@@ -81,8 +81,9 @@ def test_equal_to_stepwise_on_float_matrices(method, x):
 @given(n=st.integers(2, 120), seed=st.integers(0, 2**32 - 1))
 def test_pair_matrices_equal_to_scatter(n, seed):
     d = random_dendrogram(n, np.random.default_rng(seed))
-    coph, kin = _pair_matrices(d, True, True)
-    ref_coph, ref_kin = scatter_pair_matrices(d, True, True)
+    coph = _pair_matrices(d, False)
+    kin = _pair_matrices(d, True)
+    ref_coph, ref_kin = scatter_pair_matrices(d)
     assert np.array_equal(coph, ref_coph)
     assert np.array_equal(kin, ref_kin)
 
