@@ -5,7 +5,10 @@ Usage: python3 scripts/output_digest.py SRC_DIR
 SRC_DIR is the directory holding the ``branchembed`` package (``src`` in a
 checkout); the package is imported from there.  The digest covers:
 
-* the CSV of ``run_table_experiment(BenchConfig(trials=20))``;
+* the CSV of ``run_table_experiment(BenchConfig(trials=20))``, and its
+  ``mean_r_c`` then ``mean_r_k`` at full precision, one ``float.hex``
+  per line in row-major order (``table-means.hex``), so a last-bit change
+  that the CSV's 6 decimals round away still moves the digest;
 * on the bundled iris table, for each of the four linkage methods under
   the fixed, even and random strategies: the coordinates, report and SVG
   written by ``branchembed embed --report --svg``, the method's merge
@@ -20,9 +23,14 @@ digests differ, a diff of their stderr names the outputs that moved.  A
 run takes a few seconds, most of it the table.
 
 No output path calls BLAS, so the digest does not depend on the BLAS
-kernel or its thread count: it is ``001ce59ef28f...`` under the
+kernel or its thread count: it is ``9a5e870a015d...`` under the
 Prescott, Haswell and SkylakeX kernels of numpy's bundled OpenBLAS,
-with one BLAS thread and with the default count.
+with one BLAS thread and with the default count.  It does depend on
+numpy's CPU dispatch: on an AVX-512 CPU,
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` moves
+``table-means.hex``, and with it the digest (to ``4e7fab763212...``),
+because the Gaussian draws' ``np.log`` then takes another kernel that
+rounds some values differently; every other line stays.
 """
 
 from __future__ import annotations
@@ -52,8 +60,11 @@ def main(argv) -> int:
         digest.update(data)
         print(hashlib.sha256(data).hexdigest(), name, file=sys.stderr)
 
-    add("table.csv", be.run_table_experiment(
-        be.BenchConfig(trials=20)).to_csv().encode())
+    table = be.run_table_experiment(be.BenchConfig(trials=20))
+    add("table.csv", table.to_csv().encode())
+    add("table-means.hex", "".join(
+        f"{v.hex()}\n" for means in (table.mean_r_c, table.mean_r_k)
+        for v in means.ravel().tolist()).encode())
 
     iris_csv = str(src / "branchembed" / "data" / "iris.csv")
     data = be.load_csv(iris_csv, has_header=True, label_column=4).data

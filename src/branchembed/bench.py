@@ -24,7 +24,7 @@ tree, reclusters all those embeddings.  A call orders its problems by
 linkage method and runs the steps of :func:`~branchembed.linkage` on
 equal (B, n, n) stacks filled straight from the data and coordinates,
 each numpy call serving the whole stack; a correlation reclustering of
-2-D points takes the closed form ``cluster._sides_trees`` instead.  The
+2-D points takes the closed form ``cluster._sides_tree`` instead.  The
 default sweep gives one stack of 7 originals and two of 18 Euclidean
 embeddings per trial, and 27 closed-form trees.  The trees
 equal :func:`~branchembed.linkage`'s bit for bit.

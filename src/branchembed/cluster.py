@@ -26,34 +26,36 @@ bit.
 
 Two-column data under correlation needs no matrix at all: every value
 is exactly 0 or 2, so single, complete and average linkage all give the
-tree that the tie-break alone fixes, which :func:`_sides_trees` builds in
-O(n).
+tree that the tie-break alone fixes, which :func:`_sides_tree` builds in
+O(n), valid by construction.
 
 :func:`_cluster_stack` is the one dispatch that the library, the CLI and
 the benchmark use to cluster data.  A problem is ``(x, kind, method)``,
 and its result is what ``linkage(dissimilarity(kind, x), method)``
 returns or raises, bit for bit; :func:`_cluster_data` is a call with one
-problem, which raises the error.  Problems with a closed form take it,
-together.  At small n a step costs numpy call overhead rather than
-arithmetic, so the others are ordered by method and cut into equal
-(B, n, n) stacks of at most :data:`_STACK_BYTES` (1.625 MiB, 21 problems
-at n = 100), each filled straight from the data, with no condensed
-matrix in between, and run by one loop that applies each method's
-update to its own run of the stack.  The stacked loop keeps a merged
-cluster in the slot of one of its children and marks the other slot
-dead with inf, so it moves no data between slots, and it checks all B
-trees at once with :func:`~branchembed.dendrogram._valid_records`.  A
-stack of one, as every one-problem call makes, is filled the same way
-and run by :func:`linkage`'s own loop, so reclustering n points holds
-one n x n matrix and nothing the size of the condensed vector.
-Neither the closed form nor the stacked loop has an error path of its
-own: a closed-form tree that fails validation joins the stacks, and a
-stack whose fill is not finite and a stack of several in which any
-problem fails go through ``linkage(dissimilarity(kind, x), method)`` one
-problem at a time, so :func:`dissimilarity` and :func:`linkage` alone
-decide every failure.  The loop of a stack of one is :func:`linkage`'s
-own, on the matrix :func:`linkage` would build, so its errors are
-:func:`linkage`'s already.
+problem, which raises the error.  Problems with a closed form take it.
+At small n a step costs numpy call overhead rather than arithmetic, so
+the others are ordered by method and cut into equal (B, n, n) stacks of
+at most :data:`_STACK_BYTES` (1.625 MiB, 21 problems at n = 100), each
+filled straight from the data, with no condensed matrix in between, and
+run by one loop that applies each method's update to its own run of the
+stack.  Each loop prepares the matrix it is given, as Muellner's
+generic algorithm takes the dissimilarity matrix itself: it sets the
+diagonal to inf and squares it for ward before its first step.  The
+stacked loop keeps a merged cluster in the slot of one of its children
+and marks the other slot dead with inf, so it moves no data between
+slots, and it checks all B trees at once with
+:func:`~branchembed.dendrogram._valid_records`.  A stack of one, as
+every one-problem call makes, is filled the same way and run by
+:func:`linkage`'s own loop, so reclustering n points holds one n x n
+matrix and nothing the size of the condensed vector.  The stacked loop
+has no error path of its own: a stack whose fill is not finite and a
+stack of several in which any problem fails go through
+``linkage(dissimilarity(kind, x), method)`` one problem at a time, so
+:func:`dissimilarity` and :func:`linkage` alone decide every failure.
+The loop of a stack of one is :func:`linkage`'s own, on the matrix
+:func:`linkage` would pass it, so its errors are :func:`linkage`'s
+already.
 
 No value passes through BLAS, so every tree is the same under any BLAS
 kernel and thread count.
@@ -213,21 +215,6 @@ def _lw_combine(method: str, row_i, row_j, ni: int, nj: int,
     return ((ni + nk) * row_i + (nj + nk) * row_j - nk * d_ij) / (ni + nj + nk)
 
 
-# Ward's square of a large value overflows to inf, which the loop of
-# _linkage_square reports as LinkageOverflow.
-@np.errstate(over="ignore")
-def _square(d: CondensedMatrix, method: str) -> np.ndarray:
-    """The full matrix of ``d``, squared for ward, with an infinite
-    diagonal.  Raises :class:`SizeLimit` before allocating a matrix
-    larger than physical memory."""
-    _check_size("the n x n matrix", 8 * d.n * d.n)
-    dm = d.to_square()
-    np.fill_diagonal(dm, np.inf)
-    if method == "ward":
-        dm *= dm
-    return dm
-
-
 def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     """Agglomerative clustering of ``d0`` under the given linkage method.
 
@@ -235,20 +222,21 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     child id first.  Ward heights assume Euclidean input distances; the
     function sees only the matrix, not how it was made, so it does not
     reject ward on correlation dissimilarities (:func:`check_condition`
-    does).  Raises :class:`LinkageOverflow` if a merged dissimilarity
-    (for ward, a squared one) exceeds the float64 range, and, under every
-    method, :class:`NegativeHeight` at record 0 if ``d0`` holds a negative
-    value, and :class:`SizeLimit` if its n x n matrix would not fit in
-    physical memory.
+    does).  Raises, under every method, :class:`NegativeHeight` at record
+    0 if ``d0`` holds a negative value, :class:`SizeLimit` if its n x n
+    matrix would not fit in physical memory, and
+    :class:`LinkageOverflow` if a merged dissimilarity (for ward, a
+    squared one) exceeds the float64 range.
     """
     if method not in LINKAGE_METHODS:
         raise ValueError(f"unknown linkage method {method!r}")
-    if method == "ward" and d0.values.min() < 0.0:
-        # Squaring would hide the sign.  The other methods' first merge
-        # is at the smallest value, so they fail at record 0 as well.
-        low = float(d0.values.min())
+    low = float(d0.values.min())
+    if low < 0.0:
+        # Every method's first merge is at the smallest value, so this is
+        # the error validate_dendrogram gives; ward's squares would hide it.
         raise NegativeHeight(f"record 0: height {low!r} < 0", record=0)
-    return _linkage_square(_square(d0, method), method)
+    _check_size("the n x n matrix", 8 * d0.n * d0.n)
+    return _linkage_square(d0.to_square(), method)
 
 
 # Ward squares its inputs, and average and ward add weighted rows, so
@@ -256,11 +244,15 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
 # its two clusters merge, so every overflow shows as a non-finite minimum.
 @np.errstate(over="ignore", invalid="ignore")
 def _linkage_square(dm: np.ndarray, method: str) -> Dendrogram:
-    """The steps of :func:`linkage` on ``dm``, the full matrix that
-    :func:`_square` makes (ward's squared, an infinite diagonal), which
-    they overwrite.  Raises what :func:`linkage` raises after its
+    """The steps of :func:`linkage` on ``dm``, a full dissimilarity
+    matrix, which they overwrite: the diagonal becomes inf, ward squares
+    every entry (a square that overflows is inf), and the merges update
+    it in place.  Raises what :func:`linkage` raises after its
     checks."""
     n = dm.shape[0]
+    np.fill_diagonal(dm, np.inf)
+    if method == "ward":
+        dm *= dm
     # row_min[r] is the smallest entry of row r over the active columns.
     row_min = dm.min(axis=1)
 
@@ -340,54 +332,28 @@ def _cluster_data(x, kind: str, method: str) -> Dendrogram:
     return tree
 
 
-def _sides_trees(xs) -> list:
-    """``linkage(correlation_dissimilarity(x), method)`` of each checked
-    two-column ``x`` in ``xs`` (all over one n) under single, complete
-    or average linkage, which give the same tree, in O(n) time and
-    memory each.  Returns a list holding each one's :class:`Dendrogram`,
-    the :class:`ZeroVarianceRow` it raised, or ``None`` for a tree that
-    :func:`~branchembed.dendrogram._valid_records` rejects.
+def _sides_tree(x: np.ndarray) -> Dendrogram:
+    """``linkage(correlation_dissimilarity(x), method)`` of checked
+    two-column ``x`` under single, complete or average linkage, which
+    give the same tree, in O(n) time and memory.  Raises
+    :class:`ZeroVarianceRow` for a constant row, as
+    :func:`correlation_dissimilarity` does.
 
     Every value of that matrix is exactly 0, for two rows on the same
     side (both rising, ``x1 > x0``, or both falling), or exactly 2, and
     all three methods keep it so: a cluster is 0 from its own side and 2
     from the other.  So each step merges, at height 0, the tie-break's
     smallest pair on one side, and when each side is down to one
-    cluster, the last merge joins the two at height 2 (see
-    :func:`_sides_merges`).
-    """
-    out = []
-    for x in xs:
-        try:
-            out.append(_sides_merges(x))
-        except ZeroVarianceRow as err:
-            out.append(err)
-    good = [b for b, merges in enumerate(out)
-            if not isinstance(merges, ZeroVarianceRow)]
-    if not good:
-        return out
-    n = xs[0].shape[0]
-    left, right, size = (np.array([out[b][k] for b in good], dtype=np.int64)
-                         for k in range(3))
-    height = np.array([out[b][3] for b in good])
-    valid = _dendrogram._valid_records(left, right, height, size, n)
-    for k, b in enumerate(good):
-        out[b] = (_dendrogram._frozen(n, left[k], right[k], height[k],
-                                      size[k]) if valid[k] else None)
-    return out
+    cluster, the last merge joins the two at height 2.  Each side keeps
+    a queue of its cluster ids in ascending order.  Of the queues
+    holding at least two ids, the step takes the one whose head is the
+    smaller id: its two smallest ids are the tie-break's smallest pair
+    at 0.  The new id, n + step, is larger than every id before it, so
+    it joins the end of its queue and the queue stays sorted.
 
-
-def _sides_merges(x: np.ndarray) -> tuple:
-    """The merge table of :func:`_sides_trees` for checked two-column
-    ``x``, as lists of left ids, right ids and sizes, and a list of
-    heights.  Raises :class:`ZeroVarianceRow` for a constant row.
-
-    Each side keeps a queue of its cluster ids in ascending order.  Of
-    the queues holding at least two ids, the step takes the one whose
-    head is the smaller id: its two smallest ids are the tie-break's
-    smallest pair at 0.  The new id, n + step, is larger than every id
-    before it, so it joins the end of its queue and the queue stays
-    sorted.
+    The tree is valid by construction: each id is popped once and is
+    below n + step, each size is the sum of its children's, and the
+    heights are 0 and then 2.
     """
     n = x.shape[0]
     rises = x[:, 1] > x[:, 0]
@@ -414,7 +380,10 @@ def _sides_merges(x: np.ndarray) -> tuple:
         left.append(min(a, b))
         right.append(max(a, b))
         node_size.append(n)
-    return left, right, node_size[n:], [0.0] * within + [2.0] * across
+    return _dendrogram._frozen(
+        n, np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
+        np.array([0.0] * within + [2.0] * across),
+        np.array(node_size[n:], dtype=np.int64))
 
 
 # Bytes of float64 matrix one stack in _cluster_stack may hold: 21
@@ -430,13 +399,13 @@ def _cluster_stack(problems) -> list:
     that problem raised.
 
     Two-column correlation under single, complete or average linkage
-    has a closed form, and those problems go to :func:`_sides_trees`
-    together.  The others, and any closed-form tree that fails
-    validation, are ordered by linkage method and cut into equal stacks
-    of at most :data:`_STACK_BYTES` of matrices, each filled straight
-    from its problems' data and clustered by one loop whose numpy calls
-    serve the whole stack, which at small n costs far less than a loop
-    per problem.  A stack of one is filled the same way, into a (1, n, n)
+    has a closed form, :func:`_sides_tree`, which each such problem
+    takes.  The others are ordered by linkage method and cut into equal
+    stacks of at most :data:`_STACK_BYTES` of matrices, each filled
+    straight from its problems' data by :func:`_fill_stack` and
+    clustered by :func:`_stacked_linkage`, whose numpy calls serve the
+    whole stack, which at small n costs far less than a loop per
+    problem.  A stack of one is filled the same way, into a (1, n, n)
     array, and clustered by :func:`linkage`'s own loop, whose errors are
     then :func:`linkage`'s.  A stack whose fill is not finite, and a
     stack of several in which any tree fails, go through
@@ -460,15 +429,18 @@ def _cluster_stack(problems) -> list:
     if any(x.shape[0] != n for x, _, _ in checked):
         raise ValueError("stacked problems must all have the same n")
     out = [None] * len(checked)
-    sides = [b for b, (x, kind, method) in enumerate(checked)
-             if kind == "correlation" and method != "ward"
-             and x.shape[1] == 2]
-    for b, tree in zip(sides, _sides_trees([checked[b][0] for b in sides])):
-        out[b] = tree
-    order = sorted((b for b in range(len(checked)) if out[b] is None),
-                   key=lambda b: rank[checked[b][2]])
-    if not order:
+    rest = []
+    for b, (x, kind, method) in enumerate(checked):
+        if kind == "correlation" and method != "ward" and x.shape[1] == 2:
+            try:
+                out[b] = _sides_tree(x)
+            except ZeroVarianceRow as err:
+                out[b] = err
+        else:
+            rest.append(b)
+    if not rest:
         return out
+    order = sorted(rest, key=lambda b: rank[checked[b][2]])
     per_stack = max(1, _STACK_BYTES // (8 * n * n))
     count = -(-len(order) // per_stack)
     cuts = [len(order) * k // count for k in range(count + 1)]
@@ -493,17 +465,17 @@ def _cluster_stack(problems) -> list:
         else:
             dm = np.frombuffer(buf, count=len(part) * n * n)
             dm = dm.reshape(len(part), n, n)
-        slices = _fill_stack(dm, part)
         trees = None
-        if slices is not None and len(part) > 1:
-            trees = _stacked_linkage(dm, slices)
-        elif slices is not None:
-            # linkage's own steps on the square it would build, so an
-            # error they raise is the one linkage raises.
-            try:
-                trees = [_linkage_square(dm[0], part[0][2])]
-            except BranchEmbedError as err:
-                trees = [err]
+        if _fill_stack(dm, part):
+            if len(part) > 1:
+                trees = _stacked_linkage(dm, [m for _, _, m in part])
+            else:
+                # linkage's own steps on the square it would pass them,
+                # so an error they raise is the one linkage raises.
+                try:
+                    trees = [_linkage_square(dm[0], part[0][2])]
+                except BranchEmbedError as err:
+                    trees = [err]
         # Free a one-problem matrix before a rerun builds its own.
         del dm
         if trees is None:
@@ -519,12 +491,12 @@ def _cluster_stack(problems) -> list:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _fill_stack(dm: np.ndarray, problems) -> list | None:
+def _fill_stack(dm: np.ndarray, problems) -> bool:
     """Fill ``dm``, a (B, n, n) array, with the full dissimilarity
-    matrices of ``problems``, ``(x, kind, method)`` triples sorted by
-    method, each squared for ward, with an infinite diagonal.  Returns
-    the ``(method, lo, hi)`` runs of the stack, or ``None`` if a fill is
-    not finite or raises a :class:`BranchEmbedError`, which is where
+    matrices of ``problems``, ``(x, kind, method)`` triples, each with a
+    zero diagonal, as :meth:`~branchembed.dendrogram.CondensedMatrix.to_square`
+    gives them.  Returns whether every fill is finite: ``False`` if a
+    fill is not, or raises a :class:`BranchEmbedError`, which is where
     :func:`dissimilarity` raises.
 
     Every value equals :func:`dissimilarity`'s for its pair: a 2-column
@@ -562,27 +534,18 @@ def _fill_stack(dm: np.ndarray, problems) -> list | None:
             else:
                 _copy_rows(dissimilarity(kind, x).values, sq)
     except BranchEmbedError:
-        return None
-    if not math.isfinite(dm.max()):
-        return None
-    dm[:, diag, diag] = np.inf
-    slices = []
-    for b, (_, _, method) in enumerate(problems):
-        if slices and slices[-1][0] == method:
-            slices[-1][2] = b + 1
-        else:
-            slices.append([method, b, b + 1])
-    for method, lo, hi in slices:
-        if method == "ward":
-            dm[lo:hi] *= dm[lo:hi]
-    return slices
+        return False
+    return math.isfinite(dm.max())
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _stacked_linkage(dm: np.ndarray, slices) -> list | None:
-    """The steps of :func:`linkage` on a filled (B, n, n) stack whose
-    problems run ``slices``, ``(method, lo, hi)`` runs of one linkage
-    method each (ward's squared).
+def _stacked_linkage(dm: np.ndarray, methods) -> list | None:
+    """The steps of :func:`linkage` on a (B, n, n) stack of full
+    dissimilarity matrices, problem b under ``methods[b]``, which they
+    overwrite.  Equal methods must be adjacent: the loop applies each
+    method's update to its own run of the stack.  As
+    :func:`_linkage_square` does, it first sets every diagonal to inf
+    and squares the ward runs.
 
     Each step takes the same cached row minima, the same tie-break (as a
     masked ``argmin`` over node ids) and the same Lance-Williams update
@@ -597,9 +560,21 @@ def _stacked_linkage(dm: np.ndarray, slices) -> list | None:
     and columns as ``dm[at, :, slot]``, one slot per problem ``at``.
     Returns the list of trees, or ``None`` as soon as any problem's
     minimum turns non-finite, or if any tree fails
-    :func:`~branchembed.dendrogram._valid_records`.
+    :func:`~branchembed.dendrogram._valid_records`: its rounded updates
+    could, in principle, break monotonicity.
     """
     count, n, _ = dm.shape
+    runs = []
+    for b, method in enumerate(methods):
+        if runs and runs[-1][0] == method:
+            runs[-1][2] = b + 1
+        else:
+            runs.append([method, b, b + 1])
+    diag = np.arange(n)
+    dm[:, diag, diag] = np.inf
+    for method, lo, hi in runs:
+        if method == "ward":
+            dm[lo:hi] *= dm[lo:hi]
     rows = dm.reshape(count * n, n)
     row_min = dm.min(axis=2)
     node_of = np.tile(np.arange(n, dtype=np.int64), (count, 1))
@@ -631,10 +606,10 @@ def _stacked_linkage(dm: np.ndarray, slices) -> list | None:
         records[:, 0, step] = node_of.take(ra)
         records[:, 1, step] = node_of.take(rb)
 
-        runs = [_lw_combine(method, row_a[lo:hi], row_b[lo:hi], na[lo:hi],
-                            nb[lo:hi], sizes[lo:hi], col_val[lo:hi])
-                for method, lo, hi in slices]
-        new_row = runs[0] if len(runs) == 1 else np.concatenate(runs)
+        parts = [_lw_combine(method, row_a[lo:hi], row_b[lo:hi], na[lo:hi],
+                             nb[lo:hi], sizes[lo:hi], col_val[lo:hi])
+                 for method, lo, hi in runs]
+        new_row = parts[0] if len(parts) == 1 else np.concatenate(parts)
         new_row.put(ra, np.inf)
         stale = (row_min == np.minimum(row_a, row_b)) & (new_row > row_min)
         np.minimum(row_min, new_row, out=row_min)
@@ -652,7 +627,7 @@ def _stacked_linkage(dm: np.ndarray, slices) -> list | None:
         node_of.put(ra, n + step)
         sizes.put(ra, merged)
 
-    for method, lo, hi in slices:
+    for method, lo, hi in runs:
         if method == "ward":
             np.sqrt(heights[lo:hi], out=heights[lo:hi])
     left, right, size = records[:, 0], records[:, 1], records[:, 2]

@@ -42,8 +42,8 @@ class LabeledData:
 
 
 def _check_integer(name: str, value) -> None:
-    """Reject a size that is not an integer (a bool or ``5.0`` included)
-    with a :class:`ValueError` naming it."""
+    """Reject a size or seed that is not an integer (a bool or ``5.0``
+    included) with a :class:`ValueError` naming it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
@@ -52,6 +52,7 @@ def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     """A rows x cols matrix of independent standard normal values."""
     _check_integer("rows", rows)
     _check_integer("cols", cols)
+    _check_integer("seed", seed)
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
     return SplitMix64(seed).normals(rows * cols).reshape(rows, cols)
@@ -65,6 +66,8 @@ def blobs(n: int, seed: int) -> LabeledData:
     Cluster sizes are as even as possible, earlier clusters taking the
     remainder; points are emitted cluster by cluster.
     """
+    _check_integer("n", n)
+    _check_integer("seed", seed)
     if n < 3:
         raise ValueError("need at least 3 points for 3 clusters")
     gen = SplitMix64(seed)
@@ -89,6 +92,8 @@ def s_curve(n: int, seed: int) -> np.ndarray:
     With t uniform in [-3pi/2, 3pi/2) and v uniform in [0, 2) (all t drawn
     first, then all v), each point is (sin t, v, sign(t) * (cos t - 1)).
     """
+    _check_integer("n", n)
+    _check_integer("seed", seed)
     if n < 1:
         raise ValueError("need at least 1 point")
     gen = SplitMix64(seed)

@@ -33,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 
+from .datasets import _check_integer
 from .dendrogram import Dendrogram, _layout
 from .rng import SplitMix64
 
@@ -54,8 +55,8 @@ class AngleStrategy:
 
     Use the factories: ``AngleStrategy.random(seed)``,
     ``AngleStrategy.fixed(theta, swap=True)`` or ``AngleStrategy.even()``.
-    ``theta`` is in degrees and only meaningful for ``fixed``; ``seed``
-    only for ``random``.
+    ``theta`` is in degrees and only meaningful for ``fixed``; ``seed``,
+    an integer, only for ``random``.
     """
 
     kind: str
@@ -66,6 +67,9 @@ class AngleStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        _check_integer("seed", self.seed)
+        # A numpy integer seed would overflow in the seed arithmetic.
+        object.__setattr__(self, "seed", int(self.seed))
         if self.kind == "fixed":
             if self.theta is None:
                 raise ValueError("fixed strategy needs a theta")
@@ -134,7 +138,7 @@ def even_angle(l1: float, l2: float, length: float) -> float:
     ``length`` > 0.  The cosine is clamped to [-1, 1], so very lopsided
     splits degrade to 0 or 180 degrees instead of failing.
     """
-    if length <= 0.0:
+    if not length > 0.0:  # also catches NaN
         raise ValueError("target-sister distance must be positive")
     return math.acos(min(1.0, max(-1.0, (l1 - l2) / (2.0 * length))))
 
@@ -157,8 +161,8 @@ def division_step(target, sister, height, n1, n2,
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("child sizes must be positive")
-    if height < 0.0:
-        raise ValueError("height must be nonnegative")
+    if not 0.0 <= height < math.inf:  # also catches NaN
+        raise ValueError("height must be finite and nonnegative")
     total = n1 + n2
     l1 = height * n2 / total
     l2 = height * n1 / total

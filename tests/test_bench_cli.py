@@ -89,6 +89,16 @@ class TestBenchConfig:
         assert run_table_experiment(cfg).to_csv() == \
             percell_table(cfg).to_csv()
 
+    def test_numpy_integer_angle_seed(self):
+        # Trial 0's angle seed is 2**63 + _ANGLE_STREAM_OFFSET + 5, beyond
+        # int64, and equals the plain integer seed's.
+        cfg = BenchConfig(trials=1, rows=5, cols=2, seed=2 ** 63,
+                          conditions=(("euclidean", "single"),),
+                          strategies=(AngleStrategy.random(5),))
+        wide = replace(cfg, strategies=(AngleStrategy.random(np.int64(5)),))
+        assert run_table_experiment(wide).to_csv() == \
+            run_table_experiment(cfg).to_csv()
+
     @pytest.mark.parametrize("field", ["conditions", "strategies"])
     def test_rejects_empty_sweeps(self, field):
         with pytest.raises(ValueError, match=f"^{field} must not be empty"):
@@ -335,9 +345,9 @@ class TestMethodStacks:
         sizes = []
         real = cluster._stacked_linkage
 
-        def spy(dm, slices):
+        def spy(dm, methods):
             sizes.append(len(dm))
-            return real(dm, slices)
+            return real(dm, methods)
 
         monkeypatch.setattr(cluster, "_stacked_linkage", spy)
         return sizes
@@ -446,6 +456,12 @@ class TestSvg:
     def test_label_length_checked(self):
         with pytest.raises(ValueError):
             render_svg_scatter(np.zeros((3, 2)), labels=np.array([1]))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3,), (0, 2)])
+    def test_coordinate_shape_checked(self, shape):
+        with pytest.raises(ValueError,
+                           match=r"^expected \(n, 2\) coordinates"):
+            render_svg_scatter(np.zeros(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinates_rejected(self, bad):
@@ -678,6 +694,15 @@ class TestCliEval:
                      "--dendrogram", str(table_csv)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_coords_file_without_rows(self, table_csv, tmp_path, capsys):
+        coords = tmp_path / "coords.csv"
+        coords.write_text("\n\n")
+        code = main(["eval", "--coords", str(coords),
+                     "--dendrogram", str(table_csv)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: line 1: no coordinate rows in {coords}\n"
 
     def test_bad_coords_ids(self, table_csv, tmp_path, capsys):
         coords = tmp_path / "coords.csv"

@@ -145,6 +145,10 @@ class TestEuclidean:
         with pytest.raises(ValueError):
             euclidean_dissimilarity(np.array([1.0, 2.0]))
 
+    def test_rejects_no_columns(self):
+        with pytest.raises(ValueError, match="^need at least 1 column$"):
+            euclidean_dissimilarity(np.empty((3, 0)))
+
 
 @functools.lru_cache(maxsize=1)
 def _pair_walk_corpus():
@@ -195,6 +199,11 @@ class TestPairWalk:
 
 
 class TestCorrelation:
+    def test_rejects_one_column(self):
+        with pytest.raises(ValueError,
+                           match="^row correlation needs at least 2 columns$"):
+            correlation_dissimilarity(np.array([[1.0], [2.0], [3.0]]))
+
     def test_hand_value(self):
         d = correlation_dissimilarity(
             np.array([[1.0, 2.0, 3.0], [1.0, 3.0, 2.0]]))
@@ -577,11 +586,8 @@ _FAILING = [
 
 def _filled(ds, method):
     """A (B, n, n) stack of condensed matrices as ``_stacked_linkage``
-    takes it, and its one method run.  Ward's squares may overflow, as
-    they may in ``linkage``."""
-    with np.errstate(over="ignore"):
-        return (np.stack([cluster._square(d0, method) for d0 in ds]),
-                [(method, 0, len(ds))])
+    takes it, and its methods, all ``method``."""
+    return np.stack([d0.to_square() for d0 in ds]), [method] * len(ds)
 
 
 class TestLinkageStack:
@@ -633,13 +639,12 @@ class TestLinkageStack:
             problems += [(x * scale, kind, method)
                          for kind, method in DEFAULT_CONDITIONS]
         problems = [problems[k] for k in rng.permutation(len(problems))]
-        # The filled stack holds linkage's square of every problem.
+        # The filled stack holds the full matrix of every problem.
         ordered = sorted(problems, key=lambda p: LINKAGE_METHODS.index(p[2]))
         dm = np.empty((len(ordered), n, n))
-        assert cluster._fill_stack(dm, ordered) is not None
+        assert cluster._fill_stack(dm, ordered) is True
         for sq, (x, kind, method) in zip(dm, ordered):
-            assert np.array_equal(
-                sq, cluster._square(dissimilarity(kind, x), method))
+            assert np.array_equal(sq, dissimilarity(kind, x).to_square())
         refs = [_reference(*p) for p in problems]
         assert all(isinstance(r, Dendrogram) for r in refs)
         assert cluster._cluster_stack(problems) == refs
@@ -744,6 +749,14 @@ class TestLinkageStack:
             linkage(bad, method)
         assert err.value.record == 0
 
+    def test_negative_dissimilarity_before_overflow(self):
+        # Average's second merge would overflow, but the negative value
+        # is found before any step, as it is for ward.
+        bad = CondensedMatrix(3, np.array([-1.0, 1e308, 1.7e308]))
+        with pytest.raises(NegativeHeight,
+                           match=r"^record 0: height -1\.0 < 0$"):
+            linkage(bad, "average")
+
     @pytest.mark.parametrize("per_stack", [1, 2, 3])
     @pytest.mark.parametrize("method", LINKAGE_METHODS)
     def test_split_by_byte_budget(self, monkeypatch, per_stack, method):
@@ -766,9 +779,9 @@ class TestLinkageStack:
         sizes = []
         real = cluster._stacked_linkage
 
-        def spy(dm, slices):
+        def spy(dm, methods):
             sizes.append(len(dm))
-            return real(dm, slices)
+            return real(dm, methods)
 
         monkeypatch.setattr(cluster, "_stacked_linkage", spy)
         return sizes
@@ -875,8 +888,7 @@ class TestLinkageStack:
         monkeypatch.setattr(dendrogram, "_PAIR_CHUNK", chunk)
         dm = np.empty((1, 23, 23))
         assert cluster._fill_stack(dm, [(x, "euclidean", "average")])
-        assert np.array_equal(
-            dm[0], cluster._square(euclidean_dissimilarity(x), "average"))
+        assert np.array_equal(dm[0], euclidean_dissimilarity(x).to_square())
 
     @pytest.mark.parametrize("cols", [2, 3])
     def test_one_problem_maps_nothing(self, monkeypatch, cols):
@@ -932,7 +944,7 @@ def _linkage_spy(monkeypatch):
 
 
 class TestSidesTree:
-    """The closed form, ``_sides_trees``, gives two-column ``x`` under
+    """The closed form, ``_sides_tree``, gives two-column ``x`` under
     single, complete and average correlation linkage the tree, or the
     error, of ``linkage(correlation_dissimilarity(x), method)``, bit for
     bit, and ``_cluster_stack``, ``convert_dendrogram`` and ``embed``
@@ -1015,34 +1027,22 @@ class TestSidesTree:
             cluster._cluster_data([[0.0, 1.0], [np.nan, 2.0]],
                                   "correlation", "single")
 
-    def test_rejected_tree_goes_to_linkage(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        xs = [rng.normal(size=(12, 2)) for _ in range(3)]
-        refs = [linkage(correlation_dissimilarity(x), "complete")
-                for x in xs]
-        monkeypatch.setattr(dendrogram, "_valid_records",
-                            lambda left, *_: np.zeros(len(left), bool))
-        calls = _linkage_spy(monkeypatch)
-        problems = [(x, "correlation", "complete") for x in xs]
-        assert cluster._cluster_stack(problems) == refs
-        assert calls == ["complete"] * 3
-
     def test_one_dispatch(self, monkeypatch, tmp_path):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(15, 2))
         calls = []
-        real = cluster._sides_trees
+        real = cluster._sides_tree
 
-        def spy(xs):
-            calls.append(len(xs))
-            return real(xs)
+        def spy(x):
+            calls.append(len(x))
+            return real(x)
 
-        monkeypatch.setattr(cluster, "_sides_trees", spy)
+        monkeypatch.setattr(cluster, "_sides_tree", spy)
         for method in ("single", "complete", "average"):
             assert convert_dendrogram(x, method, "correlation") == \
                 linkage(correlation_dissimilarity(x), method)
         convert_dendrogram(x, "ward")
-        assert calls == [1, 1, 1, 0]
+        assert calls == [15] * 3
         data = tmp_path / "data.csv"
         data.write_text("".join(f"{a!r},{b!r}\n" for a, b in x.tolist()))
         assert main(["embed", "--input", str(data), "--metric",
@@ -1050,7 +1050,7 @@ class TestSidesTree:
                      "--converted-linkage", "complete",
                      "--out", str(tmp_path / "coords.csv"),
                      "--report", str(tmp_path / "report.json")]) == 0
-        assert calls[4:] == [1, 1]
+        assert calls[3:] == [15, 15]
 
 
 class TestAgainstScipy:

@@ -61,6 +61,11 @@ class TestGaussianMatrix:
         assert np.array_equal(gaussian_matrix(np.int64(4), np.int32(3), 9),
                               gaussian_matrix(4, 3, 9))
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            gaussian_matrix(3, 3, seed)
+
 
 class TestBlobs:
     def test_sizes_as_even_as_possible(self):
@@ -96,6 +101,19 @@ class TestBlobs:
         with pytest.raises(ValueError):
             blobs(2, 0)
 
+    @pytest.mark.parametrize("n, seed, name", [
+        (5.5, 0, "n"), (6.0, 0, "n"), (6, 1.5, "seed"), (6, True, "seed"),
+    ])
+    def test_rejects_non_integers(self, n, seed, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            blobs(n, seed)
+
+    def test_accepts_numpy_integers(self):
+        a = blobs(np.int64(9), np.uint64(1))
+        b = blobs(9, 1)
+        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a.labels, b.labels)
+
 
 class TestSCurve:
     def test_shape(self):
@@ -116,6 +134,17 @@ class TestSCurve:
 
     def test_reproducible(self):
         assert np.array_equal(s_curve(64, 3), s_curve(64, 3))
+
+    @pytest.mark.parametrize("n, seed, name", [
+        (2.5, 0, "n"), (3.0, 0, "n"), (3, 0.5, "seed"), (3, "0", "seed"),
+    ])
+    def test_rejects_non_integers(self, n, seed, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            s_curve(n, seed)
+
+    def test_accepts_numpy_integers(self):
+        assert np.array_equal(s_curve(np.int32(5), np.int64(3)),
+                              s_curve(5, 3))
 
 
 class TestIris:
@@ -256,6 +285,13 @@ class TestLoadCsv:
         p.write_text("")
         with pytest.raises(ParseError):
             load_csv(p)
+
+    def test_empty_file_with_header(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_text("")
+        with pytest.raises(ParseError, match="is empty$") as err:
+            load_csv(p, has_header=True)
+        assert err.value.line == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError) as err:

@@ -79,6 +79,12 @@ class TestValidation:
         with pytest.raises(DendrogramError):
             validate_dendrogram([(0, 1, 1.0, 2)], 4)
 
+    def test_rejects_three_field_record(self):
+        with pytest.raises(DendrogramError,
+                           match="^record 1: expected 4 fields$") as err:
+            validate_dendrogram([(0, 1, 1.0, 2), (3, 2, 2.0)], 3)
+        assert err.value.record == 1
+
     def test_duplicate_child_same_record(self):
         with pytest.raises(DuplicateChild) as err:
             validate_dendrogram([(0, 0, 1.0, 2), (2, 1, 2.0, 3)], 3)
@@ -166,6 +172,17 @@ class TestCondensedMatrix:
         cm = CondensedMatrix(3, np.zeros(3))
         with pytest.raises(ValueError):
             cm.index(1, 1)
+
+    @pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (-1, 2), (1, 7)])
+    def test_index_out_of_range(self, i, j):
+        cm = CondensedMatrix(3, np.zeros(3))
+        with pytest.raises(IndexError, match="out of range for n=3$"):
+            cm.index(i, j)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2)])
+    def test_from_square_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="^expected a square matrix$"):
+            CondensedMatrix.from_square(np.zeros(shape))
 
     def test_square_round_trip(self):
         rng = np.random.default_rng(7)

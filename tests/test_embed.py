@@ -14,6 +14,7 @@ import pytest
 from branchembed import (
     LINKAGE_METHODS,
     AngleStrategy,
+    Embedding,
     SplitEvent,
     SplitMix64,
     branching_embed,
@@ -75,6 +76,17 @@ class TestAngleStrategy:
         with pytest.raises(ValueError):
             AngleStrategy("even", theta=10.0)
 
+    @pytest.mark.parametrize("seed", [5.0, 1.5, True, "5", None])
+    def test_rejects_non_integer_seed(self, seed):
+        # A float seed would lose its low bits in the bench's seed sums.
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            AngleStrategy.random(seed)
+
+    def test_numpy_integer_seed_stored_as_int(self):
+        strategy = AngleStrategy.random(np.int64(5))
+        assert type(strategy.seed) is int
+        assert strategy == AngleStrategy.random(5)
+
 
 class TestEvenAngle:
     def test_symmetric_children(self):
@@ -93,6 +105,11 @@ class TestEvenAngle:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
             even_angle(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("length", [-1.0, math.nan])
+    def test_rejects_negative_or_nan_length(self, length):
+        with pytest.raises(ValueError, match="must be positive$"):
+            even_angle(1.0, 1.0, length)
 
 
 class TestDivisionStep:
@@ -182,6 +199,13 @@ class TestDivisionStep:
         with pytest.raises(ValueError):
             division_step((0.0, 0.0), None, -1.0, 1, 1, AngleStrategy.even())
 
+    @pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_height(self, height):
+        with pytest.raises(ValueError,
+                           match="^height must be finite and nonnegative$"):
+            division_step((0.0, 0.0), (1.0, 0.0), height, 1, 1,
+                          AngleStrategy.even())
+
     def test_random_requires_rng(self):
         strat = AngleStrategy.random(5)
         for _ in range(3):
@@ -212,6 +236,14 @@ class TestDivisionStep:
         assert com == pytest.approx(target, abs=EPS)
         assert n1 * np.linalg.norm(c1 - target) == pytest.approx(
             n2 * np.linalg.norm(c2 - target), abs=EPS)
+
+
+class TestEmbedding:
+    @pytest.mark.parametrize("shape", [(3, 3), (3,), (2, 2, 2)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError,
+                           match=r"^expected \(n, 2\) coordinates"):
+            Embedding(np.zeros(shape))
 
 
 class TestBranchingEmbed:

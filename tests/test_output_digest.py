@@ -2,7 +2,8 @@
 
 One run takes a few seconds.  It checks the output layout: a single
 digest line on stdout and one ``sha256 name`` line per output on stderr,
-and that the merge table lines hash the trees ``linkage`` builds.
+and that the table means and the merge table lines hash what
+``run_table_experiment`` and ``linkage`` give.
 """
 
 import hashlib
@@ -13,9 +14,11 @@ from pathlib import Path
 
 from branchembed import (
     LINKAGE_METHODS,
+    BenchConfig,
     euclidean_dissimilarity,
     linkage,
     load_csv,
+    run_table_experiment,
     serialize_merge_table,
 )
 
@@ -34,10 +37,16 @@ def test_digest_and_per_output_lines():
     pairs = [line.split(" ") for line in lines]
     names = [name for _, name in pairs]
     hashes = {name: sha for sha, name in pairs}
-    # The table; per method a tree plus 3 strategies x (coordinates,
-    # report, SVG, eval report); 2 correlation runs x (coordinates, report).
-    assert len(hashes) == len(names) == 1 + 4 * (1 + 3 * 4) + 2 * 2
-    assert names[0] == "table.csv"
+    # The table and its means; per method a tree plus 3 strategies x
+    # (coordinates, report, SVG, eval report); 2 correlation runs x
+    # (coordinates, report).
+    assert len(hashes) == len(names) == 2 + 4 * (1 + 3 * 4) + 2 * 2
+    assert names[:2] == ["table.csv", "table-means.hex"]
+    table = run_table_experiment(BenchConfig(trials=20))
+    means = "".join(f"{v.hex()}\n" for m in (table.mean_r_c, table.mean_r_k)
+                    for v in m.ravel().tolist())
+    assert hashes["table-means.hex"] == \
+        hashlib.sha256(means.encode()).hexdigest()
 
     data = load_csv(ROOT / "src" / "branchembed" / "data" / "iris.csv",
                     has_header=True, label_column=4).data

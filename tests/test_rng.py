@@ -79,3 +79,11 @@ class TestNormals:
     def test_reproducible(self):
         assert np.array_equal(SplitMix64(5).normals(17),
                               SplitMix64(5).normals(17))
+
+    @pytest.mark.parametrize("draw", ["uint64", "normals"])
+    def test_rejects_negative_count(self, draw):
+        gen = SplitMix64(5)
+        with pytest.raises(ValueError, match="^count must be nonnegative$"):
+            getattr(gen, draw)(-1)
+        # The failed call drew nothing.
+        assert gen.next_uint64() == SplitMix64(5).next_uint64()
