@@ -16,6 +16,11 @@ checkout); the package is imported from there.  The digest covers:
 * the coordinates and reports of two ``embed --metric correlation
   --report`` runs.
 
+Every CLI command runs twice in this one process, as
+``branchembed.cli.main(argv)`` may be called repeatedly; if the second
+call writes other bytes than the first, the script names the output on
+stderr and exits with status 2.
+
 Two source trees that print the same digest write the same bytes for all
 of these.  The digest is the only line on stdout.  Stderr gets one
 ``sha256 name`` line per output, in digest order, so when two trees'
@@ -72,11 +77,19 @@ def main(argv) -> int:
         work = Path(tmp)
 
         def run(args, outputs) -> None:
-            code = cli(args)
-            if code != 0:
-                raise SystemExit(f"exit {code}: {' '.join(args)}")
-            for name in outputs:
-                add(name, (work / name).read_bytes())
+            written = []
+            for _ in range(2):
+                code = cli(args)
+                if code != 0:
+                    raise SystemExit(f"exit {code}: {' '.join(args)}")
+                written.append([(work / name).read_bytes()
+                                for name in outputs])
+            for name, first, second in zip(outputs, *written):
+                if first != second:
+                    print(f"error: a second call wrote other bytes to "
+                          f"{name}", file=sys.stderr)
+                    raise SystemExit(2)
+                add(name, first)
 
         embed = ["embed", "--input", iris_csv, "--has-header",
                  "--label-column", "4"]

@@ -11,11 +11,17 @@ All randomness is seeded (``--seed``, default 0) and output files are
 written deterministically, so rerunning a command with the same flags
 reproduces identical bytes.  Errors exit with status 2 and a one-line
 message on stderr naming the offending input.
+
+:func:`main` takes an argument list, so it may be called repeatedly in
+one process; the calls share one parser, built on the first call, and
+leave no state behind (:func:`build_parser` returns a new parser on
+every call).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -54,12 +60,14 @@ def _strategy_from_args(args) -> AngleStrategy:
 
 
 def _coords_csv(coords: np.ndarray, labels) -> str:
-    lines = ["id,x,y,label" if labels is not None else "id,x,y"]
-    for i in range(coords.shape[0]):
-        row = f"{i},{coords[i, 0]:.17g},{coords[i, 1]:.17g}"
-        if labels is not None:
-            row += f",{labels[i]}"
-        lines.append(row)
+    points = coords.tolist()
+    if labels is None:
+        lines = ["id,x,y"] + [f"{i},{x:.17g},{y:.17g}"
+                              for i, (x, y) in enumerate(points)]
+    else:
+        lines = ["id,x,y,label"] + [
+            f"{i},{x:.17g},{y:.17g},{label}"
+            for i, ((x, y), label) in enumerate(zip(points, labels.tolist()))]
     return "\n".join(lines) + "\n"
 
 
@@ -220,9 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process: parsing
+    leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BranchEmbedError as exc:

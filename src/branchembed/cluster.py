@@ -224,7 +224,7 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     reject ward on correlation dissimilarities (:func:`check_condition`
     does).  Raises, under every method, :class:`NegativeHeight` at record
     0 if ``d0`` holds a negative value, :class:`SizeLimit` if its n x n
-    matrix would not fit in physical memory, and
+    matrix and ``d0`` together would not fit in physical memory, and
     :class:`LinkageOverflow` if a merged dissimilarity (for ward, a
     squared one) exceeds the float64 range.
     """
@@ -235,7 +235,9 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
         # Every method's first merge is at the smallest value, so this is
         # the error validate_dendrogram gives; ward's squares would hide it.
         raise NegativeHeight(f"record 0: height {low!r} < 0", record=0)
-    _check_size("the n x n matrix", 8 * d0.n * d0.n)
+    # The condensed input stays alive beside the matrix.
+    _check_size("the n x n matrix and its condensed input",
+                8 * d0.n * d0.n + d0.values.nbytes)
     return _linkage_square(d0.to_square(), method)
 
 

@@ -49,8 +49,8 @@ except (AttributeError, OSError, ValueError):
 
 
 def _check_size(what: str, nbytes: int) -> None:
-    """Raise :class:`SizeLimit` if ``what``, an array of ``nbytes``
-    bytes, is larger than physical memory."""
+    """Raise :class:`SizeLimit` if ``what``, arrays of ``nbytes`` bytes
+    in all, is larger than physical memory."""
     if nbytes > _MEMORY_LIMIT:
         raise SizeLimit(what, nbytes, _MEMORY_LIMIT)
 

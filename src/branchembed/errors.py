@@ -84,8 +84,8 @@ class SizeLimit(BranchEmbedError, MemoryError):
     """An array the computation needs is larger than this machine's
     physical memory, so it is refused before anything is allocated.
 
-    ``nbytes`` is the size of the refused array and ``limit`` the
-    physical memory, both in bytes.
+    ``nbytes`` is the size of what was refused (the arrays held
+    together) and ``limit`` the physical memory, both in bytes.
     """
 
     def __init__(self, what, nbytes, limit):

@@ -55,13 +55,15 @@ def render_svg_scatter(coords: Union[Embedding, np.ndarray],
         f'height="{size}" viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
-    for row in range(pts.shape[0]):
-        cx = (pts[row, 0] - origin[0]) * scale
-        cy = size - (pts[row, 1] - origin[1]) * scale  # y grows upward
-        color = PALETTE[int(labels[row]) % 10] if labels is not None else PALETTE[0]
-        parts.append(
-            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{point_radius:g}" '
-            f'fill="{color}" fill-opacity="0.8"/>'
-        )
+    # One elementwise expression per axis: each position takes the same
+    # IEEE operations, in the same order, as it would on its own.
+    cx = ((pts[:, 0] - origin[0]) * scale).tolist()
+    cy = (size - (pts[:, 1] - origin[1]) * scale).tolist()  # y grows upward
+    colors = ([PALETTE[int(label) % 10] for label in labels.tolist()]
+              if labels is not None else [PALETTE[0]] * len(cx))
+    radius = f"{point_radius:g}"
+    parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}" '
+              f'fill="{color}" fill-opacity="0.8"/>'
+              for x, y, color in zip(cx, cy, colors)]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -10,8 +10,11 @@ full-matrix scan behind the cached-minimum ``linkage`` (same arithmetic);
 ``euclidean_dissimilarity``; ``scatter_pair_matrices``, the per-record
 scatter behind the range-minimum ``_pair_matrices``;
 ``stack_leaves_and_gaps``, the stack walk behind the top-down leaf
-layout; and ``percell_table``, the one-``linkage``-per-cell benchmark loop
-behind ``run_table_experiment``'s stacked reclustering.
+layout; ``percell_table``, the one-``linkage``-per-cell benchmark loop
+behind ``run_table_experiment``'s stacked reclustering; and
+``pervalue_coords_csv`` and ``pervalue_svg_scatter``, the writers that
+formatted one numpy scalar at a time behind ``cli._coords_csv`` and
+``render_svg_scatter`` (same bytes).
 """
 
 import math
@@ -30,6 +33,7 @@ from branchembed import bench, cluster
 from branchembed.cluster import _lw_combine
 from branchembed.errors import BranchEmbedError
 from branchembed.metrics import _scores, convert_dendrogram
+from branchembed.svgplot import _MARGIN, PALETTE
 
 
 def random_dendrogram(n, rng, max_step=1.0):
@@ -388,3 +392,44 @@ def percell_table(cfg):
             failures=failures,
             trials=cfg.trials,
         )
+
+
+def pervalue_coords_csv(coords, labels):
+    """The coordinates CSV the CLI writes, one numpy scalar per value."""
+    lines = ["id,x,y,label" if labels is not None else "id,x,y"]
+    for i in range(coords.shape[0]):
+        row = f"{i},{coords[i, 0]:.17g},{coords[i, 1]:.17g}"
+        if labels is not None:
+            row += f",{labels[i]}"
+        lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+def pervalue_svg_scatter(pts, labels=None, size=640, point_radius=3.0):
+    """``render_svg_scatter`` of finite (n, 2) float64 ``pts``, one numpy
+    scalar expression per coordinate."""
+    mins = pts.min(axis=0)
+    maxs = pts.max(axis=0)
+    center = (mins + maxs) / 2.0
+    span = float((maxs - mins).max())
+    if span == 0.0:
+        span = 1.0
+    side = span * (1.0 + 2.0 * _MARGIN)
+    scale = size / side
+    origin = center - side / 2.0
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'height="{size}" viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+    ]
+    for row in range(pts.shape[0]):
+        cx = (pts[row, 0] - origin[0]) * scale
+        cy = size - (pts[row, 1] - origin[1]) * scale
+        color = (PALETTE[int(labels[row]) % 10] if labels is not None
+                 else PALETTE[0])
+        parts.append(
+            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{point_radius:g}" '
+            f'fill="{color}" fill-opacity="0.8"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -28,13 +28,18 @@ from branchembed import (
     parse_merge_table,
     run_table_experiment,
 )
-from branchembed import bench, cluster
+from branchembed import bench, cli, cluster
 from branchembed.bench import _ANGLE_STREAM_OFFSET
-from branchembed.cli import main
+from branchembed.cli import build_parser, main
 from branchembed.embed import Embedding
 from branchembed.errors import BranchEmbedError
 from branchembed.svgplot import PALETTE, render_svg_scatter
-from helpers import fill_spy, percell_table
+from helpers import (
+    fill_spy,
+    percell_table,
+    pervalue_coords_csv,
+    pervalue_svg_scatter,
+)
 
 TINY = dict(trials=3, rows=12, cols=4)
 
@@ -785,3 +790,109 @@ class TestCliBench:
         code = main(["bench", "--trials", "1", "--rows", "10", "--cols",
                      "3", "--out", str(tmp_path / "missing" / "t.csv")])
         assert code == 2
+
+
+def _awkward_coords(seed, n=60):
+    """Random coordinates over many magnitudes, with -0.0, subnormal and
+    +-1e300 values among them."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-8, 9, (n, 2))
+    pts.flat[:6] = [-0.0, 5e-324, -2.5e-310, 1e300, -1e300, 0.0]
+    return pts[rng.permutation(n)]
+
+
+class TestCliInProcess:
+    """``main`` called repeatedly in one process: one parser, no state
+    carried from one call to the next."""
+
+    @pytest.fixture
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_one_parser_per_process(self, fresh_parser, monkeypatch,
+                                    data_csv, table_csv, tmp_path):
+        built = []
+
+        def spy():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        coords = tmp_path / "coords.csv"
+        assert main(["embed", "--dendrogram", str(table_csv),
+                     "--out", str(coords)]) == 0
+        assert main(["eval", "--coords", str(coords), "--dendrogram",
+                     str(table_csv), "--report",
+                     str(tmp_path / "r.json")]) == 0
+        assert built == [1]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_no_state_leaks_between_calls(self, fresh_parser, table_csv,
+                                          tmp_path):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        labeled = inputs / "labeled.csv"
+        rng = np.random.default_rng(3)
+        labeled.write_text("".join(
+            f"{x!r},{y!r},{k}\n" for (x, y), k in
+            zip(rng.normal(size=(10, 2)).tolist(), [0, 1] * 5)))
+        plain = inputs / "plain.csv"
+        plain.write_text("".join(f"{x!r},{y!r}\n" for x, y
+                                 in rng.normal(size=(8, 2)).tolist()))
+        coords = inputs / "coords.csv"
+        coords.write_text("id,x,y\n0,0,0\n1,1,0\n2,5,5\n3,6,5\n")
+
+        def calls(out):
+            return [
+                ["embed"],
+                ["embed", "--input", str(labeled), "--label-column", "2",
+                 "--no-swap", "--theta", "30", "--out", str(out / "a.csv"),
+                 "--report", str(out / "a.json"), "--svg",
+                 str(out / "a.svg")],
+                ["embed", "--input", str(plain), "--out", str(out / "b.csv"),
+                 "--svg", str(out / "b.svg")],
+                ["embed", "--input", str(plain), "--strategy", "even",
+                 "--out", str(out / "c.csv")],
+                ["eval", "--coords", str(coords), "--dendrogram",
+                 str(table_csv), "--report", str(out / "e.json")],
+            ]
+
+        def run(argvs):
+            for argv in argvs:
+                if argv == ["embed"]:
+                    with pytest.raises(SystemExit) as exc:
+                        main(argv)
+                    assert exc.value.code == 2
+                else:
+                    assert main(argv) == 0
+
+        written = []
+        for name, order in (("forward", 1), ("reverse", -1)):
+            out = tmp_path / name
+            out.mkdir()
+            run(calls(out)[::order])
+            written.append({path.name: path.read_bytes()
+                            for path in sorted(out.iterdir())})
+        assert sorted(written[0]) == ["a.csv", "a.json", "a.svg", "b.csv",
+                                      "b.svg", "c.csv", "e.json"]
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_writers_equal_per_value_writers(self, seed, labeled):
+        pts = _awkward_coords(seed)
+        labels = (np.random.default_rng(seed).integers(-25, 25, len(pts))
+                  if labeled else None)
+        assert cli._coords_csv(pts, labels) == \
+            pervalue_coords_csv(pts, labels)
+        # Without the +-1e300 points the others spread over the plot; on
+        # a 1e15-wide plot two decimals show every bit of each position.
+        for sub in (pts, pts[np.abs(pts).max(axis=1) < 1e200]):
+            sub_labels = None if labels is None else labels[:len(sub)]
+            for size in (640, 10 ** 15):
+                assert render_svg_scatter(sub, sub_labels, size) == \
+                    pervalue_svg_scatter(sub, sub_labels, size)

@@ -206,6 +206,20 @@ class TestDivisionStep:
             division_step((0.0, 0.0), (1.0, 0.0), height, 1, 1,
                           AngleStrategy.even())
 
+    @pytest.mark.parametrize("target, sister, which", [
+        ((math.nan, 0.0), (1.0, 0.0), "target"),
+        ((0.0, 0.0), (math.nan, 0.0), "sister"),
+        ((0.0, 0.0), (0.0, math.inf), "sister"),
+    ], ids=["nan-target", "nan-sister", "inf-sister"])
+    def test_rejects_non_finite_points(self, target, sister, which):
+        # A NaN target would give NaN children, and a NaN sister would
+        # pass for a coincident one.
+        for strategy in (AngleStrategy.even(), AngleStrategy.fixed(30),
+                         AngleStrategy.random(5)):
+            with pytest.raises(ValueError, match=f"^{which} must be finite$"):
+                division_step(target, sister, 1.0, 1, 1, strategy,
+                              SplitMix64(5))
+
     def test_random_requires_rng(self):
         strat = AngleStrategy.random(5)
         for _ in range(3):

@@ -175,7 +175,10 @@ class TestSizeLimit:
         _, d0, _, _ = inputs
         peak, err = _peak(linkage, d0, method)
         assert isinstance(err, SizeLimit)
-        assert (err.nbytes, err.limit) == (8 * 100 * 100, self.LIMIT)
+        # The n x n matrix and the condensed input beside it.
+        assert (err.nbytes, err.limit) == (8 * 100 * 100 + 8 * 4950,
+                                           self.LIMIT)
+        assert "the n x n matrix and its condensed input" in str(err)
         assert peak < err.nbytes
 
     @pytest.mark.parametrize("kind", ["euclidean", "correlation"])
@@ -215,13 +218,16 @@ class TestSizeLimit:
         assert err.value.nbytes == 3 * 8 * 100 * 100
 
     def test_within_the_limit(self, monkeypatch, inputs):
-        # Every array may take the whole limit.
+        # Every check may take the whole limit.
         x, d0, tree, emb = inputs
         report = evaluate_embedding(tree, emb, "average")
+        single = linkage(d0, "single")
         monkeypatch.setattr(dendrogram, "_MEMORY_LIMIT", 8 * 100 * 100)
-        assert cluster._cluster_data(x, "euclidean", "single") == \
-            linkage(d0, "single")
+        assert cluster._cluster_data(x, "euclidean", "single") == single
         assert evaluate_embedding(tree, emb, "average") == report
+        monkeypatch.setattr(dendrogram, "_MEMORY_LIMIT",
+                            8 * 100 * 100 + d0.values.nbytes)
+        assert linkage(d0, "single") == single
 
 
 def test_peak_memory_script():

@@ -3,15 +3,21 @@
 One run takes a few seconds.  It checks the output layout: a single
 digest line on stdout and one ``sha256 name`` line per output on stderr,
 and that the table means and the merge table lines hash what
-``run_table_experiment`` and ``linkage`` give.
+``run_table_experiment`` and ``linkage`` give.  An in-process run with a
+CLI whose repeat calls write other bytes checks that the script stops.
 """
 
 import hashlib
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import branchembed
+import branchembed.cli
 from branchembed import (
     LINKAGE_METHODS,
     BenchConfig,
@@ -55,3 +61,33 @@ def test_digest_and_per_output_lines():
             linkage(euclidean_dissimilarity(data), method)).encode()
         assert hashes[f"{method}-tree.txt"] == \
             hashlib.sha256(tree).hexdigest()
+
+
+def test_repeat_call_writing_other_bytes_exits_2(monkeypatch, capsys):
+    tiny = run_table_experiment(BenchConfig(trials=1, rows=10, cols=3))
+    monkeypatch.setattr(branchembed, "run_table_experiment",
+                        lambda cfg: tiny)
+    real = branchembed.cli.main
+    seen = set()
+
+    def drifting(argv):
+        # Every repeated call appends a byte to its SVG.
+        code = real(argv)
+        if tuple(argv) in seen and "--svg" in argv:
+            svg = Path(argv[argv.index("--svg") + 1])
+            svg.write_bytes(svg.read_bytes() + b" ")
+        seen.add(tuple(argv))
+        return code
+
+    monkeypatch.setattr(branchembed.cli, "main", drifting)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", ROOT / "scripts" / "output_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.raises(SystemExit) as exc:
+        script.main([str(ROOT / "src")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: a second call wrote other bytes to "
+        f"{LINKAGE_METHODS[0]}-fixed.svg")
