@@ -17,9 +17,10 @@ checkout); the package is imported from there.  The digest covers:
   --report`` runs.
 
 Every CLI command runs twice in this one process, as
-``branchembed.cli.main(argv)`` may be called repeatedly; if the second
-call writes other bytes than the first, the script names the output on
-stderr and exits with status 2.
+``branchembed.cli.main(argv)`` may be called repeatedly, each call after
+its outputs are removed; if a call leaves an output unwritten or the
+second call writes other bytes than the first, the script names the
+output on stderr and exits with status 2.
 
 Two source trees that print the same digest write the same bytes for all
 of these.  The digest is the only line on stdout.  Stderr gets one
@@ -79,17 +80,25 @@ def main(argv) -> int:
         def run(args, outputs) -> None:
             written = []
             for _ in range(2):
+                # Each call must write every output afresh.
+                for name in outputs:
+                    (work / name).unlink(missing_ok=True)
                 code = cli(args)
                 if code != 0:
                     raise SystemExit(f"exit {code}: {' '.join(args)}")
                 written.append([(work / name).read_bytes()
+                                if (work / name).exists() else None
                                 for name in outputs])
             for name, first, second in zip(outputs, *written):
-                if first != second:
-                    print(f"error: a second call wrote other bytes to "
-                          f"{name}", file=sys.stderr)
-                    raise SystemExit(2)
-                add(name, first)
+                if first is None or second is None:
+                    problem = "a call wrote nothing to"
+                elif first != second:
+                    problem = "a second call wrote other bytes to"
+                else:
+                    add(name, first)
+                    continue
+                print(f"error: {problem} {name}", file=sys.stderr)
+                raise SystemExit(2)
 
         embed = ["embed", "--input", iris_csv, "--has-header",
                  "--label-column", "4"]

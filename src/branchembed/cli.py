@@ -15,7 +15,8 @@ message on stderr naming the offending input.
 :func:`main` takes an argument list, so it may be called repeatedly in
 one process; the calls share one parser, built on the first call, and
 leave no state behind (:func:`build_parser` returns a new parser on
-every call).
+every call).  Sharing the parser saves its build only on calls after
+the first; :func:`entrypoint` runs one call per process.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ the merged entry is larger than it.  A step with m active clusters
 therefore costs O(m) plus O(m) per rescanned row, so typical inputs take
 O(n^2) time, however many pairs tie; an input that makes most rows stale
 at most steps (complete or average linkage can) takes up to O(n^3).
-Memory is one n x n float64 matrix, and a matrix larger than physical
-memory raises :class:`~branchembed.errors.SizeLimit` before it is
-allocated.  The merge arithmetic and the tie-break are those of the
+Memory is one n x n float64 matrix, and a matrix that, with the
+condensed input beside it, is larger than physical memory raises
+:class:`~branchembed.errors.SizeLimit` before it is allocated.  The merge arithmetic and the tie-break are those of the
 stepwise full-matrix scan, so the merge tables are equal to its, bit for
 bit.
 
@@ -32,7 +32,8 @@ O(n), valid by construction.
 :func:`_cluster_stack` is the one dispatch that the library, the CLI and
 the benchmark use to cluster data.  A problem is ``(x, kind, method)``,
 and its result is what ``linkage(dissimilarity(kind, x), method)``
-returns or raises, bit for bit; :func:`_cluster_data` is a call with one
+returns or raises, bit for bit, short of the memory limit (see
+:func:`_cluster_stack`); :func:`_cluster_data` is a call with one
 problem, which raises the error.  Problems with a closed form take it.
 At small n a step costs numpy call overhead rather than arithmetic, so
 the others are ordered by method and cut into equal (B, n, n) stacks of
@@ -327,7 +328,8 @@ def _linkage_square(dm: np.ndarray, method: str) -> Dendrogram:
 
 def _cluster_data(x, kind: str, method: str) -> Dendrogram:
     """``linkage(dissimilarity(kind, x), method)``, bit for bit, with the
-    same errors: a one-problem :func:`_cluster_stack` call."""
+    same errors short of the memory limit: a one-problem
+    :func:`_cluster_stack` call."""
     tree, = _cluster_stack([(x, kind, method)])
     if isinstance(tree, BranchEmbedError):
         raise tree
@@ -412,10 +414,14 @@ def _cluster_stack(problems) -> list:
     then :func:`linkage`'s.  A stack whose fill is not finite, and a
     stack of several in which any tree fails, go through
     ``linkage(dissimilarity(kind, x), method)`` one problem at a time.
-    The trees equal that expression bit for bit, and so do the errors.
-    A matrix or stack larger than physical memory raises
-    :class:`~branchembed.errors.SizeLimit` for the whole call before it
-    is allocated.
+    The trees equal that expression bit for bit, and so do the errors,
+    but for the memory limit.  A matrix or stack larger than physical
+    memory raises :class:`~branchembed.errors.SizeLimit` for the whole
+    call before it is allocated.  A one-problem stack holds no condensed
+    matrix, so it counts only its n x n matrix, where :func:`linkage`
+    also counts the condensed input beside it: a matrix that fits but
+    comes within ``4 * n * (n - 1)`` bytes of the limit is clustered
+    here and refused by that expression.
     """
     rank = {method: r for r, method in enumerate(LINKAGE_METHODS)}
     checked = []

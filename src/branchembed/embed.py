@@ -170,10 +170,9 @@ def division_step(target, sister, height, n1, n2,
 
 def _division_step(target, sister, height, n1, n2, strategy, rng):
     """:func:`division_step` without its check of the points, for the
-    once-per-record loop of :func:`branching_embed`, where the check cost
-    2% of a benchmark table pass.  That loop starts at the origin, so its
-    points stay finite unless heights near the float64 maximum overflow
-    their sums."""
+    once-per-record loop of :func:`branching_embed`.  That loop starts at
+    the origin, and a point that overflows makes every leaf below it
+    non-finite, so the loop checks its leaves once, at the end."""
     if n1 < 1 or n2 < 1:
         raise ValueError("child sizes must be positive")
     if not 0.0 <= height < math.inf:  # also catches NaN
@@ -225,7 +224,9 @@ def branching_embed(d: Dendrogram, strategy: AngleStrategy,
     first (reverse creation order), so a cluster's own position and its
     sister's are always known before it divides.  With ``trace=True`` the
     returned embedding carries one :class:`SplitEvent` per record in
-    processing order.  Runs in O(n).
+    processing order.  Runs in O(n).  Raises ``ValueError`` if a
+    coordinate overflows float64, as heights near its maximum can make
+    sums of travel distances do.
     """
     n = d.n_leaves
     if n < 2:
@@ -263,6 +264,8 @@ def branching_embed(d: Dendrogram, strategy: AngleStrategy,
     coords = np.empty((n, 2))
     coords[:, 0] = xs[:n]
     coords[:, 1] = ys[:n]
+    if not np.isfinite(coords).all():
+        raise ValueError("embedding coordinates overflow float64")
     return Embedding(coords, events)
 
 

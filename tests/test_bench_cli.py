@@ -530,6 +530,20 @@ class TestCliEmbed:
         expected = branching_embed(d, AngleStrategy.even()).coords
         assert coords == pytest.approx(np.asarray(expected), abs=1e-12)
 
+    def test_embed_overflowing_tree(self, tmp_path, capsys):
+        # A valid merge table whose embedding overflows float64 exits 2
+        # and writes no coordinates.
+        tree = tmp_path / "tree.csv"
+        tree.write_text("0,1,1e308,2\n2,3,1e308,2\n4,5,1e308,2\n"
+                        "6,7,1e308,2\n8,9,1.2e308,4\n10,11,1.5e308,4\n"
+                        "12,13,1.7e308,8\n")
+        out = tmp_path / "coords.csv"
+        code = main(["embed", "--dendrogram", str(tree), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: embedding coordinates overflow float64\n")
+        assert not out.exists()
+
     def test_embed_deterministic_rerun(self, data_csv, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -41,6 +41,11 @@ ALL_STRATEGIES = [
     AngleStrategy.even(),
 ]
 
+# A balanced 8-leaf tree whose embedding overflows float64.
+OVERFLOWING_TREE = [(0, 1, 1e308, 2), (2, 3, 1e308, 2), (4, 5, 1e308, 2),
+                    (6, 7, 1e308, 2), (8, 9, 1.2e308, 4),
+                    (10, 11, 1.5e308, 4), (12, 13, 1.7e308, 8)]
+
 
 class TestAngleStrategy:
     def test_factories(self):
@@ -382,6 +387,15 @@ class TestBranchingEmbed:
         a = branching_embed(d, AngleStrategy.random(seed=1)).coords
         b = branching_embed(d, AngleStrategy.random(seed=2)).coords
         assert not np.allclose(a, b)
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_overflowing_coordinates_rejected(self, strategy):
+        # A valid tree whose heights near the float64 maximum make the
+        # sums of travel distances overflow.
+        d = validate_dendrogram(OVERFLOWING_TREE, 8)
+        with pytest.raises(ValueError,
+                           match="^embedding coordinates overflow float64$"):
+            branching_embed(d, strategy)
 
     def test_random_root_direction_varies(self):
         d = validate_dendrogram([(0, 1, 1.0, 2)], 2)

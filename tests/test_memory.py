@@ -229,6 +229,19 @@ class TestSizeLimit:
                             8 * 100 * 100 + d0.values.nbytes)
         assert linkage(d0, "single") == single
 
+    def test_one_problem_counts_no_condensed_input(self, monkeypatch,
+                                                   inputs):
+        # At a limit of exactly 8 n^2 the one-problem path, which holds
+        # no condensed matrix, clusters; linkage, which holds its
+        # condensed input beside the matrix, refuses.
+        x, d0, _, _ = inputs
+        single = linkage(d0, "single")
+        monkeypatch.setattr(dendrogram, "_MEMORY_LIMIT", 8 * 100 * 100)
+        assert cluster._cluster_data(x, "euclidean", "single") == single
+        with pytest.raises(SizeLimit) as err:
+            linkage(d0, "single")
+        assert err.value.nbytes == 8 * 100 * 100 + d0.values.nbytes
+
 
 def test_peak_memory_script():
     run = subprocess.run(

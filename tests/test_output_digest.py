@@ -3,8 +3,9 @@
 One run takes a few seconds.  It checks the output layout: a single
 digest line on stdout and one ``sha256 name`` line per output on stderr,
 and that the table means and the merge table lines hash what
-``run_table_experiment`` and ``linkage`` give.  An in-process run with a
-CLI whose repeat calls write other bytes checks that the script stops.
+``run_table_experiment`` and ``linkage`` give.  In-process runs with a
+CLI whose repeat calls write other bytes, or leave an output unwritten,
+check that the script stops.
 """
 
 import hashlib
@@ -63,23 +64,22 @@ def test_digest_and_per_output_lines():
             hashlib.sha256(tree).hexdigest()
 
 
-def test_repeat_call_writing_other_bytes_exits_2(monkeypatch, capsys):
+def _digest_with_cli(monkeypatch, wrapped):
+    """Run the script in this process with a tiny table and with
+    ``wrapped(real_main, argv, repeated)`` as the CLI, and check that it
+    exits with status 2."""
     tiny = run_table_experiment(BenchConfig(trials=1, rows=10, cols=3))
     monkeypatch.setattr(branchembed, "run_table_experiment",
                         lambda cfg: tiny)
     real = branchembed.cli.main
     seen = set()
 
-    def drifting(argv):
-        # Every repeated call appends a byte to its SVG.
-        code = real(argv)
-        if tuple(argv) in seen and "--svg" in argv:
-            svg = Path(argv[argv.index("--svg") + 1])
-            svg.write_bytes(svg.read_bytes() + b" ")
+    def cli(argv):
+        repeated = tuple(argv) in seen
         seen.add(tuple(argv))
-        return code
+        return wrapped(real, argv, repeated)
 
-    monkeypatch.setattr(branchembed.cli, "main", drifting)
+    monkeypatch.setattr(branchembed.cli, "main", cli)
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location(
         "output_digest", ROOT / "scripts" / "output_digest.py")
@@ -88,6 +88,31 @@ def test_repeat_call_writing_other_bytes_exits_2(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         script.main([str(ROOT / "src")])
     assert exc.value.code == 2
+
+
+def test_repeat_call_writing_other_bytes_exits_2(monkeypatch, capsys):
+    def drifting(real, argv, repeated):
+        # Every repeated call appends a byte to its SVG.
+        code = real(argv)
+        if repeated and "--svg" in argv:
+            svg = Path(argv[argv.index("--svg") + 1])
+            svg.write_bytes(svg.read_bytes() + b" ")
+        return code
+
+    _digest_with_cli(monkeypatch, drifting)
     assert capsys.readouterr().err.splitlines()[-1] == (
         "error: a second call wrote other bytes to "
         f"{LINKAGE_METHODS[0]}-fixed.svg")
+
+
+def test_repeat_call_writing_nothing_exits_2(monkeypatch, capsys):
+    def skipping(real, argv, repeated):
+        # Every repeated call leaves out its SVG.
+        if repeated and "--svg" in argv:
+            k = argv.index("--svg")
+            argv = argv[:k] + argv[k + 2:]
+        return real(argv)
+
+    _digest_with_cli(monkeypatch, skipping)
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: a call wrote nothing to {LINKAGE_METHODS[0]}-fixed.svg")
