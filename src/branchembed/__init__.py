@@ -57,6 +57,7 @@ from .errors import (
     DendrogramError,
     DissimilarityOverflow,
     DuplicateChild,
+    EmbeddingOverflow,
     ForwardReference,
     IoError,
     LinkageOverflow,
@@ -94,6 +95,7 @@ __all__ = [
     "DISSIMILARITY_KINDS",
     "DuplicateChild",
     "Embedding",
+    "EmbeddingOverflow",
     "EvalReport",
     "ForwardReference",
     "IoError",

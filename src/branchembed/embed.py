@@ -23,6 +23,13 @@ The root has no sister; its axis is the +x direction (or a random angle
 for the random strategy), which only fixes the global orientation.  A
 sister that coincides with the target (see ``_DEGENERATE``) gives no
 direction either: ``fixed`` rotates +x by theta and ``even`` keeps +x.
+
+:func:`division_step` is the public form of one split.
+:func:`branching_embed` does not call it: it computes what no position
+depends on once per tree, then runs one loop over the records that
+performs the same operations as :func:`division_step`, in the same order,
+so the two agree bit for bit (``tests/test_embed.py::TestReplay`` checks
+this against a record-by-record replay).  The loop stays O(n).
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import numpy as np
 
 from .datasets import _check_integer
 from .dendrogram import Dendrogram, _layout
+from .errors import EmbeddingOverflow
 from .rng import SplitMix64
 
 STRATEGY_KINDS = ("random", "fixed", "even")
@@ -159,20 +167,15 @@ def division_step(target, sister, height, n1, n2,
     children end up exactly ``height`` apart and the size-weighted mean of
     the two positions stays on the target.  A point that is not finite
     raises ``ValueError``.
+
+    :func:`branching_embed` places every split of a tree with the same
+    operations, in the same order, in one loop of its own.
     """
     if not (math.isfinite(target[0]) and math.isfinite(target[1])):
         raise ValueError("target must be finite")
     if sister is not None and not (math.isfinite(sister[0])
                                    and math.isfinite(sister[1])):
         raise ValueError("sister must be finite")
-    return _division_step(target, sister, height, n1, n2, strategy, rng)
-
-
-def _division_step(target, sister, height, n1, n2, strategy, rng):
-    """:func:`division_step` without its check of the points, for the
-    once-per-record loop of :func:`branching_embed`.  That loop starts at
-    the origin, and a point that overflows makes every leaf below it
-    non-finite, so the loop checks its leaves once, at the end."""
     if n1 < 1 or n2 < 1:
         raise ValueError("child sizes must be positive")
     if not 0.0 <= height < math.inf:  # also catches NaN
@@ -224,48 +227,113 @@ def branching_embed(d: Dendrogram, strategy: AngleStrategy,
     first (reverse creation order), so a cluster's own position and its
     sister's are always known before it divides.  With ``trace=True`` the
     returned embedding carries one :class:`SplitEvent` per record in
-    processing order.  Runs in O(n).  Raises ``ValueError`` if a
-    coordinate overflows float64, as heights near its maximum can make
-    sums of travel distances do.
+    processing order.  Raises :class:`EmbeddingOverflow` if a coordinate
+    overflows float64, as heights near its maximum can make sums of
+    travel distances do.
+
+    Each split performs the operations of :func:`division_step`, in the
+    same order, so the coordinates and the trace are bit for bit those of
+    calling it once per record, root first, with one shared
+    ``SplitMix64(strategy.seed)`` (``helpers.replay_embed`` in the tests
+    does so).  What no position depends on is computed once per call:
+    the travel distances and fixed's swap, in numpy; fixed's rotation;
+    random's n - 1 angles, record k taking draw n - 1 - k of the stream,
+    and their cosines and sines.  The loop over the records then reads
+    and writes lists only, and runs in O(n).
     """
     n = d.n_leaves
     if n < 2:
         raise ValueError("need at least 2 leaves to embed")
+    kind = strategy.kind
+    sizes = np.concatenate((np.ones(n, dtype=np.int64), d.size))
+    n1 = sizes[d.left]
+    n2 = sizes[d.right]
+    total = n1 + n2
+    with np.errstate(over="ignore"):
+        l1 = d.height * n2 / total
+        l2 = d.height * n1 / total
+    if kind == "fixed" and strategy.swap:
+        # Push the larger child away from the sister.
+        flip = n1 > n2
+        np.negative(l1, out=l1, where=flip)
+        np.negative(l2, out=l2, where=flip)
+    l1 = l1.tolist()
+    l2 = l2.tolist()
+    left = d.left.tolist()
+    right = d.right.tolist()
+
+    hypot, cos, sin = math.hypot, math.cos, math.sin
+    random = kind == "random"
+    even = kind == "even"
+    if random:
+        draws = SplitMix64(strategy.seed).uniforms(n - 1)
+        ang = (_TWO_PI * draws)[::-1].tolist()
+        cos_r = [cos(a) for a in ang]
+        sin_r = [sin(a) for a in ang]
+    # The rotation below the root: fixed's theta; none for even, whose
+    # angle is per split unless the sister coincides.
+    rad = math.radians(strategy.theta) if kind == "fixed" else 0.0
+    cos_t = cos(rad)
+    sin_t = sin(rad)
+
     n_nodes = 2 * n - 1
     xs = [0.0] * n_nodes
     ys = [0.0] * n_nodes
     sib = [-1] * n_nodes
-    node_size = [1] * n + d.size.tolist()
-    left = d.left.tolist()
-    right = d.right.tolist()
-    heights = d.height.tolist()
-    rng = SplitMix64(strategy.seed) if strategy.kind == "random" else None
-    events: Optional[list[SplitEvent]] = [] if trace else None
+    events: Optional[list[SplitEvent]] = None
+    if trace:
+        events = []
+        heights = d.height.tolist()
+        n1 = n1.tolist()
+        n2 = n2.tolist()
 
     for k in range(n - 2, -1, -1):
         node = n + k
         a = left[k]
         b = right[k]
+        tx = xs[node]
+        ty = ys[node]
         s = sib[node]
-        target = (xs[node], ys[node])
-        sister = (xs[s], ys[s]) if s >= 0 else None
-        n1 = node_size[a]
-        n2 = node_size[b]
-        c1, c2 = _division_step(target, sister, heights[k], n1, n2,
-                                strategy, rng)
-        xs[a], ys[a] = c1
-        xs[b], ys[b] = c2
+        d1 = l1[k]
+        d2 = l2[k]
+        if random:
+            ux = cos_r[k]
+            uy = sin_r[k]
+        else:
+            # The unit direction toward the sister, or +x at the root and
+            # for a coincident sister, rotated counterclockwise by fixed's
+            # theta (not at the root) or by even's angle.
+            sx, sy, c, sn = 1.0, 0.0, 1.0, 0.0
+            if s >= 0:
+                c, sn = cos_t, sin_t
+                dx = xs[s] - tx
+                dy = ys[s] - ty
+                length = hypot(dx, dy)
+                if length > _DEGENERATE * (abs(tx) + abs(ty)):
+                    sx = dx / length
+                    sy = dy / length
+                    if even:
+                        r = even_angle(d1, d2, length)
+                        c = cos(r)
+                        sn = sin(r)
+            ux = sx * c - sy * sn
+            uy = sx * sn + sy * c
+        x1 = xs[a] = tx + d1 * ux
+        y1 = ys[a] = ty + d1 * uy
+        x2 = xs[b] = tx - d2 * ux
+        y2 = ys[b] = ty - d2 * uy
         sib[a] = b
         sib[b] = a
         if events is not None:
-            events.append(SplitEvent(node, target, sister, c1, c2,
-                                     heights[k], n1, n2))
+            events.append(SplitEvent(
+                node, (tx, ty), (xs[s], ys[s]) if s >= 0 else None,
+                (x1, y1), (x2, y2), heights[k], n1[k], n2[k]))
 
     coords = np.empty((n, 2))
     coords[:, 0] = xs[:n]
     coords[:, 1] = ys[:n]
     if not np.isfinite(coords).all():
-        raise ValueError("embedding coordinates overflow float64")
+        raise EmbeddingOverflow()
     return Embedding(coords, events)
 
 
@@ -276,14 +344,19 @@ def line_embed(d: Dendrogram) -> Embedding:
     Along a line, single linkage merges exactly along the smallest gaps,
     so reclustering this embedding with Euclidean distance and single
     linkage reproduces the original cophenetic matrix.  The layout is
-    centered so the coordinates sum to zero.
+    centered so the coordinates sum to zero.  Raises
+    :class:`EmbeddingOverflow` if the running sum of gaps or its mean
+    overflows float64.
     """
     pos, _, gap_record = _layout(d)
     n = d.n_leaves
     x = np.empty(n)
     x[0] = 0.0
-    np.cumsum(d.height[gap_record], out=x[1:])
-    x -= x.mean()
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(d.height[gap_record], out=x[1:])
+        x -= x.mean()
+    if not np.isfinite(x).all():
+        raise EmbeddingOverflow()
     coords = np.zeros((n, 2))
     coords[:, 0] = x[pos]
     return Embedding(coords, None)

@@ -80,6 +80,14 @@ class LinkageOverflow(BranchEmbedError, ValueError):
         self.step = step
 
 
+class EmbeddingOverflow(BranchEmbedError, ValueError):
+    """A coordinate of an embedding overflows float64, as merge heights
+    near its maximum can make sums of travel distances do."""
+
+    def __init__(self):
+        super().__init__("embedding coordinates overflow float64")
+
+
 class SizeLimit(BranchEmbedError, MemoryError):
     """An array the computation needs is larger than this machine's
     physical memory, so it is refused before anything is allocated.

@@ -14,7 +14,9 @@ layout; ``percell_table``, the one-``linkage``-per-cell benchmark loop
 behind ``run_table_experiment``'s stacked reclustering; and
 ``pervalue_coords_csv`` and ``pervalue_svg_scatter``, the writers that
 formatted one numpy scalar at a time behind ``cli._coords_csv`` and
-``render_svg_scatter`` (same bytes).
+``render_svg_scatter`` (same bytes); and ``replay_embed``, public
+``division_step`` called once per record behind ``branching_embed``'s
+single loop (same bits, same trace).
 """
 
 import math
@@ -27,6 +29,10 @@ from branchembed import (
     AngleStrategy,
     BenchTable,
     Dendrogram,
+    EmbeddingOverflow,
+    SplitEvent,
+    SplitMix64,
+    division_step,
     validate_dendrogram,
 )
 from branchembed import bench, cluster
@@ -82,6 +88,17 @@ def balanced_dendrogram(n):
         if len(active) % 2:
             merged.append(active[-1])
         active = merged
+    return validate_dendrogram(records, n)
+
+
+def caterpillar_dendrogram(n, left_spine=True):
+    """Chain tree of depth n - 1: each record adds one leaf to the spine,
+    which is the left child (or the right one)."""
+    records, spine = [], 0
+    for k in range(n - 1):
+        pair = (spine, k + 1) if left_spine else (k + 1, spine)
+        records.append(pair + (float(k + 1), k + 2))
+        spine = n + k
     return validate_dendrogram(records, n)
 
 
@@ -433,3 +450,31 @@ def pervalue_svg_scatter(pts, labels=None, size=640, point_radius=3.0):
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def replay_embed(d: Dendrogram, strategy: AngleStrategy):
+    """Reference ``branching_embed``: one public ``division_step`` call
+    per record, root first, the random strategy drawing from one shared
+    ``SplitMix64(strategy.seed)``.  Returns the ``(n, 2)`` coordinates and
+    the ``SplitEvent`` of each call, in call order.  A child point that
+    is not finite raises ``EmbeddingOverflow`` at once: every leaf below
+    it would be non-finite too."""
+    n = d.n_leaves
+    point = {d.root: (0.0, 0.0)}
+    sister = {}
+    size = [1] * n + d.size.tolist()
+    rng = SplitMix64(strategy.seed)
+    events = []
+    for node, rec in reversed(list(enumerate(d.records(), start=n))):
+        target = point[node]
+        sis = point[sister[node]] if node in sister else None
+        n1, n2 = size[rec.left], size[rec.right]
+        c1, c2 = division_step(target, sis, rec.height, n1, n2, strategy,
+                               rng)
+        if not all(math.isfinite(v) for v in c1 + c2):
+            raise EmbeddingOverflow()
+        point[rec.left], point[rec.right] = c1, c2
+        sister[rec.left], sister[rec.right] = rec.right, rec.left
+        events.append(SplitEvent(node, target, sis, c1, c2, rec.height,
+                                 n1, n2))
+    return np.array([point[i] for i in range(n)]), events

@@ -27,6 +27,7 @@ from branchembed import (
     linkage,
     parse_merge_table,
     run_table_experiment,
+    validate_dendrogram,
 )
 from branchembed import bench, cli, cluster
 from branchembed.bench import _ANGLE_STREAM_OFFSET
@@ -251,6 +252,23 @@ class TestTableFailures:
         assert np.array_equal(table.failures, expected)
         _assert_percell(table, cfg)
 
+    def test_embed_overflow_lands_in_its_cells(self, monkeypatch):
+        # The embedder's own overflow error, from a tree whose heights
+        # near the float64 maximum make its coordinates overflow.
+        cfg = BenchConfig(trials=3, rows=14, cols=4, seed=5)
+        tree = validate_dendrogram(
+            [(0, 1, 1e308, 2), (2, 3, 1e308, 2), (4, 5, 1.5e308, 4)], 4)
+
+        def overflow(emb):
+            return branching_embed(tree, AngleStrategy.even())
+
+        _patch_embed(monkeypatch, _trial_originals(cfg, 1), "even", overflow)
+        table = run_table_experiment(cfg)
+        expected = np.zeros((7, 9), dtype=np.int64)
+        expected[:, table.strategy_labels.index("even")] = 1
+        assert np.array_equal(table.failures, expected)
+        _assert_percell(table, cfg)
+
     def test_failed_original_fails_its_row(self, monkeypatch):
         cfg = BenchConfig(trials=2, rows=12, cols=3, seed=9)
         real = bench.gaussian_matrix
@@ -467,6 +485,38 @@ class TestSvg:
         with pytest.raises(ValueError,
                            match=r"^expected \(n, 2\) coordinates"):
             render_svg_scatter(np.zeros(shape))
+
+    @pytest.mark.parametrize("pts, unit", [
+        ([[0.0, 0.0], [5e-324, 0.0]], [[0.0, 0.0], [1.0, 0.0]]),
+        ([[-1e308, 0.0], [1e308, 0.0]], [[-1.0, 0.0], [1.0, 0.0]]),
+    ], ids=["subnormal-span", "overflowing-span"])
+    def test_extreme_spans_are_placed(self, pts, unit):
+        # Without a power-of-two factor, size / side overflows for the
+        # first cloud and the span itself for the second: both would be
+        # drawn at nan and inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            svg = render_svg_scatter(np.array(pts))
+        assert "nan" not in svg and "inf" not in svg
+        assert svg == render_svg_scatter(np.array(unit))
+        assert 'cx="29.09" cy="320.00"' in svg
+        assert 'cx="610.91" cy="320.00"' in svg
+
+    @pytest.mark.parametrize("k", [-1074, -1030, 1021, 1022])
+    def test_power_of_two_scaling_keeps_the_bytes(self, k):
+        # Spans from 2**-1072 (subnormal) to 2**1025 (overflowing).
+        pts = np.array([[-2.0, 1.0], [2.0, 0.0], [1.0, -1.0], [0.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for size in (640, 10 ** 15):
+                assert render_svg_scatter(np.ldexp(pts, k), size=size) == \
+                    render_svg_scatter(pts, size=size)
+
+    def test_too_wide_a_range_rejected(self):
+        # A span of 1e-320 beside a point at 1: no power of two brings
+        # both into float64's range.
+        with pytest.raises(ValueError, match="orders of magnitude$"):
+            render_svg_scatter(np.array([[1.0, 0.0], [1.0, 1e-320]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinates_rejected(self, bad):

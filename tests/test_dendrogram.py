@@ -40,6 +40,7 @@ from helpers import (
     balanced_dendrogram,
     brute_cophenetic,
     brute_kinship,
+    caterpillar_dendrogram,
     random_dendrogram,
     scatter_pair_matrices,
     stack_leaves_and_gaps,
@@ -293,17 +294,6 @@ class TestKinship:
                         assert sq[i, j] <= sq[i, k] + sq[k, j]
 
 
-def _caterpillar(n, left_spine=True):
-    """Chain tree of depth n - 1: each record adds one leaf to the spine,
-    which is the left child (or the right one)."""
-    records, spine = [], 0
-    for k in range(n - 1):
-        pair = (spine, k + 1) if left_spine else (k + 1, spine)
-        records.append(pair + (float(k + 1), k + 2))
-        spine = n + k
-    return validate_dendrogram(records, n)
-
-
 def _reclustered_trees(seed):
     """Trees from reclustering 2-D embeddings of a Gaussian tree under
     fixed 0, fixed 90 and even, with Euclidean and correlation
@@ -354,7 +344,7 @@ class TestPairMatrices:
 
     @pytest.mark.parametrize("left_spine", [True, False])
     def test_caterpillar_depth_n_minus_1(self, left_spine):
-        d = _caterpillar(60, left_spine)
+        d = caterpillar_dendrogram(60, left_spine)
         self.check(d)
         # The two leaves of record 0 sit 59 edges down; the last leaf
         # added hangs one edge below the root.
@@ -382,7 +372,7 @@ class TestPairMatrices:
     @pytest.mark.parametrize("n", [2, 3, 64, 65, 128, 129])
     def test_key_shift_boundaries(self, n):
         rng = np.random.default_rng(1950 + n)
-        for d in (_caterpillar(n), _caterpillar(n, False),
+        for d in (caterpillar_dendrogram(n), caterpillar_dendrogram(n, False),
                   balanced_dendrogram(n), random_dendrogram(n, rng)):
             self.check(d)
 
@@ -396,7 +386,7 @@ class TestPairMatrices:
     @pytest.mark.parametrize("chunk", [1, 7, 60])
     def test_chunking(self, monkeypatch, chunk):
         rng = np.random.default_rng(2000 + chunk)
-        trees = [random_dendrogram(30, rng), _caterpillar(30),
+        trees = [random_dendrogram(30, rng), caterpillar_dendrogram(30),
                  balanced_dendrogram(30)]
         monkeypatch.setattr(dendrogram, "_PAIR_CHUNK", chunk)
         for d in trees:
@@ -475,7 +465,7 @@ class TestLeafOrder:
     def test_matches_stack_walk(self, seed):
         rng = np.random.default_rng(450 + seed)
         trees = [random_dendrogram(int(rng.integers(2, 80)), rng),
-                 _caterpillar(40, left_spine=bool(seed % 2)),
+                 caterpillar_dendrogram(40, left_spine=bool(seed % 2)),
                  balanced_dendrogram(int(rng.integers(2, 80)))]
         trees.extend(_reclustered_trees(460 + seed))
         for d in trees:

@@ -6,19 +6,24 @@ vectors, law-of-cosines checks); sweeps check the invariants that define
 the construction: center of mass, separation, travel ratio, angles.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from branchembed import (
+    DEFAULT_CONDITIONS,
+    DEFAULT_THETAS,
     LINKAGE_METHODS,
     AngleStrategy,
     Embedding,
+    EmbeddingOverflow,
     SplitEvent,
     SplitMix64,
     branching_embed,
     cophenetic_matrix,
+    dissimilarity,
     division_step,
     euclidean_dissimilarity,
     evaluate_embedding,
@@ -28,7 +33,7 @@ from branchembed import (
     linkage,
     validate_dendrogram,
 )
-from helpers import random_dendrogram
+from helpers import caterpillar_dendrogram, random_dendrogram, replay_embed
 
 EPS = 1e-9
 
@@ -403,6 +408,91 @@ class TestBranchingEmbed:
         assert abs(a[0, 1]) > 0.0  # off the x axis almost surely
 
 
+def _scaled(d, k):
+    """``d`` with every height multiplied by 2**k."""
+    return validate_dendrogram(
+        [(r.left, r.right, r.height * 2.0 ** k, r.size) for r in d.records()],
+        d.n_leaves)
+
+
+def _replay_trees():
+    """Benchmark-shaped trees (100 x 5 Gaussian data, the default
+    conditions), trees with zero heights (coincident sisters), one of
+    each kind scaled by 2**-300 and by 2**300, and caterpillars of depth
+    n - 1."""
+    trees = [linkage(dissimilarity(kind, gaussian_matrix(100, 5, seed)),
+                     method)
+             for seed in (0, 1) for kind, method in DEFAULT_CONDITIONS]
+    # Groups of three equal rows merge at height 0 before anything else.
+    tied = np.repeat(gaussian_matrix(12, 2, 3), 3, axis=0)
+    trees += [linkage(euclidean_dissimilarity(tied), method)
+              for method in LINKAGE_METHODS]
+    trees.append(linkage(euclidean_dissimilarity(np.zeros((9, 2))),
+                         "single"))
+    trees += [_scaled(trees[i], k) for i in (0, 14) for k in (-300, 300)]
+    trees += [caterpillar_dendrogram(120), caterpillar_dendrogram(120, False)]
+    return trees
+
+
+REPLAY_STRATEGIES = (
+    [AngleStrategy.random(seed) for seed in (0, 5, 2 ** 64 - 1)]
+    + [AngleStrategy.fixed(theta, swap) for theta in DEFAULT_THETAS
+       for swap in (True, False)]
+    + [AngleStrategy.even()])
+
+
+def _strategy_id(s):
+    return f"{s.kind}-{s.label()}-{s.swap}-{s.seed}"
+
+
+def _bits(value):
+    """``value`` (an event, or a tuple or number in one) with each float
+    as its exact hex form, so 0.0 and -0.0 differ."""
+    if isinstance(value, SplitEvent):
+        value = dataclasses.astuple(value)
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value.hex() if isinstance(value, float) else value
+
+
+class TestReplay:
+    """``branching_embed``'s one loop performs ``division_step``'s
+    operations in the same order: its coordinates and trace equal, bit
+    for bit, one public ``division_step`` call per record
+    (``helpers.replay_embed``)."""
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        return _replay_trees()
+
+    def test_trees_cover_the_cases(self, trees):
+        heights = np.concatenate([d.height for d in trees])
+        assert (heights == 0.0).any()
+        assert heights[heights > 0.0].min() < 2.0 ** -290
+        assert heights.max() > 2.0 ** 290
+
+    @pytest.mark.parametrize("strategy", REPLAY_STRATEGIES, ids=_strategy_id)
+    def test_equals_division_step_replay(self, trees, strategy):
+        for d in trees:
+            coords, events = replay_embed(d, strategy)
+            emb = branching_embed(d, strategy, trace=True)
+            assert np.array_equal(emb.coords, coords)
+            assert emb.coords.tobytes() == coords.tobytes()
+            assert emb.trace == events
+            assert [_bits(e) for e in emb.trace] == [_bits(e) for e in events]
+            assert np.array_equal(branching_embed(d, strategy).coords,
+                                  coords)
+
+    @pytest.mark.parametrize("strategy", REPLAY_STRATEGIES, ids=_strategy_id)
+    def test_overflow_raises_as_replay(self, strategy):
+        d = validate_dendrogram(OVERFLOWING_TREE, 8)
+        message = "^embedding coordinates overflow float64$"
+        with pytest.raises(EmbeddingOverflow, match=message):
+            replay_embed(d, strategy)
+        with pytest.raises(EmbeddingOverflow, match=message):
+            branching_embed(d, strategy, trace=True)
+
+
 class TestScaleInvariance:
     """Scaling the data by a power of two scales the tree's heights and
     its embedding by exactly that factor and leaves r_c and r_k as they
@@ -453,6 +543,13 @@ class TestLineEmbed:
         emb = line_embed(d)
         assert emb.coords.mean(axis=0) == pytest.approx((0.0, 0.0),
                                                         abs=1e-9)
+
+    def test_overflow_is_named(self):
+        # The running sum of gaps overflows float64.
+        d = validate_dendrogram(OVERFLOWING_TREE, 8)
+        with pytest.raises(EmbeddingOverflow,
+                           match="^embedding coordinates overflow float64$"):
+            line_embed(d)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_adjacent_gaps_are_cophenetic_heights(self, seed):
