@@ -29,12 +29,12 @@ digests differ, a diff of their stderr names the outputs that moved.  A
 run takes a few seconds, most of it the table.
 
 No output path calls BLAS, so the digest does not depend on the BLAS
-kernel or its thread count: it is ``9a5e870a015d...`` under the
+kernel or its thread count: it is ``430af528ce08...`` under the
 Prescott, Haswell and SkylakeX kernels of numpy's bundled OpenBLAS,
 with one BLAS thread and with the default count.  It does depend on
 numpy's CPU dispatch: on an AVX-512 CPU,
 ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` moves
-``table-means.hex``, and with it the digest (to ``4e7fab763212...``),
+``table-means.hex``, and with it the digest (to ``29203279e48e...``),
 because the Gaussian draws' ``np.log`` then takes another kernel that
 rounds some values differently; every other line stays.
 """

@@ -8,10 +8,10 @@ benchmark's ``large`` one at N rows (default 2000): a seeded N x 5
 Gaussian matrix, its Euclidean dissimilarity, average ``linkage``, the
 fixed 15 degree embedding, then ``convert_dendrogram`` of the embedding
 and the ``scores`` of the converted tree against the original
-(``metrics._scores``, one metric at a time).  A last stage runs
-``evaluate_embedding``, which does the last two in one call.  Each stage's peak is what tracemalloc saw above the
-memory held when the stage began, in MB (10^6 bytes) and in units of
-N^2 bytes.  A stage's inputs are freed once no later stage needs them,
+(``metrics._scores``, one walk over the leaf pairs).  A last stage runs
+``evaluate_embedding``, which does the last two in one call.  Each
+stage's peak is what tracemalloc saw above the memory held when the
+stage began, in MB (10^6 bytes) and in units of N^2 bytes.  A stage's inputs are freed once no later stage needs them,
 so the closing ``ru_maxrss`` line is the largest stage plus what the
 interpreter, numpy and the inputs hold.  Memory that numpy does not
 report to tracemalloc, such as an ``mmap``, is not in the stage peaks.

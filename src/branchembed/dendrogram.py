@@ -380,26 +380,26 @@ def _range_offsets(n: int) -> tuple:
     2**j gaps, and the levels are stored back to back.  A range of L
     gaps starting at gap lo is covered by two level-j blocks, j =
     floor(log2 L): the one starting at lo and the one ending at
-    lo + L - 1.  Returns read-only int64 arrays ``first`` and ``second``
+    lo + L - 1.  Returns read-only int64 arrays ``first`` and ``step``
     such that their indices in the table are lo + first[L] and
-    lo + second[L]."""
+    lo + first[L] + step[L]."""
     first = np.zeros(n, dtype=np.int64)
-    second = np.zeros(n, dtype=np.int64)
+    step = np.zeros(n, dtype=np.int64)
     base = 0
     width = 1
     while width < n:
         lengths = np.arange(width, min(2 * width, n))
         first[lengths] = base
-        second[lengths] = base + lengths - width
+        step[lengths] = lengths - width
         base += n - width
         width *= 2
     first.setflags(write=False)
-    second.setflags(write=False)
-    return first, second
+    step.setflags(write=False)
+    return first, step
 
 
 def _lca_table(d: Dendrogram) -> tuple:
-    """What :func:`_pair_matrices` looks lowest common ancestors up in:
+    """What :func:`_lca_keys` looks lowest common ancestors up in:
     each leaf's position and depth, and the sparse table of gap keys
     ``depth << s | record`` laid out as :func:`_range_offsets` says.
     ``s = (n - 1).bit_length()`` bits hold every record id, at most
@@ -418,6 +418,54 @@ def _lca_table(d: Dendrogram) -> tuple:
     return pos, depth[:n], np.concatenate(levels)
 
 
+def _lca_keys(lca: tuple, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The key ``depth << s | record`` of the lowest common ancestor of
+    each pair of distinct leaves ``i[t]``, ``j[t]`` (int64 arrays), looked
+    up in the tree's :func:`_lca_table` as :func:`_pair_matrices` says."""
+    pos, _, table = lca
+    first, step = _range_offsets(len(pos))
+    # Each array is dropped before the next is made, so at most three
+    # are alive at once.
+    pi = pos.take(i)
+    pj = pos.take(j)
+    lo = np.minimum(pi, pj)
+    np.subtract(pi, pj, out=pi)
+    del pj
+    span = np.abs(pi, out=pi)
+    at = first.take(span)
+    at += lo
+    del lo
+    far = step.take(span)
+    far += at
+    del pi, span
+    key = table.take(at)
+    del at
+    np.minimum(key, table.take(far), out=key)
+    return key
+
+
+def _path_lengths(key: np.ndarray, lca: tuple, i: np.ndarray,
+                  j: np.ndarray) -> np.ndarray:
+    """:func:`_lca_keys`' ``key`` of the pairs ``i``, ``j`` turned, in
+    place, into their kinship values: the integer path lengths
+    ``depth[i] + depth[j] - 2 * depth[lca]``."""
+    pos, leaf_depth, _ = lca
+    key >>= (len(pos) - 1).bit_length()
+    key *= -2
+    key += leaf_depth.take(j)
+    key += leaf_depth.take(i)
+    return key
+
+
+def _merge_heights(d: Dendrogram, key: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the merge heights of tree ``d``'s records that
+    :func:`_lca_keys`' ``key`` names."""
+    mask = (1 << (d.n_leaves - 1).bit_length()) - 1
+    # Every index is in range, so the take may use "clip", which writes
+    # straight to ``out``; "raise" fills a buffer first.
+    np.take(d.height, key & mask, out=out, mode="clip")
+
+
 def _pair_matrices(d: Dendrogram, kinship: bool,
                    lca: tuple | None = None) -> np.ndarray:
     """Fill the cophenetic condensed vector, or the kinship one if
@@ -431,13 +479,13 @@ def _pair_matrices(d: Dendrogram, kinship: bool,
     :func:`_lca_table`), which decodes by a mask and a shift.  A sparse
     table holds the minimum key of every range of 2**j gaps, and each
     pair costs two table lookups (Bender & Farach-Colton, *The LCA Problem
-    Revisited*, 2000).  The pairs are filled in the chunks of
-    :func:`_pair_chunks`, each with a fixed number of numpy calls, so the
-    cost is O(n^2) time with the condensed vector plus O(n log n) and
-    chunk temporaries of memory.  A caller that fills both vectors of a
-    tree passes its :func:`_lca_table` to both calls.  Cophenetic values
-    are the stored merge heights and kinship values the integer path
-    lengths ``depth[i] + depth[j] - 2 * depth[lca]``, exactly.  Raises
+    Revisited*, 2000), made by :func:`_lca_keys`.  The pairs are filled
+    in the chunks of :func:`_pair_chunks`, each with a fixed number of
+    numpy calls, so the cost is O(n^2) time with the condensed vector
+    plus O(n log n) and chunk temporaries of memory.  A caller that fills
+    both vectors of a tree passes its :func:`_lca_table` to both calls.
+    Cophenetic values are the stored merge heights and kinship values
+    the integer path lengths of :func:`_path_lengths`, exactly.  Raises
     :class:`SizeLimit` before allocating a vector larger than physical
     memory.
     """
@@ -445,37 +493,16 @@ def _pair_matrices(d: Dendrogram, kinship: bool,
     m = n * (n - 1) // 2
     _check_size("the pair vector", 8 * m)
     out = np.empty(m)
-    pos, leaf_depth, table = _lca_table(d) if lca is None else lca
-    first, second = _range_offsets(n)
-    shift = (n - 1).bit_length()
-    mask = (1 << shift) - 1
-
-    # Every index is in range, so a take into ``out`` may use "clip",
-    # which writes straight to ``out``; "raise" fills a buffer first.
+    if lca is None:
+        lca = _lca_table(d)
     # Each chunk's temporaries are dropped before the walk makes the
     # next chunk's pairs.
     for s, e, i, j in _pair_chunks(n):
-        pj = pos.take(j)
-        pi = pos.take(i)
-        lo = np.minimum(pi, pj)
-        np.subtract(pi, pj, out=pi)
-        span = np.abs(pi, out=pi)
-        np.take(second, span, out=pj, mode="clip")
-        pj += lo
-        key = first.take(span)
-        key += lo
-        del lo, pi, span
-        key = table.take(key)
-        np.minimum(key, table.take(pj), out=key)
-        del pj
+        key = _lca_keys(lca, i, j)
         if kinship:
-            key >>= shift
-            key *= -2
-            key += leaf_depth.take(j)
-            key += leaf_depth.take(i)
-            out[s:e] = key
+            out[s:e] = _path_lengths(key, lca, i, j)
         else:
-            np.take(d.height, key & mask, out=out[s:e], mode="clip")
+            _merge_heights(d, key, out[s:e])
         del key
     return out
 

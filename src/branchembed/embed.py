@@ -183,6 +183,12 @@ def division_step(target, sister, height, n1, n2,
     total = n1 + n2
     l1 = height * n2 / total
     l2 = height * n1 / total
+    # A product above the float64 maximum is taken again in an order
+    # that cannot overflow; every other distance keeps its bits.
+    if l1 == math.inf:
+        l1 = height * (n2 / total)
+    if l2 == math.inf:
+        l2 = height * (n1 / total)
     tx, ty = target
     kind = strategy.kind
 
@@ -252,6 +258,11 @@ def branching_embed(d: Dendrogram, strategy: AngleStrategy,
     with np.errstate(over="ignore"):
         l1 = d.height * n2 / total
         l2 = d.height * n1 / total
+    # As in division_step, only a product that overflowed is taken again.
+    for dist, size in ((l1, n2), (l2, n1)):
+        over = np.isinf(dist)
+        if over.any():
+            dist[over] = d.height[over] * (size[over] / total[over])
     if kind == "fixed" and strategy.swap:
         # Push the larger child away from the sister.
         flip = n1 > n2
@@ -344,9 +355,10 @@ def line_embed(d: Dendrogram) -> Embedding:
     Along a line, single linkage merges exactly along the smallest gaps,
     so reclustering this embedding with Euclidean distance and single
     linkage reproduces the original cophenetic matrix.  The layout is
-    centered so the coordinates sum to zero.  Raises
-    :class:`EmbeddingOverflow` if the running sum of gaps or its mean
-    overflows float64.
+    centered so the coordinates sum to zero; a mean whose sum overflows
+    is taken on the coordinates scaled by a power of two.  Raises
+    :class:`EmbeddingOverflow` if the running sum of gaps overflows
+    float64.
     """
     pos, _, gap_record = _layout(d)
     n = d.n_leaves
@@ -354,7 +366,13 @@ def line_embed(d: Dendrogram) -> Embedding:
     x[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumsum(d.height[gap_record], out=x[1:])
-        x -= x.mean()
+        mean = x.mean()
+        if not math.isfinite(mean):
+            # The sum overflowed: take the mean of x scaled by a power of
+            # two, which is exact, and scale it back.
+            e = math.frexp(np.abs(x).max())[1]
+            mean = math.ldexp(np.ldexp(x, -e).mean(), e)
+        x -= mean
     if not np.isfinite(x).all():
         raise EmbeddingOverflow()
     coords = np.zeros((n, 2))

@@ -16,7 +16,10 @@ behind ``run_table_experiment``'s stacked reclustering; and
 formatted one numpy scalar at a time behind ``cli._coords_csv`` and
 ``render_svg_scatter`` (same bytes); and ``replay_embed``, public
 ``division_step`` called once per record behind ``branching_embed``'s
-single loop (same bits, same trace).
+single loop (same bits, same trace); and ``onepass_r_c``, the cophenetic
+half of the one-metric-at-a-time scorer behind ``metrics._scores``'
+streamed walk (same bits).  ``exact_r_k`` is the exact oracle of r_k,
+from Python ints and ``math`` only.
 """
 
 import math
@@ -32,13 +35,20 @@ from branchembed import (
     EmbeddingOverflow,
     SplitEvent,
     SplitMix64,
+    ZeroVariance,
     division_step,
     validate_dendrogram,
 )
 from branchembed import bench, cluster
 from branchembed.cluster import _lw_combine
+from branchembed.dendrogram import _pair_matrices
 from branchembed.errors import BranchEmbedError
-from branchembed.metrics import _scores, convert_dendrogram
+from branchembed.metrics import (
+    _centred,
+    _pearson_vec,
+    _scores,
+    convert_dendrogram,
+)
 from branchembed.svgplot import _MARGIN, PALETTE
 
 
@@ -100,6 +110,18 @@ def caterpillar_dendrogram(n, left_spine=True):
         records.append(pair + (float(k + 1), k + 2))
         spine = n + k
     return validate_dendrogram(records, n)
+
+
+def overflowing_dendrogram():
+    """A balanced 1024-leaf tree with every merge at 1.7e308, whose
+    embedding overflows float64 under every strategy.  A split of height
+    h into two halves puts one child at a squared distance from the
+    origin of at least its parent's plus (h / 2)^2, whatever the axis,
+    so after ten splits some leaf would lie sqrt(10) * 8.5e307 = 2.7e308
+    or more from the origin, with a coordinate above 1.9e308."""
+    records = [(r.left, r.right, 1.7e308, r.size)
+               for r in balanced_dendrogram(1024).records()]
+    return validate_dendrogram(records, 1024)
 
 
 def parents_and_heights(d: Dendrogram):
@@ -478,3 +500,98 @@ def replay_embed(d: Dendrogram, strategy: AngleStrategy):
         events.append(SplitEvent(node, target, sis, c1, c2, rec.height,
                                  n1, n2))
     return np.array([point[i] for i in range(n)]), events
+
+
+def _pure_kinship(d: Dendrogram):
+    """Kinship values as a dict ``{(i, j): path length}`` over i < j,
+    in Python ints: each record's node depth from a root-first pass,
+    each leaf's from its parent's, and every cross pair of a record's
+    two leaf lists."""
+    n = d.n_leaves
+    left = d.left.tolist()
+    right = d.right.tolist()
+    depth = [0] * (2 * n - 1)
+    for k in range(n - 2, -1, -1):
+        depth[left[k]] = depth[right[k]] = depth[n + k] + 1
+    leaves = [[i] for i in range(n)]
+    kin = {}
+    for k in range(n - 1):
+        a, b = leaves[left[k]], leaves[right[k]]
+        for i in a:
+            for j in b:
+                kin[min(i, j), max(i, j)] = (depth[i] + depth[j]
+                                             - 2 * depth[n + k])
+        leaves.append(a + b)
+    return kin
+
+
+def _beyond(num: int, den: int, x: float, y: float) -> int:
+    """The sign of |num| / sqrt(den) - (x + y) / 2, for x, y >= 0, with
+    the midpoint taken exactly as a ratio of ints."""
+    px, qx = x.as_integer_ratio()
+    py, qy = y.as_integer_ratio()
+    p, q = px * qy + py * qx, 2 * qx * qy
+    lhs = num * num * q * q
+    rhs = p * p * den
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _odd(x: float) -> bool:
+    """Whether the last bit of the normal float ``x``'s significand is 1."""
+    return bool(int(math.ldexp(math.frexp(x)[0], 53)) & 1)
+
+
+def exact_r_k(original: Dendrogram, converted: Dendrogram) -> float:
+    """r_k of ``converted`` against ``original``, correctly rounded (ties
+    to even), from Python ints and ``math`` only; NaN if the converted
+    tree's kinship values are constant.
+
+    The five sums are taken pair by pair over :func:`_pure_kinship`.  A
+    float estimate of |r| = |num| / sqrt(den) is then moved one float at
+    a time until |r| lies between the midpoints to its neighbours, each
+    compared with |r| exactly.  Raises ``ZeroVariance`` for a constant
+    original."""
+    a = _pure_kinship(original)
+    b = _pure_kinship(converted)
+    m = len(a)
+    sa = sum(a.values())
+    sb = sum(b.values())
+    saa = sum(v * v for v in a.values())
+    sbb = sum(v * v for v in b.values())
+    sab = sum(v * b[key] for key, v in a.items())
+    va = m * saa - sa * sa
+    vb = m * sbb - sb * sb
+    if va == 0:
+        raise ZeroVariance("the original's kinship vector is constant")
+    if vb == 0:
+        return math.nan
+    num = m * sab - sa * sb
+    den = va * vb
+    r = min(1.0, abs(num) / math.sqrt(va) / math.sqrt(vb))
+    while num:
+        up = math.nextafter(r, math.inf)
+        down = math.nextafter(r, 0.0)
+        # |r| <= 1 by Cauchy-Schwarz, and 0 < |r| when num != 0.
+        above = _beyond(num, den, r, up) if r < 1.0 else -1
+        below = _beyond(num, den, r, down)
+        if above > 0 or (above == 0 and _odd(r)):
+            r = up
+        elif below < 0 or (below == 0 and _odd(r)):
+            r = down
+        else:
+            break
+    return -r if num < 0 else r
+
+
+def onepass_r_c(original: Dendrogram, converted: Dendrogram) -> float:
+    """r_c as the scorer made it one metric at a time: each tree's
+    cophenetic vector filled by its own ``_pair_matrices`` call, centred
+    and correlated by ``_pearson_vec``; NaN if the converted tree's
+    vector is constant.  Raises ``ZeroVariance`` for a constant
+    original."""
+    ref = _centred(_pair_matrices(original, False))
+    try:
+        vec = _centred(_pair_matrices(converted, False))
+    except ZeroVariance:
+        return math.nan
+    return _pearson_vec(ref, vec)

@@ -27,7 +27,6 @@ from branchembed import (
     linkage,
     parse_merge_table,
     run_table_experiment,
-    validate_dendrogram,
 )
 from branchembed import bench, cli, cluster
 from branchembed.bench import _ANGLE_STREAM_OFFSET
@@ -37,6 +36,7 @@ from branchembed.errors import BranchEmbedError
 from branchembed.svgplot import PALETTE, render_svg_scatter
 from helpers import (
     fill_spy,
+    overflowing_dendrogram,
     percell_table,
     pervalue_coords_csv,
     pervalue_svg_scatter,
@@ -256,8 +256,7 @@ class TestTableFailures:
         # The embedder's own overflow error, from a tree whose heights
         # near the float64 maximum make its coordinates overflow.
         cfg = BenchConfig(trials=3, rows=14, cols=4, seed=5)
-        tree = validate_dendrogram(
-            [(0, 1, 1e308, 2), (2, 3, 1e308, 2), (4, 5, 1.5e308, 4)], 4)
+        tree = overflowing_dendrogram()
 
         def overflow(emb):
             return branching_embed(tree, AngleStrategy.even())

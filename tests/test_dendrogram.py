@@ -434,12 +434,12 @@ class TestPairChunks:
         while 2 ** len(sizes) <= n - 1:
             sizes.append(sizes[-1] - 2 ** (len(sizes) - 1))
         base = np.cumsum([0] + sizes)
-        first, second = dendrogram._range_offsets(n)
+        first, step = dendrogram._range_offsets(n)
         for length in range(1, n):
             level = length.bit_length() - 1
             assert first[length] == base[level]
-            assert second[length] == base[level] + length - 2 ** level
-        assert not (first.flags.writeable or second.flags.writeable)
+            assert step[length] == length - 2 ** level
+        assert not (first.flags.writeable or step.flags.writeable)
 
 
 class TestLeafOrder:

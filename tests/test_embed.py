@@ -8,6 +8,7 @@ the construction: center of mass, separation, travel ratio, angles.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,12 @@ from branchembed import (
     linkage,
     validate_dendrogram,
 )
-from helpers import caterpillar_dendrogram, random_dendrogram, replay_embed
+from helpers import (
+    caterpillar_dendrogram,
+    overflowing_dendrogram,
+    random_dendrogram,
+    replay_embed,
+)
 
 EPS = 1e-9
 
@@ -46,10 +52,9 @@ ALL_STRATEGIES = [
     AngleStrategy.even(),
 ]
 
-# A balanced 8-leaf tree whose embedding overflows float64.
-OVERFLOWING_TREE = [(0, 1, 1e308, 2), (2, 3, 1e308, 2), (4, 5, 1e308, 2),
-                    (6, 7, 1e308, 2), (8, 9, 1.2e308, 4),
-                    (10, 11, 1.5e308, 4), (12, 13, 1.7e308, 8)]
+# A valid tree whose travel distances' products height * n2 overflow,
+# though no coordinate of its embedding exceeds 5.5e307.
+LARGE_PRODUCT_TREE = [(0, 1, 1e307, 2), (2, 3, 1e307, 2), (4, 5, 1e308, 4)]
 
 
 class TestAngleStrategy:
@@ -397,7 +402,7 @@ class TestBranchingEmbed:
     def test_overflowing_coordinates_rejected(self, strategy):
         # A valid tree whose heights near the float64 maximum make the
         # sums of travel distances overflow.
-        d = validate_dendrogram(OVERFLOWING_TREE, 8)
+        d = overflowing_dendrogram()
         with pytest.raises(ValueError,
                            match="^embedding coordinates overflow float64$"):
             branching_embed(d, strategy)
@@ -485,12 +490,24 @@ class TestReplay:
 
     @pytest.mark.parametrize("strategy", REPLAY_STRATEGIES, ids=_strategy_id)
     def test_overflow_raises_as_replay(self, strategy):
-        d = validate_dendrogram(OVERFLOWING_TREE, 8)
+        d = overflowing_dendrogram()
         message = "^embedding coordinates overflow float64$"
         with pytest.raises(EmbeddingOverflow, match=message):
             replay_embed(d, strategy)
         with pytest.raises(EmbeddingOverflow, match=message):
             branching_embed(d, strategy, trace=True)
+
+    @pytest.mark.parametrize("strategy", REPLAY_STRATEGIES, ids=_strategy_id)
+    def test_large_products_as_replay(self, strategy):
+        # The root's 1e308 * 2 overflows; its distances are taken again
+        # as 1e308 * (2 / 4), in both loops.
+        d = validate_dendrogram(LARGE_PRODUCT_TREE, 4)
+        coords, events = replay_embed(d, strategy)
+        emb = branching_embed(d, strategy, trace=True)
+        assert emb.coords.tobytes() == coords.tobytes()
+        assert [_bits(e) for e in emb.trace] == [_bits(e) for e in events]
+        assert np.abs(coords).max() <= 5.5e307
+        assert math.hypot(*events[0].child1) == pytest.approx(5e307)
 
 
 class TestScaleInvariance:
@@ -546,10 +563,19 @@ class TestLineEmbed:
 
     def test_overflow_is_named(self):
         # The running sum of gaps overflows float64.
-        d = validate_dendrogram(OVERFLOWING_TREE, 8)
+        d = overflowing_dendrogram()
         with pytest.raises(EmbeddingOverflow,
                            match="^embedding coordinates overflow float64$"):
             line_embed(d)
+
+    def test_centres_a_sum_that_overflows(self):
+        # The gaps' running sum [0, 1e307, 1.1e308, 1.2e308] fits, its
+        # sum does not; the mean is taken on it scaled by 2**-1024.
+        d = validate_dendrogram(LARGE_PRODUCT_TREE, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = line_embed(d).coords[:, 0]
+        assert x.tolist() == [-6e307, -5e307, 5e307, 6e307]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_adjacent_gaps_are_cophenetic_heights(self, seed):

@@ -1,10 +1,11 @@
 """Memory of the scoring pipeline, and the named limit on array sizes.
 
 Reclustering fills ``linkage``'s n x n matrix straight from the
-coordinates, with no condensed copy, and scoring takes one metric at a
-time, holding the original tree's vector and one converted tree's.  The
-peaks are measured with tracemalloc, which sees numpy's allocations, in
-units of n^2 bytes: the matrix is 8 and each condensed vector about 4.
+coordinates, with no condensed copy, and scoring walks the pairs once per
+converted tree, holding the original tree's cophenetic vector and one
+converted tree's, and no kinship vector.  The peaks are measured with
+tracemalloc, which sees numpy's allocations, in units of n^2 bytes: the
+matrix is 8 and each condensed vector about 4.
 
 The size limit is tested by lowering it to a few KiB, never by
 allocating near this machine's memory.
@@ -34,7 +35,8 @@ from branchembed import (
 )
 from branchembed import cluster, dendrogram
 from branchembed.dendrogram import _pair_matrices
-from branchembed.metrics import _centred, _pearson_vec, _scores
+from branchembed.metrics import _scores
+from helpers import exact_r_k, onepass_r_c
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -110,16 +112,14 @@ class TestCondensedLayer:
 
 
 def _reference(original, converted):
-    """``(r_c, r_k)`` with every vector filled by its own call, each
-    building its own LCA table."""
-    return tuple(_pearson_vec(_centred(_pair_matrices(original, kinship)),
-                              _centred(_pair_matrices(converted, kinship)))
-                 for kinship in (False, True))
+    """``(r_c, r_k)``: r_c with each cophenetic vector filled by its own
+    call, one metric at a time, and r_k from the exact oracle."""
+    return onepass_r_c(original, converted), exact_r_k(original, converted)
 
 
 class TestScorerPasses:
-    """Scoring one metric at a time, over several converted trees,
-    changes no bit."""
+    """One streamed walk per converted tree, over several trees, gives
+    the one-pass r_c bit for bit and the exact r_k."""
 
     @staticmethod
     def _trees(n):
@@ -144,6 +144,43 @@ class TestScorerPasses:
         trees = converted + [original]
         assert np.array_equal(_scores(original, trees),
                               [_reference(original, tree) for tree in trees])
+
+    def test_holds_two_vectors(self, tree_and_embedding):
+        # The original's and one converted tree's cophenetic vectors,
+        # and chunk arrays of at most _PAIR_CHUNK pairs; a third vector,
+        # such as a kinship vector, would pass the bound.
+        tree, emb = tree_and_embedding
+        m = tree.n_leaves * (tree.n_leaves - 1) // 2
+        trees = [convert_dendrogram(emb, method)
+                 for method in ("average", "single", "complete")]
+        bound = 16 * m + 16 * 8 * dendrogram._PAIR_CHUNK
+        assert bound < 24 * m
+        peak, got = _peak(_scores, tree, trees)
+        assert np.array_equal(got, [_reference(tree, t) for t in trees])
+        assert 16 * m < peak < bound, (peak - 16 * m) / m
+
+    def test_kinship_sums_cannot_wrap(self):
+        # A chunk holds at most max(_PAIR_CHUNK, n - 1) pairs, and a
+        # kinship value is at most 2n - 2, so a chunk's int64 sum of
+        # products is below largest(n).
+        def largest(n):
+            return max(dendrogram._PAIR_CHUNK, n - 1) * (2 * n - 2) ** 2
+
+        for n, pairs in [(50, 7), (300, 100), (1000, None)]:
+            longest = max(e - s for s, e, _, _ in
+                          dendrogram._pair_chunks(n, pairs))
+            assert longest <= max(pairs or dendrogram._PAIR_CHUNK, n - 1)
+        # The smallest n at which largest(n) could wrap.
+        lo, hi = 2, 2 ** 21
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if largest(mid) >= 2 ** 63 else (mid + 1, hi)
+        assert lo == 1_321_124
+        # Its two pair vectors need 14 TB, which the memory limit
+        # refuses before any walk.
+        nbytes = 16 * (lo * (lo - 1) // 2)
+        assert nbytes > 1.39e13
+        assert nbytes > dendrogram._MEMORY_LIMIT
 
 
 class TestSizeLimit:

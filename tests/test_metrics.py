@@ -30,8 +30,9 @@ from branchembed import (
     linkage,
     validate_dendrogram,
 )
+from branchembed import dendrogram
 from branchembed.metrics import _centred, _pearson_vec, _scores
-from helpers import random_dendrogram
+from helpers import exact_r_k, onepass_r_c, random_dendrogram
 
 
 def _pearson(a, b):
@@ -124,6 +125,117 @@ class TestScores:
                            match="^correlation of a constant vector is "
                                  "undefined$"):
             evaluate_embedding(original, line, "single")
+
+
+def _grid_trees(n):
+    """A tie grid with steps 2 and 1 under single linkage (every row
+    merges at 1, the rows join at 2), and two reclusterings of its
+    embedding."""
+    side = int(np.ceil(np.sqrt(n)))
+    grid = np.stack(np.divmod(np.arange(n), side), axis=1) * [2.0, 1.0]
+    tied = linkage(euclidean_dissimilarity(grid), "single")
+    emb = branching_embed(tied, AngleStrategy.fixed(15))
+    return tied, [convert_dendrogram(emb, "single"),
+                  convert_dendrogram(emb, "average", "correlation")]
+
+
+def _scaled(d, factor):
+    return validate_dendrogram(
+        [(r.left, r.right, r.height * factor, r.size) for r in d.records()],
+        d.n_leaves)
+
+
+class TestExactScores:
+    """``_scores``' r_k equals the exact oracle ``helpers.exact_r_k`` bit
+    for bit, and its r_c the one-pass float reference
+    ``helpers.onepass_r_c``."""
+
+    @staticmethod
+    def check(original, trees):
+        got = _scores(original, trees)
+        want = [(onepass_r_c(original, t), exact_r_k(original, t))
+                for t in trees]
+        assert got.tobytes() == np.array(want).tobytes()
+        return got
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("n", [5, 40, 97])
+    def test_tie_grids(self, monkeypatch, n, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(dendrogram, "_PAIR_CHUNK", chunk)
+        original, trees = _grid_trees(n)
+        self.check(original, trees + [original])
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_random_trees(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(dendrogram, "_PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(23)
+        for _ in range(12):
+            n = int(rng.integers(3, 60))
+            original = random_dendrogram(n, rng)
+            self.check(original, [random_dendrogram(n, rng)
+                                  for _ in range(3)])
+
+    def test_three_leaves(self):
+        # Every topology and child order over three leaves, tied or not.
+        trees = [validate_dendrogram(records, 3) for records in (
+            [(0, 1, 1.0, 2), (3, 2, 2.0, 3)],
+            [(2, 0, 1.0, 2), (1, 3, 2.0, 3)],
+            [(1, 2, 1.0, 2), (3, 0, 1.0, 3)],
+            [(1, 2, 0.5, 2), (0, 3, 3.0, 3)],
+        )]
+        for k, original in enumerate(trees[:2]):
+            got = self.check(original, trees)
+            assert got[k].tolist() == [1.0, 1.0]
+            # The other cherry: kinship (2, 3, 3) against (3, 2, 3).
+            assert got[1 - k, 1] == -0.5
+
+    def test_two_leaves(self):
+        d = validate_dendrogram([(0, 1, 1.0, 2)], 2)
+        with pytest.raises(ZeroVariance):
+            _scores(d, [d])
+        with pytest.raises(ZeroVariance):
+            exact_r_k(d, d)
+
+    def test_constant_cophenetic_converted(self):
+        # The tree of ``TestScores.test_nan_row``: r_c is NaN, r_k is
+        # exact.
+        n = 12
+        original = linkage(euclidean_dissimilarity(gaussian_matrix(n, 3, 7)),
+                           "average")
+        line = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+        flat = convert_dendrogram(line, "single")
+        got = self.check(original, [flat, original])
+        assert np.isnan(got[0, 0]) and not np.isnan(got[0, 1])
+
+    def test_constant_original(self):
+        flat = validate_dendrogram([(0, 1, 1.0, 2), (2, 3, 1.0, 2),
+                                    (4, 5, 1.0, 4)], 4)
+        other = validate_dendrogram([(0, 1, 1.0, 2), (4, 2, 2.0, 3),
+                                     (5, 3, 3.0, 4)], 4)
+        with pytest.raises(ZeroVariance,
+                           match="^correlation of a constant vector is "
+                                 "undefined$"):
+            _scores(flat, [other])
+        with pytest.raises(ZeroVariance):
+            onepass_r_c(flat, other)
+
+    @pytest.mark.parametrize("top", [1e-320, 1e-300, 1e300, 1.7e308])
+    def test_extreme_heights(self, top):
+        # Heights scaled so that the largest is ``top``, from subnormal
+        # to near the float64 maximum: r_c as the one-pass reference
+        # rescales it, r_k unmoved by any scale.
+        rng = np.random.default_rng(31)
+        original = random_dendrogram(30, rng)
+        trees = [random_dendrogram(30, rng) for _ in range(2)]
+        base = _scores(original, trees)
+        factor = top / max(d.height.max() for d in [original] + trees)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self.check(_scaled(original, factor),
+                             [_scaled(t, factor) for t in trees])
+        assert np.array_equal(got[:, 1], base[:, 1])
 
 
 class TestConvertDendrogram:
