@@ -15,6 +15,11 @@ stage began, in MB (10^6 bytes) and in units of N^2 bytes.  A stage's inputs are
 so the closing ``ru_maxrss`` line is the largest stage plus what the
 interpreter, numpy and the inputs hold.  Memory that numpy does not
 report to tracemalloc, such as an ``mmap``, is not in the stage peaks.
+Where ``/proc/self/smaps_rollup`` is readable, an ``AnonHugePages`` line
+follows: the anonymous memory the process holds in transparent huge
+pages at exit.  A huge page is resident whole once any byte of it is
+touched, so that share of ``ru_maxrss`` need not be memory the program
+uses.
 """
 
 from __future__ import annotations
@@ -65,7 +70,24 @@ def main(argv=None) -> int:
     # Linux reports ru_maxrss in KiB.
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     print(f"{'ru_maxrss':<20} {rss / 1e6:10.2f} {rss / n ** 2:10.2f}")
+    huge = anon_huge_pages()
+    if huge is not None:
+        print(f"{'AnonHugePages':<20} {huge / 1e6:10.2f} {huge / n ** 2:10.2f}")
     return 0
+
+
+def anon_huge_pages() -> int | None:
+    """Bytes of ``AnonHugePages`` in ``/proc/self/smaps_rollup``, or
+    ``None`` where that file cannot be read."""
+    try:
+        with open("/proc/self/smaps_rollup") as handle:
+            for line in handle:
+                if line.startswith("AnonHugePages:"):
+                    # The kernel reports it in kB (KiB).
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
 
 
 if __name__ == "__main__":

@@ -18,6 +18,15 @@ the merged entry is larger than it.  A step with m active clusters
 therefore costs O(m) plus O(m) per rescanned row, so typical inputs take
 O(n^2) time, however many pairs tie; an input that makes most rows stale
 at most steps (complete or average linkage can) takes up to O(n^3).
+At n of a thousand or less a step costs numpy call overhead rather
+than arithmetic, so :func:`_linkage_square` allocates its O(n) buffers once
+and each step writes into them: the minimum is read at its ``argmin``,
+:func:`_lw_combine` writes the merged row, and the stale-row mask is
+built with ``out=`` arguments; single linkage builds none, as its merged
+entry is the smaller of the two it replaces, so only the merged row can
+go stale.  Each stale row is rescanned with its own ``argmin``, and the
+slot that moves into the freed one takes its column from its row, the
+matrix being symmetric.
 Memory is one n x n float64 matrix, and a matrix that, with the
 condensed input beside it, is larger than physical memory raises
 :class:`~branchembed.errors.SizeLimit` before it is allocated.  The merge arithmetic and the tie-break are those of the
@@ -39,10 +48,11 @@ At small n a step costs numpy call overhead rather than arithmetic, so
 the others are ordered by method and cut into equal (B, n, n) stacks of
 at most :data:`_STACK_BYTES` (1.625 MiB, 21 problems at n = 100), each
 filled straight from the data, with no condensed matrix in between, and
-run by one loop that applies each method's update to its own run of the
-stack.  Each loop prepares the matrix it is given, as Muellner's
-generic algorithm takes the dissimilarity matrix itself: it sets the
-diagonal to inf and squares it for ward before its first step.  The
+run by one loop that writes each method's update for its own run of the
+stack into that run's slice of one row buffer.  Each loop prepares the
+matrix it is given, as Muellner's generic algorithm takes the
+dissimilarity matrix itself: it sets the diagonal to inf and squares it
+for ward before its first step.  The
 stacked loop keeps a merged cluster in the slot of one of its children
 and marks the other slot dead with inf, so it moves no data between
 slots, and it checks all B trees at once with
@@ -202,18 +212,37 @@ def check_condition(kind: str, method: str) -> None:
         )
 
 
-def _lw_combine(method: str, row_i, row_j, ni: int, nj: int,
-                sizes, d_ij: float) -> np.ndarray:
-    """New dissimilarity row for the cluster formed from slots i and j."""
+def _lw_combine(method: str, row_i, row_j, ni, nj, sizes, d_ij,
+                out=None, tmp=None) -> np.ndarray:
+    """New dissimilarity row for the cluster formed from slots i and j,
+    written into ``out`` (allocated if ``None``) and returned.  Average
+    and ward use ``tmp``, a buffer of ``out``'s shape, for their second
+    term; ``sizes`` is read by ward alone."""
+    if out is None:
+        out = np.empty_like(row_i)
     if method == "single":
-        return np.minimum(row_i, row_j)
+        return np.minimum(row_i, row_j, out=out)
     if method == "complete":
-        return np.maximum(row_i, row_j)
+        return np.maximum(row_i, row_j, out=out)
+    if tmp is None:
+        tmp = np.empty_like(out)
     if method == "average":
-        return (ni * row_i + nj * row_j) / (ni + nj)
-    # ward, on squared dissimilarities
+        # (ni * row_i + nj * row_j) / (ni + nj)
+        np.multiply(row_i, ni, out=out)
+        out += np.multiply(row_j, nj, out=tmp)
+        out /= ni + nj
+        return out
+    # ward, on squared dissimilarities:
+    # ((ni + nk) * row_i + (nj + nk) * row_j - nk * d_ij) / (ni + nj + nk)
     nk = sizes
-    return ((ni + nk) * row_i + (nj + nk) * row_j - nk * d_ij) / (ni + nj + nk)
+    np.add(nk, ni, out=out)
+    out *= row_i
+    np.add(nk, nj, out=tmp)
+    tmp *= row_j
+    out += tmp
+    out -= np.multiply(nk, d_ij, out=tmp)
+    out /= np.add(nk, ni + nj, out=tmp)
+    return out
 
 
 def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
@@ -239,22 +268,33 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     # The condensed input stays alive beside the matrix.
     _check_size("the n x n matrix and its condensed input",
                 8 * d0.n * d0.n + d0.values.nbytes)
-    return _linkage_square(d0.to_square(), method)
+    merges = _linkage_square(d0.to_square(), method)
+    # The matrix is freed by now, so the tree's arrays, which outlive
+    # it, are not allocated beside it (see _linkage_square).
+    return validate_dendrogram(merges, d0.n)
 
 
 # Ward squares its inputs, and average and ward add weighted rows, so
 # large finite inputs can overflow.  An overflowed entry stays inf until
 # its two clusters merge, so every overflow shows as a non-finite minimum.
 @np.errstate(over="ignore", invalid="ignore")
-def _linkage_square(dm: np.ndarray, method: str) -> Dendrogram:
+def _linkage_square(dm: np.ndarray, method: str) -> list:
     """The steps of :func:`linkage` on ``dm``, a full dissimilarity
     matrix, which they overwrite: the diagonal becomes inf, ward squares
     every entry (a square that overflows is inf), and the merges update
-    it in place.  Raises what :func:`linkage` raises after its
-    checks."""
+    it in place.  Returns the merge records, for the caller to pass to
+    :func:`validate_dendrogram` once it has freed ``dm``.  The tree's
+    arrays outlive ``dm``; made while ``dm`` lives, malloc can place
+    them where they leave the hole ``dm`` frees too short for the next
+    n x n matrix, which then extends the heap: validated here, the
+    benchmark's `large` workload read 7 MiB more peak RSS in 8 of 26
+    runs, and in none of 49 validated by the caller.  Raises
+    :class:`LinkageOverflow` as :func:`linkage` does."""
     n = dm.shape[0]
     np.fill_diagonal(dm, np.inf)
-    if method == "ward":
+    ward = method == "ward"
+    single = method == "single"
+    if ward:
         dm *= dm
     # row_min[r] is the smallest entry of row r over the active columns.
     row_min = dm.min(axis=1)
@@ -262,12 +302,21 @@ def _linkage_square(dm: np.ndarray, method: str) -> Dendrogram:
     # Active clusters live in slots 0..m-1; a merge frees one slot, which
     # is refilled by the last active slot so scans shrink as we go.
     node_of = np.arange(n, dtype=np.int64)
-    sizes = np.ones(n, dtype=np.int64)
+    # Sizes as Python floats, which numpy takes as float64 scalars, and
+    # for ward also per slot as float64: sums of ones, so exact.
+    sizes = [1.0] * n
+    nk = np.ones(n) if ward else None
+    # Every step writes into these; slices [:m] serve m active slots.
+    new_row = np.empty(n)
+    tmp = np.empty(n)
+    low = np.empty(n)
+    stale = np.zeros(n, dtype=bool)
+    worse = np.empty(n, dtype=bool)
     merges = []
     m = n
     for step in range(n - 1):
         mins = row_min[:m]
-        val = mins.min()
+        val = mins[mins.argmin()]
         if not math.isfinite(val):
             raise LinkageOverflow(method, step)
         # Every row whose minimum is val holds a pair at val, and (the
@@ -277,7 +326,7 @@ def _linkage_square(dm: np.ndarray, method: str) -> Dendrogram:
         # only two rows hold val, each is the other's partner.
         rows = (mins == val).nonzero()[0]
         if rows.size == 2:
-            pi, pj = int(rows[0]), int(rows[1])
+            pi, pj = rows.tolist()
             if node_of[pi] > node_of[pj]:
                 pi, pj = pj, pi
         else:
@@ -288,42 +337,60 @@ def _linkage_square(dm: np.ndarray, method: str) -> Dendrogram:
         if pi > pj:
             pi, pj = pj, pi
 
-        ni = int(sizes[pi])
-        nj = int(sizes[pj])
+        ni = sizes[pi]
+        nj = sizes[pj]
         row_i = dm[pi, :m]
         row_j = dm[pj, :m]
-        new_row = _lw_combine(method, row_i, row_j, ni, nj, sizes[:m], val)
-        new_row[pi] = np.inf
+        merged = _lw_combine(method, row_i, row_j, ni, nj,
+                             nk[:m] if ward else None, val,
+                             new_row[:m], tmp[:m])
         # Columns pi and pj leave every row and the merged entry takes
         # their place.  A row whose minimum sat in one of them (a minimum
         # is never above an entry, so it equals the smaller of the two)
         # and whose merged entry is larger must be rescanned; for every
         # other row the new minimum is the smaller of the old one and
-        # the entry.
-        stale = (mins == np.minimum(row_i, row_j)) & (new_row > mins)
-        np.minimum(mins, new_row, out=mins)
-        dm[pi, :m] = new_row
-        dm[:m, pi] = new_row
+        # the entry.  Under single linkage the merged entry is that
+        # smaller one, so only the merged row itself can go stale.
+        if not single:
+            np.minimum(row_i, row_j, out=low[:m])
+            np.equal(mins, low[:m], out=stale[:m])
+            stale[:m] &= np.greater(merged, mins, out=worse[:m])
+        merged[pi] = np.inf
+        np.minimum(mins, merged, out=mins)
+        dm[pi, :m] = merged
+        dm[:m, pi] = merged
 
+        # The matrix is symmetric, so the last slot's row is also its
+        # column; only its first `last` entries stay active.
         last = m - 1
         if pj != last:
-            dm[pj, :m] = dm[last, :m]
-            dm[:m, pj] = dm[:m, last]
+            moved = dm[last, :last]
+            dm[pj, :last] = moved
+            dm[:last, pj] = moved
             dm[pj, pj] = np.inf
             node_of[pj] = node_of[last]
             sizes[pj] = sizes[last]
+            if ward:
+                nk[pj] = nk[last]
             row_min[pj] = row_min[last]
             stale[pj] = stale[last]
         m = last
-        stale[pi] = True
-        redo = stale[:m].nonzero()[0]
-        row_min[redo] = dm[redo, :m].min(axis=1)
+        if single:
+            redo = (pi,)
+        else:
+            stale[pi] = True
+            redo = stale[:m].nonzero()[0].tolist()
+        for r in redo:
+            row = dm[r, :m]
+            row_min[r] = row[row.argmin()]
 
-        h = math.sqrt(val) if method == "ward" else float(val)
-        merges.append((best[0], best[1], h, ni + nj))
+        h = math.sqrt(val) if ward else float(val)
+        merges.append((best[0], best[1], h, int(ni + nj)))
         node_of[pi] = n + step
         sizes[pi] = ni + nj
-    return validate_dendrogram(merges, n)
+        if ward:
+            nk[pi] = ni + nj
+    return merges
 
 
 def _cluster_data(x, kind: str, method: str) -> Dendrogram:
@@ -473,7 +540,7 @@ def _cluster_stack(problems) -> list:
         else:
             dm = np.frombuffer(buf, count=len(part) * n * n)
             dm = dm.reshape(len(part), n, n)
-        trees = None
+        trees = merges = None
         if _fill_stack(dm, part):
             if len(part) > 1:
                 trees = _stacked_linkage(dm, [m for _, _, m in part])
@@ -481,11 +548,17 @@ def _cluster_stack(problems) -> list:
                 # linkage's own steps on the square it would pass them,
                 # so an error they raise is the one linkage raises.
                 try:
-                    trees = [_linkage_square(dm[0], part[0][2])]
+                    merges = _linkage_square(dm[0], part[0][2])
                 except BranchEmbedError as err:
                     trees = [err]
-        # Free a one-problem matrix before a rerun builds its own.
+        # Free a one-problem matrix before its tree is built, as linkage
+        # does, and before a rerun builds its own.
         del dm
+        if merges is not None:
+            try:
+                trees = [validate_dendrogram(merges, n)]
+            except BranchEmbedError as err:
+                trees = [err]
         if trees is None:
             trees = []
             for x, kind, method in part:
@@ -595,6 +668,9 @@ def _stacked_linkage(dm: np.ndarray, methods) -> list | None:
     records = np.empty((count, 3, n - 1), dtype=np.int64)
     heights = np.empty((count, n - 1))
     no_id = np.int64(2 * n)   # above every node id
+    # Each method's run writes its update into its slice of new_row.
+    new_row = np.empty((count, n))
+    tmp = np.empty((count, n))
     for step in range(n - 1):
         val = row_min.min(axis=1)
         if not np.isfinite(val).all():
@@ -614,10 +690,10 @@ def _stacked_linkage(dm: np.ndarray, methods) -> list | None:
         records[:, 0, step] = node_of.take(ra)
         records[:, 1, step] = node_of.take(rb)
 
-        parts = [_lw_combine(method, row_a[lo:hi], row_b[lo:hi], na[lo:hi],
-                             nb[lo:hi], sizes[lo:hi], col_val[lo:hi])
-                 for method, lo, hi in runs]
-        new_row = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for method, lo, hi in runs:
+            _lw_combine(method, row_a[lo:hi], row_b[lo:hi], na[lo:hi],
+                        nb[lo:hi], sizes[lo:hi], col_val[lo:hi],
+                        new_row[lo:hi], tmp[lo:hi])
         new_row.put(ra, np.inf)
         stale = (row_min == np.minimum(row_a, row_b)) & (new_row > row_min)
         np.minimum(row_min, new_row, out=row_min)

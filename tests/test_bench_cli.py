@@ -27,6 +27,7 @@ from branchembed import (
     linkage,
     parse_merge_table,
     run_table_experiment,
+    serialize_merge_table,
 )
 from branchembed import bench, cli, cluster
 from branchembed.bench import _ANGLE_STREAM_OFFSET
@@ -580,18 +581,18 @@ class TestCliEmbed:
         assert coords == pytest.approx(np.asarray(expected), abs=1e-12)
 
     def test_embed_overflowing_tree(self, tmp_path, capsys):
-        # A valid merge table whose embedding overflows float64 exits 2
-        # and writes no coordinates.
+        # A valid merge table whose embedding overflows float64 under
+        # every strategy exits 2 and writes no coordinates.
         tree = tmp_path / "tree.csv"
-        tree.write_text("0,1,1e308,2\n2,3,1e308,2\n4,5,1e308,2\n"
-                        "6,7,1e308,2\n8,9,1.2e308,4\n10,11,1.5e308,4\n"
-                        "12,13,1.7e308,8\n")
+        tree.write_text(serialize_merge_table(overflowing_dendrogram()))
         out = tmp_path / "coords.csv"
-        code = main(["embed", "--dendrogram", str(tree), "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: embedding coordinates overflow float64\n")
-        assert not out.exists()
+        for strategy in ("fixed", "even", "random"):
+            code = main(["embed", "--dendrogram", str(tree),
+                         "--strategy", strategy, "--out", str(out)])
+            assert code == 2, strategy
+            assert capsys.readouterr().err == (
+                "error: embedding coordinates overflow float64\n"), strategy
+            assert not out.exists(), strategy
 
     def test_embed_deterministic_rerun(self, data_csv, tmp_path):
         a = tmp_path / "a.csv"

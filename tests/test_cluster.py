@@ -550,6 +550,15 @@ class TestAgainstStepwise:
         d0 = euclidean_dissimilarity(rng.normal(size=(1000, 5)))
         assert linkage(d0, method) == stepwise_linkage(d0, method)
 
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    def test_large_grid(self, method):
+        # A 10-level integer grid has 145 distinct distances, so at
+        # n=1000 most merge heights repeat and the tie-break picks pairs.
+        rng = np.random.default_rng(1001)
+        x = rng.integers(0, 10, size=(1000, 3)).astype(float)
+        d0 = euclidean_dissimilarity(x)
+        assert linkage(d0, method) == stepwise_linkage(d0, method)
+
 
 
 def _reference(x, kind, method):

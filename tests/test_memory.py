@@ -289,6 +289,8 @@ def test_peak_memory_script():
     assert lines[0].startswith("n=200:")
     stages = ["dissimilarity", "linkage", "embed", "convert_dendrogram",
               "scores", "evaluate_embedding", "ru_maxrss"]
+    if os.access("/proc/self/smaps_rollup", os.R_OK):
+        stages.append("AnonHugePages")
     assert [line.split()[0] for line in lines[2:]] == stages
     for line in lines[2:]:
         assert re.fullmatch(r"\S+ +\d+\.\d\d +\d+\.\d\d", line)
