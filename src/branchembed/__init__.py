@@ -65,6 +65,7 @@ from .errors import (
     NonMonotonic,
     ParseError,
     RaggedRow,
+    ScoringOverflow,
     SizeLimit,
     SizeMismatch,
     ZeroVariance,
@@ -108,6 +109,7 @@ __all__ = [
     "PALETTE",
     "ParseError",
     "RaggedRow",
+    "ScoringOverflow",
     "SizeLimit",
     "SizeMismatch",
     "SplitEvent",

@@ -152,9 +152,8 @@ def correlation_dissimilarity(x) -> CondensedMatrix:
     ``(x1 - x0) / 2 * (-1, 1)``, so ``1 - r`` is exactly 0 for two rows
     that rise (``x1 > x0``) or fall alike and exactly 2 otherwise.  Wider
     rows are first multiplied by the power of two that brings their
-    largest absolute value into [0.5, 1), as
-    :func:`~branchembed.metrics._rescaled` does, which is exact, so their
-    sums of squares neither overflow nor underflow at any scale.  Then
+    largest absolute value into [0.5, 1), which is exact, so their sums
+    of squares neither overflow nor underflow at any scale.  Then
     they are centred and scaled to unit length, and each pair's ``r`` is
     the dot product of its two unit rows, summed per pair in the chunks
     of :func:`~branchembed.dendrogram._pair_chunks` as in

@@ -457,15 +457,6 @@ def _path_lengths(key: np.ndarray, lca: tuple, i: np.ndarray,
     return key
 
 
-def _merge_heights(d: Dendrogram, key: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` the merge heights of tree ``d``'s records that
-    :func:`_lca_keys`' ``key`` names."""
-    mask = (1 << (d.n_leaves - 1).bit_length()) - 1
-    # Every index is in range, so the take may use "clip", which writes
-    # straight to ``out``; "raise" fills a buffer first.
-    np.take(d.height, key & mask, out=out, mode="clip")
-
-
 def _pair_matrices(d: Dendrogram, kinship: bool,
                    lca: tuple | None = None) -> np.ndarray:
     """Fill the cophenetic condensed vector, or the kinship one if
@@ -495,6 +486,7 @@ def _pair_matrices(d: Dendrogram, kinship: bool,
     out = np.empty(m)
     if lca is None:
         lca = _lca_table(d)
+    mask = (1 << (n - 1).bit_length()) - 1
     # Each chunk's temporaries are dropped before the walk makes the
     # next chunk's pairs.
     for s, e, i, j in _pair_chunks(n):
@@ -502,7 +494,10 @@ def _pair_matrices(d: Dendrogram, kinship: bool,
         if kinship:
             out[s:e] = _path_lengths(key, lca, i, j)
         else:
-            _merge_heights(d, key, out[s:e])
+            # Every record id is in range, so the take may use "clip",
+            # which writes straight to ``out``; "raise" fills a buffer
+            # first.
+            np.take(d.height, key & mask, out=out[s:e], mode="clip")
         del key
     return out
 

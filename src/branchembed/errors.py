@@ -88,6 +88,16 @@ class EmbeddingOverflow(BranchEmbedError, ValueError):
         super().__init__("embedding coordinates overflow float64")
 
 
+class ScoringOverflow(BranchEmbedError, ValueError):
+    """A tree has so many leaves that scoring's int64 kinship sums could
+    wrap (1,321,124 or more; see :func:`~branchembed.metrics._scores`).
+    ``n_leaves`` is the tree's leaf count."""
+
+    def __init__(self, n_leaves):
+        super().__init__(f"scoring {n_leaves} leaves could overflow int64")
+        self.n_leaves = n_leaves
+
+
 class SizeLimit(BranchEmbedError, MemoryError):
     """An array the computation needs is larger than this machine's
     physical memory, so it is refused before anything is allocated.

@@ -6,12 +6,17 @@ clustered, and correlate the resulting cophenetic and kinship matrices
 with the original dendrogram's, entry by entry over the strict upper
 triangle.  The two Pearson scores are called r_c (cophenetic) and r_k
 (kinship).  :func:`evaluate_embedding` and the benchmark share one
-scoring function, which walks the leaf pairs once per converted tree:
-each pair's lowest common ancestor is looked up once in each tree, the
-cophenetic values go into the original's vector and one converted
-tree's, and the kinship values only into integer sums.  So scoring
-holds two condensed vectors (8 n^2 bytes) at most, and no kinship
-vector.
+scoring function, which walks the leaf pairs once for all converted
+trees of an original and looks each pair's lowest common ancestor up
+once per tree.
+
+Both scores are exact.  Kinship values are integer path lengths, and
+cophenetic values are merge heights, which are integers times one power
+of two per tree; so every Pearson sum is an integer, the same in any
+summation order, and each score is rounded once, correctly.  A tree's
+sums of cophenetic values and of their squares come from its records
+alone, so the walk adds up only the products, per record, and scoring
+holds no pair vector: chunk arrays and O(n log n) tables, not O(n^2).
 
 Reclustering uses the dissimilarity kind that built the original tree
 (Euclidean unless ``dissimilarity="correlation"``).  Row correlation of
@@ -22,11 +27,6 @@ cluster-id tie-break alone then fixes the reclustered tree, which
 Euclidean reclustering both scores are invariant under rigid motions and
 uniform scaling of the coordinates, since the distances change at most
 by a common factor and Pearson correlation ignores affine changes.
-r_k is exact: it is computed from integer sums, which depend on no
-summation order, and correctly rounded.  r_c's Pearson sums go through
-``einsum``, not BLAS, so it does not depend on the BLAS kernel or its
-thread count, but its last bits do depend on ``einsum``'s summation
-order.
 """
 
 from __future__ import annotations
@@ -41,67 +41,16 @@ import numpy as np
 from .cluster import _cluster_data, check_condition
 from .dendrogram import (
     Dendrogram,
-    _check_size,
     _lca_keys,
     _lca_table,
-    _merge_heights,
     _pair_chunks,
     _path_lengths,
 )
 from .embed import AngleStrategy, Embedding
-from .errors import SizeMismatch, ZeroVariance
-
-
-def _rescaled(v: np.ndarray, out=None) -> np.ndarray:
-    """``v`` times the power of two that brings its largest absolute value
-    into [0.5, 1).  Pearson correlation ignores a positive factor, and
-    this one is exact, so the scores are those of ``v`` at any scale at
-    which its sums and products neither overflow nor underflow."""
-    return np.ldexp(v, -math.frexp(np.abs(v).max())[1], out=out)
+from .errors import ScoringOverflow, SizeMismatch, ZeroVariance
 
 
 _CONSTANT = "correlation of a constant vector is undefined"
-
-
-def _centred(v: np.ndarray) -> np.ndarray:
-    """``v`` centred in place (pass an array the caller no longer needs,
-    or a copy); a constant ``v`` has no correlation and is rejected.
-    If the sum of ``v`` overflows, ``v`` is first :func:`_rescaled`.
-    Neither test makes a temporary the size of ``v``."""
-    if v.min() == v.max():
-        raise ZeroVariance(_CONSTANT)
-    with np.errstate(over="ignore"):
-        mean = v.mean()
-    if not math.isfinite(mean):
-        _rescaled(v, out=v)
-        mean = v.mean()
-    v -= mean
-    return v
-
-
-_TINY = np.finfo(np.float64).tiny
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """The dot product of two vectors by ``einsum``, whose sum does not
-    depend on the BLAS kernel or its thread count, as ``a @ b``'s does."""
-    return np.einsum("i,i->", a, b)
-
-
-def _pearson_vec(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation of two vectors already passed through
-    :func:`_centred`.  If a squared norm or their product leaves the
-    normal float64 range, both vectors are first :func:`_rescaled`."""
-    with np.errstate(over="ignore", under="ignore"):
-        aa, bb = _dot(a, a), _dot(b, b)
-        den = aa * bb
-    if not (aa >= _TINY and bb >= _TINY and _TINY <= den < math.inf):
-        a = _rescaled(a)
-        b = _rescaled(b)
-        aa, bb = _dot(a, a), _dot(b, b)
-        den = aa * bb
-    r = float(_dot(a, b)) / float(np.sqrt(den))
-    return min(1.0, max(-1.0, r))
 
 
 def _exact_pearson(m: int, sa: int, saa: int, sb: int, sbb: int,
@@ -133,60 +82,113 @@ def _exact_pearson(m: int, sa: int, saa: int, sb: int, sbb: int,
     return -r if num < 0 else r
 
 
-def _pair_walk(original: Dendrogram, lca: tuple, tree: Dendrogram,
-               table: tuple, vec: np.ndarray,
-               ref: Optional[np.ndarray]) -> tuple:
-    """One walk over the pairs of :func:`_pair_chunks` for a converted
-    ``tree``: each pair's lowest common ancestor is looked up once in
-    ``original`` (through its :func:`_lca_table` ``lca``) and once in
-    ``tree``.  Fills ``vec`` with the tree's cophenetic values and, if
-    ``ref`` is given, ``ref`` with the original's.  Returns the kinship
-    sums ``(sa, saa, sb, sbb, sab)`` as Python ints: a is the original's
-    kinship vector and b the tree's, and ``sa``, ``saa`` are 0 unless
-    ``ref`` is given.  Each chunk's arrays are dropped before the next
-    chunk's pairs are made."""
-    sa = saa = sb = sbb = sab = 0
-    for s, e, i, j in _pair_chunks(original.n_leaves):
+def _value(sums: np.ndarray, row_bits: int, col_bits: int) -> int:
+    """Digit sums put back together in Python ints: the sum of
+    ``sums[d, e]`` 2^(row_bits (rows - 1 - d) + col_bits (cols - 1 - e)),
+    both axes top digit first."""
+    return sum(v << row_bits * d + col_bits * e
+               for d, row in enumerate(sums[::-1, ::-1].tolist())
+               for e, v in enumerate(row))
+
+
+def _digits(d: Dendrogram, bits: int) -> np.ndarray:
+    """Tree ``d``'s merge heights as integers, H = h 2^-E, split into
+    base-2^``bits`` digits: a float64 array of shape (q, n - 1), top
+    digit first.
+
+    2^E is the unit of the last bit of the smallest nonzero height's
+    binade (at least 2^-1074), so it divides every height, and each
+    digit is taken off the top by ``ldexp``, ``floor`` and a
+    subtraction, all exact."""
+    exps = np.frexp(d.height)[1]
+    top = int(exps.max())
+    low = max(int(exps.min(where=d.height > 0, initial=top)) - 53, -1074)
+    rest = d.height
+    digits = []
+    for e in range(low + bits * ((top - low - 1) // bits), low - 1, -bits):
+        digits.append(np.floor(np.ldexp(rest, -e)))
+        rest = rest - np.ldexp(digits[-1], e)
+    return np.array(digits)
+
+
+def _height_sums(d: Dendrogram, bits: int) -> tuple:
+    """The sum and the sum of squares of tree ``d``'s cophenetic values,
+    in the units of :func:`_digits`, and its base-2^``bits`` digits as
+    int64.  The sums come from the records alone: record k is the
+    lowest common ancestor of |left_k| |right_k| pairs."""
+    digits = _digits(d, bits).astype(np.int64)
+    size = np.concatenate([np.ones(d.n_leaves, dtype=np.int64), d.size])
+    pairs = size[d.left] * size[d.right]
+    return (_value(pairs[None, :] @ digits.T, bits, bits),
+            _value((digits * pairs) @ digits.T, bits, bits), digits)
+
+
+def _pair_walk(original: Dendrogram, converted, digits: np.ndarray) -> tuple:
+    """One walk over the pairs of :func:`_pair_chunks`, chunks outer and
+    trees inner: each pair's lowest common ancestor is looked up once in
+    the ``original`` tree and once in each ``converted`` tree, through
+    the trees' :func:`_lca_table` tables.
+
+    Returns ``(kin, weights)``.  ``kin`` holds kinship sums as Python
+    ints: ``[sa, saa]`` of the original, then ``[sb, sbb, sab]`` per
+    converted tree.  ``weights[t, d, k]`` is the sum of the original's
+    height digit ``digits[d]`` over the pairs whose lowest common
+    ancestor in converted tree t is record k, as int64; the float64
+    sums it is added up in are exact as :func:`_scores` says.  Each
+    chunk's arrays are dropped before the next chunk's pairs are made."""
+    n = original.n_leaves
+    mask = (1 << (n - 1).bit_length()) - 1
+    lca = _lca_table(original)
+    tables = [_lca_table(tree) for tree in converted]
+    kin = [[0, 0]] + [[0, 0, 0] for _ in tables]
+    weights = np.zeros((len(tables), len(digits), n - 1))
+    for _, _, i, j in _pair_chunks(n):
         a = _lca_keys(lca, i, j)
-        if ref is not None:
-            _merge_heights(original, a, ref[s:e])
+        ours = digits.take(a & mask, axis=1)
         a = _path_lengths(a, lca, i, j)
-        if ref is not None:
-            sa += int(a.sum())
-            saa += int(np.dot(a, a))
-        b = _lca_keys(table, i, j)
-        _merge_heights(tree, b, vec[s:e])
-        b = _path_lengths(b, table, i, j)
-        sb += int(b.sum())
-        sbb += int(np.dot(b, b))
-        sab += int(np.dot(a, b))
-        del a, b
-    return sa, saa, sb, sbb, sab
+        kin[0][0] += int(a.sum())
+        kin[0][1] += int(np.dot(a, a))
+        for table, sums, tree_weights in zip(tables, kin[1:], weights):
+            b = _lca_keys(table, i, j)
+            record = b & mask
+            for w, digit in zip(tree_weights, ours):
+                w += np.bincount(record, digit, n - 1)
+            b = _path_lengths(b, table, i, j)
+            sums[0] += int(b.sum())
+            sums[1] += int(np.dot(b, b))
+            sums[2] += int(np.dot(a, b))
+            del b, record
+        del a, ours
+    return kin, weights.astype(np.int64)
 
 
 def _scores(original: Dendrogram, converted) -> np.ndarray:
     """r_c and r_k of each tree in ``converted`` against ``original``,
-    all over the same leaves, one walk over the pairs per tree.
+    all over the same leaves, in one walk over the pairs.
 
-    Each walk (:func:`_pair_walk`) looks each pair's lowest common
-    ancestor up once in the original and once in the converted tree.
-    It writes the converted tree's cophenetic vector, and on the first
-    walk the original's, and adds the two trees' kinship values into
-    int64 sums per chunk, which are added up in Python ints.  So r_c
-    comes from the two cophenetic vectors, through :func:`_centred` and
-    :func:`_pearson_vec`, and r_k from :func:`_exact_pearson`, correctly
-    rounded: integer sums depend on no summation order.  No kinship
-    vector is made, so two condensed vectors (8 n^2 bytes) at most are
-    alive, and :class:`SizeLimit` is raised before anything is filled
-    if they do not fit in physical memory.
+    Both scores come from integer sums through :func:`_exact_pearson`,
+    so they are correctly rounded and depend on no summation order.
+    A tree's cophenetic values are its merge heights, integers in units
+    of 2^E (one E per tree), so their sums and sums of squares come from
+    the records alone (:func:`_height_sums`).  Only the sum of products
+    needs the pairs: the walk (:func:`_pair_walk`) adds the original's
+    height digits up per converted record, and int64 products with the
+    converted tree's digits finish it.  Kinship values are integer path
+    lengths, summed per chunk in int64.  So scoring holds chunk arrays,
+    the LCA tables and the digit sums, and no pair vector.
 
-    The int64 sums cannot wrap.  A chunk holds at most
+    No int64 sum can wrap.  A chunk holds at most
     max(_PAIR_CHUNK, n - 1) pairs, and a kinship value is at most
-    2n - 2, so a chunk's sum of products stays below max(8192, n) 4 n^2.
-    That is below 2^63 for every n below 1,321,124, whose two pair
-    vectors would take 14 TB, so the size check refuses every n that
-    could wrap on any machine with less memory than that
-    (``tests/test_memory.py`` checks the arithmetic).
+    2n - 2, so a chunk's kinship sum of products stays below
+    max(_PAIR_CHUNK, n - 1) (2n - 2)^2, which is 4 (n - 1)^3 for the n
+    where it matters.  That is below 2^63 for every n below 1,321,124,
+    and for larger n :class:`ScoringOverflow` is raised before anything
+    is built (``tests/test_memory.py`` checks the arithmetic).  Below
+    that n, m < 2^40.  The walk's digits have 53 - bits(m) bits, so each
+    of its sums W stays below m 2^(53 - bits(m)) <= 2^53 and is exact in
+    float64.  The other digits have L = floor((62 - bits(m)) / 2) bits,
+    and W is split into its low L bits and the rest, so every int64 sum
+    of products stays below m 2^(2L) <= 2^62, or below the sum of W.
 
     Returns a ``(len(converted), 2)`` array of ``(r_c, r_k)`` rows, NaN
     where a converted tree's vector is constant.  Raises
@@ -194,28 +196,23 @@ def _scores(original: Dendrogram, converted) -> np.ndarray:
     constant (its kinship vector is constant only at n = 2, where its
     cophenetic vector is too).
     """
-    m = original.n_leaves * (original.n_leaves - 1) // 2
-    _check_size("the pair vectors", 16 * m)
-    tables = [_lca_table(tree) for tree in converted]
-    lca = _lca_table(original)
-    out = np.full((len(tables), 2), np.nan)
-    # The LCA tables are made before the two vectors: made after them,
-    # they land in heap space that the vectors' successors would reuse,
-    # and the process's peak resident memory rises.
-    ref = np.empty(m)
-    vec = np.empty(m)
-    for k, (tree, table) in enumerate(zip(converted, tables)):
-        sums = _pair_walk(original, lca, tree, table, vec,
-                          None if k else ref)
-        if k == 0:
-            sa, saa = sums[:2]
-            _centred(ref)
-        sb, sbb, sab = sums[2:]
-        try:
-            out[k, 0] = _pearson_vec(ref, _centred(vec))
-        except ZeroVariance:
-            pass
-        out[k, 1] = _exact_pearson(m, sa, saa, sb, sbb, sab)
+    n = original.n_leaves
+    if 4 * (n - 1) ** 3 >= 1 << 63:
+        raise ScoringOverflow(n)
+    m = n * (n - 1) // 2
+    bits = (62 - m.bit_length()) // 2
+    sa, saa, _ = _height_sums(original, bits)
+    if m * saa == sa * sa:
+        raise ZeroVariance(_CONSTANT)
+    wide = 53 - m.bit_length()
+    kin, weights = _pair_walk(original, converted, _digits(original, wide))
+    out = np.empty((len(converted), 2))
+    for t, (tree, w) in enumerate(zip(converted, weights)):
+        sb, sbb, theirs = _height_sums(tree, bits)
+        sab = ((_value((w >> bits) @ theirs.T, wide, bits) << bits)
+               + _value((w & (1 << bits) - 1) @ theirs.T, wide, bits))
+        out[t, 0] = _exact_pearson(m, sa, saa, sb, sbb, sab)
+        out[t, 1] = _exact_pearson(m, *kin[0], *kin[t + 1])
     return out
 
 

@@ -16,13 +16,13 @@ behind ``run_table_experiment``'s stacked reclustering; and
 formatted one numpy scalar at a time behind ``cli._coords_csv`` and
 ``render_svg_scatter`` (same bytes); and ``replay_embed``, public
 ``division_step`` called once per record behind ``branching_embed``'s
-single loop (same bits, same trace); and ``onepass_r_c``, the cophenetic
-half of the one-metric-at-a-time scorer behind ``metrics._scores``'
-streamed walk (same bits).  ``exact_r_k`` is the exact oracle of r_k,
-from Python ints and ``math`` only.
+single loop (same bits, same trace).  ``exact_r_c`` and ``exact_r_k``
+are the exact oracles of the two scores, pair by pair from ``fractions``,
+Python ints and ``math`` only.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,14 +41,8 @@ from branchembed import (
 )
 from branchembed import bench, cluster
 from branchembed.cluster import _lw_combine
-from branchembed.dendrogram import _pair_matrices
 from branchembed.errors import BranchEmbedError
-from branchembed.metrics import (
-    _centred,
-    _pearson_vec,
-    _scores,
-    convert_dendrogram,
-)
+from branchembed.metrics import _scores, convert_dendrogram
 from branchembed.svgplot import _MARGIN, PALETTE
 
 
@@ -502,11 +496,11 @@ def replay_embed(d: Dendrogram, strategy: AngleStrategy):
     return np.array([point[i] for i in range(n)]), events
 
 
-def _pure_kinship(d: Dendrogram):
-    """Kinship values as a dict ``{(i, j): path length}`` over i < j,
-    in Python ints: each record's node depth from a root-first pass,
-    each leaf's from its parent's, and every cross pair of a record's
-    two leaf lists."""
+def _pure_pairs(d: Dendrogram, value):
+    """``{(i, j): value(k, depth, i, j)}`` over the pairs i < j whose
+    lowest common ancestor is record k, with ``depth`` the node depths
+    from a root-first pass: every cross pair of a record's two leaf
+    lists."""
     n = d.n_leaves
     left = d.left.tolist()
     right = d.right.tolist()
@@ -514,18 +508,30 @@ def _pure_kinship(d: Dendrogram):
     for k in range(n - 2, -1, -1):
         depth[left[k]] = depth[right[k]] = depth[n + k] + 1
     leaves = [[i] for i in range(n)]
-    kin = {}
+    out = {}
     for k in range(n - 1):
         a, b = leaves[left[k]], leaves[right[k]]
         for i in a:
             for j in b:
-                kin[min(i, j), max(i, j)] = (depth[i] + depth[j]
-                                             - 2 * depth[n + k])
+                out[min(i, j), max(i, j)] = value(k, depth, i, j)
         leaves.append(a + b)
-    return kin
+    return out
 
 
-def _beyond(num: int, den: int, x: float, y: float) -> int:
+def _pure_kinship(d: Dendrogram):
+    """Kinship values as Python ints: each pair's path length."""
+    n = d.n_leaves
+    return _pure_pairs(d, lambda k, depth, i, j:
+                       depth[i] + depth[j] - 2 * depth[n + k])
+
+
+def _pure_cophenetic(d: Dendrogram):
+    """Cophenetic values as exact ``Fraction``s of the merge heights."""
+    height = d.height.tolist()
+    return _pure_pairs(d, lambda k, depth, i, j: Fraction(height[k]))
+
+
+def _beyond(num, den, x: float, y: float) -> int:
     """The sign of |num| / sqrt(den) - (x + y) / 2, for x, y >= 0, with
     the midpoint taken exactly as a ratio of ints."""
     px, qx = x.as_integer_ratio()
@@ -541,18 +547,15 @@ def _odd(x: float) -> bool:
     return bool(int(math.ldexp(math.frexp(x)[0], 53)) & 1)
 
 
-def exact_r_k(original: Dendrogram, converted: Dendrogram) -> float:
-    """r_k of ``converted`` against ``original``, correctly rounded (ties
-    to even), from Python ints and ``math`` only; NaN if the converted
-    tree's kinship values are constant.
+def _rounded_pearson(a: dict, b: dict) -> float:
+    """The Pearson correlation of two exact pair-value dicts (ints or
+    ``Fraction``s), correctly rounded (ties to even); NaN if ``b`` is
+    constant, ``ZeroVariance`` if ``a`` is.
 
-    The five sums are taken pair by pair over :func:`_pure_kinship`.  A
-    float estimate of |r| = |num| / sqrt(den) is then moved one float at
-    a time until |r| lies between the midpoints to its neighbours, each
-    compared with |r| exactly.  Raises ``ZeroVariance`` for a constant
-    original."""
-    a = _pure_kinship(original)
-    b = _pure_kinship(converted)
+    The five sums are taken pair by pair.  A float estimate of |r| =
+    |num| / sqrt(den) is then moved one float at a time until |r| lies
+    between the midpoints to its neighbours, each compared with |r|
+    exactly."""
     m = len(a)
     sa = sum(a.values())
     sb = sum(b.values())
@@ -562,12 +565,12 @@ def exact_r_k(original: Dendrogram, converted: Dendrogram) -> float:
     va = m * saa - sa * sa
     vb = m * sbb - sb * sb
     if va == 0:
-        raise ZeroVariance("the original's kinship vector is constant")
+        raise ZeroVariance("the original's vector is constant")
     if vb == 0:
         return math.nan
     num = m * sab - sa * sb
     den = va * vb
-    r = min(1.0, abs(num) / math.sqrt(va) / math.sqrt(vb))
+    r = min(1.0, math.sqrt(Fraction(num * num) / den))
     while num:
         up = math.nextafter(r, math.inf)
         down = math.nextafter(r, 0.0)
@@ -583,15 +586,19 @@ def exact_r_k(original: Dendrogram, converted: Dendrogram) -> float:
     return -r if num < 0 else r
 
 
-def onepass_r_c(original: Dendrogram, converted: Dendrogram) -> float:
-    """r_c as the scorer made it one metric at a time: each tree's
-    cophenetic vector filled by its own ``_pair_matrices`` call, centred
-    and correlated by ``_pearson_vec``; NaN if the converted tree's
-    vector is constant.  Raises ``ZeroVariance`` for a constant
-    original."""
-    ref = _centred(_pair_matrices(original, False))
-    try:
-        vec = _centred(_pair_matrices(converted, False))
-    except ZeroVariance:
-        return math.nan
-    return _pearson_vec(ref, vec)
+def exact_r_c(original: Dendrogram, converted: Dendrogram) -> float:
+    """r_c of ``converted`` against ``original``, correctly rounded, over
+    the exact ``Fraction`` values of :func:`_pure_cophenetic`; NaN if the
+    converted tree's heights are all equal.  Raises ``ZeroVariance`` for
+    a constant original."""
+    return _rounded_pearson(_pure_cophenetic(original),
+                            _pure_cophenetic(converted))
+
+
+def exact_r_k(original: Dendrogram, converted: Dendrogram) -> float:
+    """r_k of ``converted`` against ``original``, correctly rounded, over
+    the integer path lengths of :func:`_pure_kinship`; NaN if the
+    converted tree's are constant.  Raises ``ZeroVariance`` for a
+    constant original."""
+    return _rounded_pearson(_pure_kinship(original),
+                            _pure_kinship(converted))

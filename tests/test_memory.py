@@ -1,11 +1,11 @@
 """Memory of the scoring pipeline, and the named limit on array sizes.
 
 Reclustering fills ``linkage``'s n x n matrix straight from the
-coordinates, with no condensed copy, and scoring walks the pairs once per
-converted tree, holding the original tree's cophenetic vector and one
-converted tree's, and no kinship vector.  The peaks are measured with
-tracemalloc, which sees numpy's allocations, in units of n^2 bytes: the
-matrix is 8 and each condensed vector about 4.
+coordinates, with no condensed copy, and scoring walks the pairs once for
+all converted trees, holding chunk arrays and per-record sums and no pair
+vector.  The peaks are measured with tracemalloc, which sees numpy's
+allocations, in units of n^2 bytes: the matrix is 8 and each condensed
+vector about 4.
 
 The size limit is tested by lowering it to a few KiB, never by
 allocating near this machine's memory.
@@ -25,6 +25,7 @@ from branchembed import (
     AngleStrategy,
     BranchEmbedError,
     CondensedMatrix,
+    ScoringOverflow,
     SizeLimit,
     branching_embed,
     convert_dendrogram,
@@ -33,10 +34,10 @@ from branchembed import (
     gaussian_matrix,
     linkage,
 )
-from branchembed import cluster, dendrogram
-from branchembed.dendrogram import _pair_matrices
+from branchembed import cluster, dendrogram, metrics
+from branchembed.dendrogram import Dendrogram, _pair_matrices
 from branchembed.metrics import _scores
-from helpers import exact_r_k, onepass_r_c
+from helpers import exact_r_c, exact_r_k
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -74,12 +75,13 @@ class TestPeakMemory:
         assert got == linkage(euclidean_dissimilarity(emb.coords), "average")
         assert peak < 9 * n * n, peak / n ** 2
 
-    def test_evaluate_embedding_holds_two_vectors(self, tree_and_embedding):
+    def test_evaluate_embedding_holds_one_matrix(self, tree_and_embedding):
+        # Reclustering's matrix; scoring adds no pair vector.
         tree, emb = tree_and_embedding
         n = tree.n_leaves
         peak, report = _peak(evaluate_embedding, tree, emb, "average")
         assert 0.0 < report.r_c <= 1.0
-        assert peak < 10 * n * n, peak / n ** 2
+        assert peak < 9 * n * n, peak / n ** 2
 
 
 class TestCondensedLayer:
@@ -112,14 +114,13 @@ class TestCondensedLayer:
 
 
 def _reference(original, converted):
-    """``(r_c, r_k)``: r_c with each cophenetic vector filled by its own
-    call, one metric at a time, and r_k from the exact oracle."""
-    return onepass_r_c(original, converted), exact_r_k(original, converted)
+    """``(r_c, r_k)`` from the exact oracles."""
+    return exact_r_c(original, converted), exact_r_k(original, converted)
 
 
 class TestScorerPasses:
-    """One streamed walk per converted tree, over several trees, gives
-    the one-pass r_c bit for bit and the exact r_k."""
+    """One streamed walk for several converted trees gives the exact r_c
+    and r_k bit for bit, and holds no pair vector."""
 
     @staticmethod
     def _trees(n):
@@ -145,21 +146,26 @@ class TestScorerPasses:
         assert np.array_equal(_scores(original, trees),
                               [_reference(original, tree) for tree in trees])
 
-    def test_holds_two_vectors(self, tree_and_embedding):
-        # The original's and one converted tree's cophenetic vectors,
-        # and chunk arrays of at most _PAIR_CHUNK pairs; a third vector,
-        # such as a kinship vector, would pass the bound.
-        tree, emb = tree_and_embedding
-        m = tree.n_leaves * (tree.n_leaves - 1) // 2
-        trees = [convert_dendrogram(emb, method)
-                 for method in ("average", "single", "complete")]
-        bound = 16 * m + 16 * 8 * dendrogram._PAIR_CHUNK
-        assert bound < 24 * m
-        peak, got = _peak(_scores, tree, trees)
-        assert np.array_equal(got, [_reference(tree, t) for t in trees])
-        assert 16 * m < peak < bound, (peak - 16 * m) / m
+    def test_holds_no_pair_vector(self):
+        # Chunk arrays of at most _PAIR_CHUNK + n pairs and each tree's
+        # LCA table of n log n keys, and no vector over the m pairs: at
+        # both n, one pair vector alone would pass the bound.
+        for n in (1000, 1500):
+            m = n * (n - 1) // 2
+            tree = linkage(euclidean_dissimilarity(
+                gaussian_matrix(n, 5, 15)), "average")
+            emb = branching_embed(tree, AngleStrategy.fixed(15))
+            trees = [convert_dendrogram(emb, method)
+                     for method in ("average", "single", "complete")]
+            bound = (24 * 8 * (dendrogram._PAIR_CHUNK + n)
+                     + 16 * n * n.bit_length() * (len(trees) + 1))
+            assert bound < 8 * m
+            peak, got = _peak(_scores, tree, trees)
+            assert np.array_equal(got, [_scores(tree, [t])[0]
+                                        for t in trees])
+            assert peak < bound, (n, peak / bound)
 
-    def test_kinship_sums_cannot_wrap(self):
+    def test_kinship_sums_cannot_wrap(self, monkeypatch):
         # A chunk holds at most max(_PAIR_CHUNK, n - 1) pairs, and a
         # kinship value is at most 2n - 2, so a chunk's int64 sum of
         # products is below largest(n).
@@ -176,17 +182,28 @@ class TestScorerPasses:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if largest(mid) >= 2 ** 63 else (mid + 1, hi)
         assert lo == 1_321_124
-        # Its two pair vectors need 14 TB, which the memory limit
-        # refuses before any walk.
-        nbytes = 16 * (lo * (lo - 1) // 2)
-        assert nbytes > 1.39e13
-        assert nbytes > dendrogram._MEMORY_LIMIT
+        # Scoring refuses that n and every larger one by name, before it
+        # builds anything, and no smaller one: a tree of n leaves with no
+        # records stands in, and one leaf fewer reaches the first step
+        # after the check.
+        def built(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(metrics, "_height_sums", built)
+        monkeypatch.setattr(metrics, "_lca_table", built)
+        empty = np.empty(0, dtype=np.int64)
+        for n in (lo, 2 * lo):
+            with pytest.raises(ScoringOverflow) as err:
+                _scores(Dendrogram(n, empty, empty, empty, empty), [])
+            assert err.value.n_leaves == n
+        with pytest.raises(AssertionError, match="built"):
+            _scores(Dendrogram(lo - 1, empty, empty, empty, empty), [])
 
 
 class TestSizeLimit:
-    """An n x n matrix, a stack's map, a pair vector or the two pair
-    vectors scoring holds, if larger than physical memory, raise
-    :class:`SizeLimit` before they are allocated."""
+    """An n x n matrix, a stack's map or a pair vector, if larger than
+    physical memory, raise :class:`SizeLimit` before they are allocated.
+    Scoring holds none of them."""
 
     LIMIT = 4096
 
@@ -219,27 +236,30 @@ class TestSizeLimit:
         assert peak < err.nbytes
 
     @pytest.mark.parametrize("kind", ["euclidean", "correlation"])
-    def test_evaluate_embedding(self, lowered, inputs, kind):
+    def test_evaluate_embedding(self, monkeypatch, inputs, kind):
         _, _, tree, emb = inputs
-        peak, err = _peak(evaluate_embedding, tree, emb, "average",
+        want = evaluate_embedding(tree, emb, "average", dissimilarity=kind)
+        monkeypatch.setattr(dendrogram, "_MEMORY_LIMIT", self.LIMIT)
+        peak, got = _peak(evaluate_embedding, tree, emb, "average",
                           dissimilarity=kind)
-        assert isinstance(err, SizeLimit)
-        # The correlation tree needs no matrix; its pair vectors are
-        # refused instead.
-        nbytes = 8 * 100 * 100 if kind == "euclidean" else 8 * 4950 * 2
-        assert err.nbytes == nbytes
-        assert peak < err.nbytes
+        if kind == "correlation":
+            # The closed-form tree needs no matrix, and scoring no pair
+            # vector: nothing is refused.
+            assert got == want
+            return
+        assert isinstance(got, SizeLimit)
+        assert got.nbytes == 8 * 100 * 100
+        assert peak < got.nbytes
 
     def test_scoring_budget(self, monkeypatch, inputs):
-        # Each vector (8 m bytes) fits, the two scoring holds do not.
+        # Scoring asks for no budget: with none at all it gives the
+        # same scores.
         _, _, tree, emb = inputs
-        m = 4950
-        monkeypatch.setattr(dendrogram, "_MEMORY_LIMIT", 12 * m)
-        peak, err = _peak(evaluate_embedding, tree, emb, "average",
-                          dissimilarity="correlation")
-        assert isinstance(err, SizeLimit)
-        assert err.nbytes == 16 * m
-        assert peak < 8 * m
+        trees = [convert_dendrogram(emb, method)
+                 for method in ("average", "single")]
+        want = _scores(tree, trees)
+        monkeypatch.setattr(dendrogram, "_MEMORY_LIMIT", 0)
+        assert np.array_equal(_scores(tree, trees), want)
 
     def test_pair_vectors(self, lowered, inputs):
         _, _, tree, _ = inputs

@@ -1,4 +1,4 @@
-"""Tests for embedding evaluation: the scorer's Pearson step,
+"""Tests for embedding evaluation: the scorer's exact Pearson step,
 reclustering, and the report object.
 
 The anchor here is the constructive guarantee that a straight-line layout
@@ -10,6 +10,7 @@ distances ignore rigid motions and scale linearly.
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,14 +32,26 @@ from branchembed import (
     validate_dendrogram,
 )
 from branchembed import dendrogram
-from branchembed.metrics import _centred, _pearson_vec, _scores
-from helpers import exact_r_k, onepass_r_c, random_dendrogram
+from branchembed.metrics import _exact_pearson, _scores
+from helpers import exact_r_c, exact_r_k, random_dendrogram
+
+
+def _integers(v):
+    """The floats ``v`` as the integers they are multiples of: each times
+    the one power of two that makes them all whole."""
+    exact = [Fraction(float(x)) for x in v]
+    unit = max(x.denominator for x in exact)
+    return [int(x * unit) for x in exact]
 
 
 def _pearson(a, b):
-    """The scorer's Pearson step on copies of two vectors."""
-    return _pearson_vec(_centred(np.array(a, dtype=float)),
-                        _centred(np.array(b, dtype=float)))
+    """The scorer's Pearson step, :func:`_exact_pearson`, on the integer
+    vectors of ``a`` and ``b``; Pearson correlation ignores the two
+    scales."""
+    a, b = _integers(a), _integers(b)
+    return _exact_pearson(len(a), sum(a), sum(x * x for x in a), sum(b),
+                          sum(y * y for y in b),
+                          sum(x * y for x, y in zip(a, b)))
 
 
 def _rotate(coords, degrees):
@@ -49,7 +62,7 @@ def _rotate(coords, degrees):
 
 
 class TestPearsonUpper:
-    """The Pearson step every r_c and r_k score goes through."""
+    """The exact Pearson step every r_c and r_k score goes through."""
 
     def test_self_correlation(self):
         assert _pearson([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
@@ -59,36 +72,38 @@ class TestPearsonUpper:
         assert _pearson([1.0, 2.0, 3.0], [5.0, 4.0, 3.0]) == -1.0
 
     def test_hand_value(self):
-        assert _pearson([1.0, 2.0, 3.0],
-                        [1.0, 3.0, 2.0]) == pytest.approx(0.5)
+        assert _pearson([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]) == 0.5
 
     def test_symmetric(self):
         rng = np.random.default_rng(1)
         a = rng.uniform(size=6)
         b = rng.uniform(size=6)
-        assert _pearson(a, b) == pytest.approx(_pearson(b, a))
+        assert _pearson(a, b) == _pearson(b, a)
 
     def test_constant_vector_rejected(self):
-        with pytest.raises(ZeroVariance):
-            _pearson([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+        # NaN, which the scorer turns into ZeroVariance for the original
+        # and a NaN cell for a converted tree.
+        assert math.isnan(_pearson([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
+        assert math.isnan(_pearson([1.0, 2.0, 3.0], [2.0, 2.0, 2.0]))
 
     def test_clamped_to_unit_interval(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             v = rng.normal(size=10)
-            r = _pearson(v, v * 3.0 + 1.0)
+            assert _pearson(v, v * 3.0 + 1.0) == 1.0
+            assert _pearson(v, 1.0 - v * 0.75) == -1.0
+            r = _pearson(v, rng.normal(size=10))
             assert -1.0 <= r <= 1.0
-            assert r == pytest.approx(1.0)
 
-
-    # (-530, 400): a's squared norm is subnormal, the product is not.
+    # (-530, 400): a's squared norm would be subnormal in float64.
     @pytest.mark.parametrize("ka, kb", [
         (-600, -600), (-540, -540), (-300, -300), (300, 300), (500, 500),
         (-300, 0), (300, 0), (-530, 400),
     ])
     def test_scale_proof(self, ka, kb):
-        # Squared norms that overflow or underflow give the unscaled
-        # correlation, not 0, a lost digit or a ZeroDivisionError.
+        # Vectors scaled by powers of two, whose float squared norms
+        # would overflow or underflow, give the unscaled correlation bit
+        # for bit.
         rng = np.random.default_rng(6)
         a = rng.normal(size=50)
         b = a + rng.normal(size=50)
@@ -96,7 +111,7 @@ class TestPearsonUpper:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _pearson(a * 2.0**ka, b * 2.0**kb)
-        assert got == pytest.approx(ref, rel=0, abs=1e-15)
+        assert got == ref
 
 
 class TestScores:
@@ -146,14 +161,13 @@ def _scaled(d, factor):
 
 
 class TestExactScores:
-    """``_scores``' r_k equals the exact oracle ``helpers.exact_r_k`` bit
-    for bit, and its r_c the one-pass float reference
-    ``helpers.onepass_r_c``."""
+    """``_scores`` equals the exact oracles ``helpers.exact_r_c`` and
+    ``helpers.exact_r_k`` bit for bit."""
 
     @staticmethod
     def check(original, trees):
         got = _scores(original, trees)
-        want = [(onepass_r_c(original, t), exact_r_k(original, t))
+        want = [(exact_r_c(original, t), exact_r_k(original, t))
                 for t in trees]
         assert got.tobytes() == np.array(want).tobytes()
         return got
@@ -196,6 +210,8 @@ class TestExactScores:
         with pytest.raises(ZeroVariance):
             _scores(d, [d])
         with pytest.raises(ZeroVariance):
+            exact_r_c(d, d)
+        with pytest.raises(ZeroVariance):
             exact_r_k(d, d)
 
     def test_constant_cophenetic_converted(self):
@@ -219,13 +235,36 @@ class TestExactScores:
                                  "undefined$"):
             _scores(flat, [other])
         with pytest.raises(ZeroVariance):
-            onepass_r_c(flat, other)
+            exact_r_c(flat, other)
+
+    def test_zero_heights(self):
+        # Repeated rows merge at height 0 in the original, and their
+        # coincident points at 0 in the reclusterings.
+        x = np.repeat(gaussian_matrix(12, 3, 9), 3, axis=0)
+        original = linkage(euclidean_dissimilarity(x), "average")
+        assert (original.height == 0.0).sum() == 24
+        emb = branching_embed(original, AngleStrategy.fixed(30.0))
+        trees = [convert_dendrogram(emb, method)
+                 for method in ("single", "ward")]
+        assert all((t.height == 0.0).any() for t in trees)
+        self.check(original, trees)
+
+    def test_heights_spanning_the_range(self):
+        # One tree's heights from subnormal to near the float64 maximum,
+        # so its integers take many digits.
+        original = validate_dendrogram(
+            [(0, 1, 5e-324, 2), (2, 3, 1e-320, 2), (6, 7, 1e-300, 4),
+             (8, 4, 1e300, 5), (9, 5, 1.7e308, 6)], 6)
+        trees = [original, random_dendrogram(6, np.random.default_rng(3)),
+                 _scaled(original, 0.5)]
+        got = self.check(original, trees)
+        assert got[0].tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize("top", [1e-320, 1e-300, 1e300, 1.7e308])
     def test_extreme_heights(self, top):
         # Heights scaled so that the largest is ``top``, from subnormal
-        # to near the float64 maximum: r_c as the one-pass reference
-        # rescales it, r_k unmoved by any scale.
+        # to near the float64 maximum: r_c exact at any scale, r_k
+        # unmoved by any scale.
         rng = np.random.default_rng(31)
         original = random_dendrogram(30, rng)
         trees = [random_dendrogram(30, rng) for _ in range(2)]
