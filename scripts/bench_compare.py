@@ -16,8 +16,9 @@ to the current directory; if it exists, its entries for other workloads
 and seeds, traced ones included, are kept, so a held-out seed can be
 added by a second call.  Before the first run, both checkouts' ``src/``
 trees are byte-compiled, so neither side's ``setup_s`` includes
-compiling the package while the other's reads cached bytecode.  A file written on a host whose facts differ
-from this one's is not merged into: the script stops with an error.
+compiling the package while the other's reads cached bytecode.  A file
+written on a host whose facts differ from this one's is not merged
+into: the script stops with an error.
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ and the ``scores`` of the converted tree against the original
 (``metrics._scores``, one walk over the leaf pairs).  A last stage runs
 ``evaluate_embedding``, which does the last two in one call.  Each
 stage's peak is what tracemalloc saw above the memory held when the
-stage began, in MB (10^6 bytes) and in units of N^2 bytes.  A stage's inputs are freed once no later stage needs them,
-so the closing ``ru_maxrss`` line is the largest stage plus what the
-interpreter, numpy and the inputs hold.  Memory that numpy does not
-report to tracemalloc, such as an ``mmap``, is not in the stage peaks.
-Where ``/proc/self/smaps_rollup`` is readable, an ``AnonHugePages`` line
+stage began, in MB (10^6 bytes) and in units of N^2 bytes.  A stage's
+inputs are freed once no later stage needs them, so the closing
+``ru_maxrss`` line is the largest stage plus what the interpreter,
+numpy and the inputs hold.  Memory that numpy does not report to
+tracemalloc, such as an ``mmap``, is not in the stage peaks.  Where
+``/proc/self/smaps_rollup`` is readable, an ``AnonHugePages`` line
 follows: the anonymous memory the process holds in transparent huge
 pages at exit.  A huge page is resident whole once any byte of it is
 touched, so that share of ``ru_maxrss`` need not be memory the program

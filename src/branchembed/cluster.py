@@ -29,9 +29,16 @@ slot that moves into the freed one takes its column from its row, the
 matrix being symmetric.
 Memory is one n x n float64 matrix, and a matrix that, with the
 condensed input beside it, is larger than physical memory raises
-:class:`~branchembed.errors.SizeLimit` before it is allocated.  The merge arithmetic and the tie-break are those of the
-stepwise full-matrix scan, so the merge tables are equal to its, bit for
-bit.
+:class:`~branchembed.errors.SizeLimit` before it is allocated.  The
+merge arithmetic and the tie-break are those of the stepwise
+full-matrix scan, so the merge tables are equal to its, bit for bit.
+The loop returns its records as a list, and the matrix is freed before
+they are checked: one ``zip`` turns them into four typed arrays, which
+:func:`~branchembed.dendrogram._checked_tree` checks as a stack of one
+with :func:`~branchembed.dendrogram._valid_records`, the check the
+stacked loop makes.  Only a table that fails it goes through
+:func:`~branchembed.dendrogram.validate_dendrogram`, whose per-record
+walk names the error.
 
 Two-column data under correlation needs no matrix at all: every value
 is exactly 0 or 2, so single, complete and average linkage all give the
@@ -87,7 +94,6 @@ from .dendrogram import (
     _check_size,
     _copy_rows,
     _pair_chunks,
-    validate_dendrogram,
 )
 from .errors import (
     BranchEmbedError,
@@ -270,7 +276,7 @@ def linkage(d0: CondensedMatrix, method: str) -> Dendrogram:
     merges = _linkage_square(d0.to_square(), method)
     # The matrix is freed by now, so the tree's arrays, which outlive
     # it, are not allocated beside it (see _linkage_square).
-    return validate_dendrogram(merges, d0.n)
+    return _dendrogram._checked_tree(merges, d0.n)
 
 
 # Ward squares its inputs, and average and ward add weighted rows, so
@@ -281,14 +287,14 @@ def _linkage_square(dm: np.ndarray, method: str) -> list:
     """The steps of :func:`linkage` on ``dm``, a full dissimilarity
     matrix, which they overwrite: the diagonal becomes inf, ward squares
     every entry (a square that overflows is inf), and the merges update
-    it in place.  Returns the merge records, for the caller to pass to
-    :func:`validate_dendrogram` once it has freed ``dm``.  The tree's
-    arrays outlive ``dm``; made while ``dm`` lives, malloc can place
-    them where they leave the hole ``dm`` frees too short for the next
-    n x n matrix, which then extends the heap: validated here, the
-    benchmark's `large` workload read 7 MiB more peak RSS in 8 of 26
-    runs, and in none of 49 validated by the caller.  Raises
-    :class:`LinkageOverflow` as :func:`linkage` does."""
+    it in place.  Returns the merge records, for the caller to check
+    with :func:`~branchembed.dendrogram._checked_tree` once it has freed
+    ``dm``.  The tree's arrays outlive ``dm``; made while ``dm`` lives,
+    malloc can place them where they leave the hole ``dm`` frees too
+    short for the next n x n matrix, which then extends the heap:
+    validated here, the benchmark's `large` workload read 7 MiB more
+    peak RSS in 8 of 26 runs, and in none of 49 validated by the caller.
+    Raises :class:`LinkageOverflow` as :func:`linkage` does."""
     n = dm.shape[0]
     np.fill_diagonal(dm, np.inf)
     ward = method == "ward"
@@ -555,7 +561,7 @@ def _cluster_stack(problems) -> list:
         del dm
         if merges is not None:
             try:
-                trees = [validate_dendrogram(merges, n)]
+                trees = [_dendrogram._checked_tree(merges, n)]
             except BranchEmbedError as err:
                 trees = [err]
         if trees is None:

@@ -288,6 +288,24 @@ def _valid_records(left, right, height, size, n_leaves: int) -> np.ndarray:
     return ok
 
 
+def _checked_tree(merges: list, n_leaves: int) -> Dendrogram:
+    """The :class:`Dendrogram` of a merge loop's ``merges``, a list of
+    ``(left, right, height, size)`` records of Python ints and floats.
+    One ``zip`` turns them into four typed arrays, which
+    :func:`_valid_records` checks as a stack of one; a table that fails
+    goes to :func:`validate_dendrogram`, which raises the error naming
+    its first bad record."""
+    left, right, height, size = zip(*merges)
+    left = np.array(left, dtype=np.int64)
+    right = np.array(right, dtype=np.int64)
+    height = np.array(height, dtype=np.float64)
+    size = np.array(size, dtype=np.int64)
+    if _valid_records(left[None], right[None], height[None], size[None],
+                      n_leaves)[0]:
+        return _frozen(n_leaves, left, right, height, size)
+    return validate_dendrogram(merges, n_leaves)
+
+
 def _frozen(n_leaves: int, left, right, height, size) -> Dendrogram:
     """A :class:`Dendrogram` of already validated arrays, made read-only."""
     for arr in (left, right, height, size):
@@ -343,34 +361,59 @@ def _walk(n: int, pairs: int):
         r0 = r1
 
 
-def _layout(d: Dendrogram):
-    """Depth-first leaf layout from one top-down pass over the records.
+def _layout(*trees):
+    """Depth-first leaf layouts of trees over the same n leaves, all
+    found together by a few numpy calls per round.
 
-    The left child comes first.  Returns, as int64 arrays, each leaf's
-    position in the leaf order, each node's depth (edges below the root)
-    and, for each of the n - 1 gaps between adjacent positions, the
-    record whose left and right leaf blocks meet there.  A record's
-    blocks meet at exactly one gap, so every record owns exactly one.
+    The left child comes first.  Three values of a node are sums over
+    its path up to the root, the root left out: its position, where its
+    leaf block starts, adds the size of the left sibling of each right
+    child on the path; its depth (edges below the root) adds 1 per node;
+    and its r adds |u| - 1 per internal node u.  For a leaf l, r is the
+    sum of depth[lca(l, j)] over the other leaves j: that depth counts
+    the internal nodes below the root that hold both l and j, and such a
+    node u holds l and |u| - 1 others.  Pointer jumping (Wyllie, 1979)
+    adds the paths up: every node starts with its own term and a pointer
+    to its parent, and each round adds to every node the sum held where
+    its pointer points, then moves the pointer to where that node's
+    pointer points.  So a path of L nodes is summed in about log2(L)
+    rounds, each over every node of every tree: O(n log n) work per tree
+    at worst, for a caterpillar.
+
+    Returns int64 arrays with one row per tree: each leaf's position
+    (T, n), each node's depth (T, 2n - 1), each leaf's r (T, n) and,
+    for each record, the gap between adjacent positions at which its
+    left and right leaf blocks meet (T, n - 1), which is its right
+    child's position minus one.  A record's blocks meet at exactly one
+    gap, so every gap belongs to exactly one record.
     """
-    n = d.n_leaves
-    left = d.left.tolist()
-    right = d.right.tolist()
-    size = [1] * n + d.size.tolist()
-    start = [0] * (2 * n - 1)
-    depth = [0] * (2 * n - 1)
-    gap_record = [0] * (n - 1)
-    for k in range(n - 2, -1, -1):
-        node = n + k
-        a = left[k]
-        b = right[k]
-        mid = start[node] + size[a]
-        start[a] = start[node]
-        start[b] = mid
-        gap_record[mid - 1] = k
-        depth[a] = depth[b] = depth[node] + 1
-    return (np.array(start[:n], dtype=np.int64),
-            np.array(depth, dtype=np.int64),
-            np.array(gap_record, dtype=np.int64))
+    count = len(trees)
+    n = trees[0].n_leaves
+    nodes = 2 * n - 1
+    top = count * nodes   # a node above every root, holding zeros
+    base = np.arange(0, top, nodes)[:, None]
+    left = np.array([d.left for d in trees]) + base
+    right = np.array([d.right for d in trees]) + base
+    size = np.ones((count, nodes), dtype=np.int64)
+    size[:, n:] = [d.size for d in trees]
+    parent = np.full(top + 1, top)
+    parent[left] = parent[right] = np.arange(n, nodes) + base
+    # Rows: the position, depth and r terms of every node.
+    acc = np.zeros((3, top + 1), dtype=np.int64)
+    acc[0, right] = size.take(left)
+    acc[1, :top] = 1
+    acc[1, base + nodes - 1] = 0
+    acc[2, :top].reshape(count, nodes)[:, n:-1] = size[:, n:-1] - 1
+    jump = parent
+    while True:
+        acc += acc.take(jump, axis=1)
+        jump = jump.take(jump)
+        if jump.min() == top:
+            break
+    gap = acc[0].take(right)
+    gap -= 1
+    pos, depth, r = acc[:, :top].reshape(3, count, nodes)
+    return pos[:, :n], depth, r[:, :n], gap
 
 
 @functools.lru_cache(maxsize=8)
@@ -398,59 +441,66 @@ def _range_offsets(n: int) -> tuple:
     return first, step
 
 
-def _lca_table(d: Dendrogram) -> tuple:
-    """What :func:`_lca_keys` looks lowest common ancestors up in:
-    each leaf's position and depth, and the sparse table of gap keys
-    ``depth << s | record`` laid out as :func:`_range_offsets` says.
-    ``s = (n - 1).bit_length()`` bits hold every record id, at most
-    n - 2."""
-    n = d.n_leaves
-    pos, depth, gap_record = _layout(d)
-    level = depth[n:][gap_record]
-    level <<= (n - 1).bit_length()
-    level |= gap_record
+def _lca_table(*trees) -> tuple:
+    """What :func:`_lca_keys` looks lowest common ancestors up in, for
+    trees over the same n leaves: their :func:`_layout`, ``(pos, depth,
+    r, gap)``, and a (T, .) stack of their sparse tables of gap keys
+    ``depth << s | record``, each laid out as :func:`_range_offsets`
+    says.  ``s = (n - 1).bit_length()`` bits hold every record id, at
+    most n - 2."""
+    pos, depth, r, gap = _layout(*trees)
+    n = pos.shape[1]
+    keys = depth[:, n:] << (n - 1).bit_length()
+    keys |= np.arange(n - 1)
+    level = np.empty_like(keys)
+    np.put_along_axis(level, gap, keys, axis=1)
     levels = [level]
     width = 1
     while 2 * width <= n - 1:
-        level = np.minimum(level[:-width], level[width:])
+        level = np.minimum(level[:, :-width], level[:, width:])
         levels.append(level)
         width *= 2
-    return pos, depth[:n], np.concatenate(levels)
+    return pos, depth, r, gap, np.concatenate(levels, axis=1)
 
 
-def _lca_keys(lca: tuple, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _lca_keys(pos: np.ndarray, table: np.ndarray, i: np.ndarray,
+              j: np.ndarray) -> np.ndarray:
     """The key ``depth << s | record`` of the lowest common ancestor of
     each pair of distinct leaves ``i[t]``, ``j[t]`` (int64 arrays), looked
-    up in the tree's :func:`_lca_table` as :func:`_pair_matrices` says."""
-    pos, _, table = lca
-    first, step = _range_offsets(len(pos))
-    # Each array is dropped before the next is made, so at most three
-    # are alive at once.
+    up through one tree's row ``pos`` of leaf positions and row
+    ``table`` of :func:`_lca_table`, as :func:`_pair_matrices` says."""
     pi = pos.take(i)
     pj = pos.take(j)
     lo = np.minimum(pi, pj)
     np.subtract(pi, pj, out=pi)
     del pj
-    span = np.abs(pi, out=pi)
+    return _range_keys(table, lo, np.abs(pi, out=pi), len(pos))
+
+
+def _range_keys(table: np.ndarray, lo: np.ndarray, span: np.ndarray,
+                n: int) -> np.ndarray:
+    """The key of the lowest common ancestor of the leaves at positions
+    ``lo[t]`` and ``lo[t] + span[t]`` (int64 arrays, ``span`` > 0) of a
+    tree of n leaves, from its row ``table`` of :func:`_lca_table`: the
+    smaller key of the two blocks that :func:`_range_offsets` names."""
+    first, step = _range_offsets(n)
     at = first.take(span)
     at += lo
-    del lo
     far = step.take(span)
     far += at
-    del pi, span
     key = table.take(at)
     del at
     np.minimum(key, table.take(far), out=key)
     return key
 
 
-def _path_lengths(key: np.ndarray, lca: tuple, i: np.ndarray,
+def _path_lengths(key: np.ndarray, leaf_depth: np.ndarray, i: np.ndarray,
                   j: np.ndarray) -> np.ndarray:
     """:func:`_lca_keys`' ``key`` of the pairs ``i``, ``j`` turned, in
     place, into their kinship values: the integer path lengths
-    ``depth[i] + depth[j] - 2 * depth[lca]``."""
-    pos, leaf_depth, _ = lca
-    key >>= (len(pos) - 1).bit_length()
+    ``depth[i] + depth[j] - 2 * depth[lca]``, from the tree's
+    ``leaf_depth`` row."""
+    key >>= (len(leaf_depth) - 1).bit_length()
     key *= -2
     key += leaf_depth.take(j)
     key += leaf_depth.take(i)
@@ -486,13 +536,15 @@ def _pair_matrices(d: Dendrogram, kinship: bool,
     out = np.empty(m)
     if lca is None:
         lca = _lca_table(d)
+    pos, depth, _, _, table = lca
+    pos, leaf_depth, table = pos[0], depth[0, :n], table[0]
     mask = (1 << (n - 1).bit_length()) - 1
     # Each chunk's temporaries are dropped before the walk makes the
     # next chunk's pairs.
     for s, e, i, j in _pair_chunks(n):
-        key = _lca_keys(lca, i, j)
+        key = _lca_keys(pos, table, i, j)
         if kinship:
-            out[s:e] = _path_lengths(key, lca, i, j)
+            out[s:e] = _path_lengths(key, leaf_depth, i, j)
         else:
             # Every record id is in range, so the take may use "clip",
             # which writes straight to ``out``; "raise" fills a buffer
@@ -517,7 +569,7 @@ def kinship_matrix(d: Dendrogram) -> CondensedMatrix:
 def leaf_order(d: Dendrogram) -> list[int]:
     """Left-to-right leaf ids from a depth-first walk that always visits
     the ``left`` child first."""
-    pos, _, _ = _layout(d)
+    pos = _layout(d)[0][0]
     order = np.empty(d.n_leaves, dtype=np.int64)
     order[pos] = np.arange(d.n_leaves)
     return order.tolist()

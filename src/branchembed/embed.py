@@ -360,12 +360,15 @@ def line_embed(d: Dendrogram) -> Embedding:
     :class:`EmbeddingOverflow` if the running sum of gaps overflows
     float64.
     """
-    pos, _, gap_record = _layout(d)
     n = d.n_leaves
+    pos, _, _, gap = _layout(d)
+    # Each record's height, at the gap between its two leaf blocks.
+    steps = np.empty(n - 1)
+    steps[gap[0]] = d.height
     x = np.empty(n)
     x[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        np.cumsum(d.height[gap_record], out=x[1:])
+        np.cumsum(steps, out=x[1:])
         mean = x.mean()
         if not math.isfinite(mean):
             # The sum overflowed: take the mean of x scaled by a power of
@@ -376,5 +379,5 @@ def line_embed(d: Dendrogram) -> Embedding:
     if not np.isfinite(x).all():
         raise EmbeddingOverflow()
     coords = np.zeros((n, 2))
-    coords[:, 0] = x[pos]
+    coords[:, 0] = x[pos[0]]
     return Embedding(coords, None)

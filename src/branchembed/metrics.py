@@ -7,16 +7,19 @@ with the original dendrogram's, entry by entry over the strict upper
 triangle.  The two Pearson scores are called r_c (cophenetic) and r_k
 (kinship).  :func:`evaluate_embedding` and the benchmark share one
 scoring function, which walks the leaf pairs once for all converted
-trees of an original and looks each pair's lowest common ancestor up
-once per tree.
+trees of an original, in the original's leaf order, and looks each
+pair's lowest common ancestor up once per tree.
 
 Both scores are exact.  Kinship values are integer path lengths, and
 cophenetic values are merge heights, which are integers times one power
 of two per tree; so every Pearson sum is an integer, the same in any
 summation order, and each score is rounded once, correctly.  A tree's
 sums of cophenetic values and of their squares come from its records
-alone, so the walk adds up only the products, per record, and scoring
-holds no pair vector: chunk arrays and O(n log n) tables, not O(n^2).
+alone, and its kinship sums from its leaf depths and, per leaf, the sum
+of its lowest common ancestors' depths.  So the walk adds up only what
+joins two trees: the original's heights per converted record, and the
+products of the two lowest common ancestors' depths.  Scoring holds no
+pair vector: chunk arrays and O(n log n) tables, not O(n^2).
 
 Reclustering uses the dissimilarity kind that built the original tree
 (Euclidean unless ``dissimilarity="correlation"``).  Row correlation of
@@ -44,7 +47,7 @@ from .dendrogram import (
     _lca_keys,
     _lca_table,
     _pair_chunks,
-    _path_lengths,
+    _range_keys,
 )
 from .embed import AngleStrategy, Embedding
 from .errors import ScoringOverflow, SizeMismatch, ZeroVariance
@@ -82,84 +85,173 @@ def _exact_pearson(m: int, sa: int, saa: int, sb: int, sbb: int,
     return -r if num < 0 else r
 
 
-def _value(sums: np.ndarray, row_bits: int, col_bits: int) -> int:
+def _value(sums: list, row_bits: int, col_bits: int) -> int:
     """Digit sums put back together in Python ints: the sum of
-    ``sums[d, e]`` 2^(row_bits (rows - 1 - d) + col_bits (cols - 1 - e)),
+    ``sums[d][e]`` 2^(row_bits (rows - 1 - d) + col_bits (cols - 1 - e)),
     both axes top digit first."""
     return sum(v << row_bits * d + col_bits * e
-               for d, row in enumerate(sums[::-1, ::-1].tolist())
-               for e, v in enumerate(row))
+               for d, row in enumerate(reversed(sums))
+               for e, v in enumerate(reversed(row)))
 
 
-def _digits(d: Dendrogram, bits: int) -> np.ndarray:
-    """Tree ``d``'s merge heights as integers, H = h 2^-E, split into
-    base-2^``bits`` digits: a float64 array of shape (q, n - 1), top
-    digit first.
+def _digits(trees, bits: int) -> np.ndarray:
+    """The ``trees``' merge heights as integers, H = h 2^-E with one E
+    per tree, split into base-2^``bits`` digits: a float64 array of
+    shape (T, q, n - 1), top digit first, with the digits that the
+    largest H of any tree needs (a tree that needs fewer has zeros on
+    top).
 
     2^E is the unit of the last bit of the smallest nonzero height's
     binade (at least 2^-1074), so it divides every height, and each
     digit is taken off the top by ``ldexp``, ``floor`` and a
     subtraction, all exact."""
-    exps = np.frexp(d.height)[1]
-    top = int(exps.max())
-    low = max(int(exps.min(where=d.height > 0, initial=top)) - 53, -1074)
-    rest = d.height
-    digits = []
-    for e in range(low + bits * ((top - low - 1) // bits), low - 1, -bits):
-        digits.append(np.floor(np.ldexp(rest, -e)))
-        rest = rest - np.ldexp(digits[-1], e)
-    return np.array(digits)
+    height = np.array([d.height for d in trees])
+    exps = np.frexp(height)[1]
+    top = exps.max(axis=1)
+    low = np.maximum(
+        np.where(height > 0, exps, top[:, None]).min(axis=1) - 53, -1074)
+    count = int(((top - low - 1) // bits).max()) + 1
+    digits = np.empty((len(trees), count, height.shape[1]))
+    rest = height
+    for k, digit in zip(range(count - 1, -1, -1), digits.swapaxes(0, 1)):
+        e = (low + bits * k)[:, None]
+        np.floor(np.ldexp(rest, -e), out=digit)
+        rest = rest - np.ldexp(digit, e)
+    return digits
 
 
-def _height_sums(d: Dendrogram, bits: int) -> tuple:
-    """The sum and the sum of squares of tree ``d``'s cophenetic values,
-    in the units of :func:`_digits`, and its base-2^``bits`` digits as
-    int64.  The sums come from the records alone: record k is the
-    lowest common ancestor of |left_k| |right_k| pairs."""
-    digits = _digits(d, bits).astype(np.int64)
-    size = np.concatenate([np.ones(d.n_leaves, dtype=np.int64), d.size])
-    pairs = size[d.left] * size[d.right]
-    return (_value(pairs[None, :] @ digits.T, bits, bits),
-            _value((digits * pairs) @ digits.T, bits, bits), digits)
+def _height_sums(trees, bits: int) -> tuple:
+    """The sums and the sums of squares of the ``trees``' cophenetic
+    values, in the units of :func:`_digits`, as lists of Python ints,
+    and the trees' base-2^``bits`` digits as int64.  The sums come from
+    the records alone: record k is the lowest common ancestor of
+    |left_k| |right_k| pairs."""
+    digits = _digits(trees, bits).astype(np.int64)
+    n = trees[0].n_leaves
+    size = np.ones((len(trees), 2 * n - 1), dtype=np.int64)
+    size[:, n:] = [d.size for d in trees]
+    base = np.arange(0, size.size, 2 * n - 1)[:, None]
+    pairs = size.take([d.left for d in trees] + base)
+    pairs *= size.take([d.right for d in trees] + base)
+    sums = np.einsum("tk,tdk->td", pairs, digits).tolist()
+    squares = ((digits * pairs[:, None]) @ digits.swapaxes(1, 2)).tolist()
+    return ([_value([row], bits, bits) for row in sums],
+            [_value(square, bits, bits) for square in squares], digits)
 
 
-def _pair_walk(original: Dendrogram, converted, digits: np.ndarray) -> tuple:
+def _pair_walk(lca: tuple, digits: np.ndarray) -> tuple:
     """One walk over the pairs of :func:`_pair_chunks`, chunks outer and
-    trees inner: each pair's lowest common ancestor is looked up once in
-    the ``original`` tree and once in each ``converted`` tree, through
-    the trees' :func:`_lca_table` tables.
+    converted trees inner, through ``lca``, the :func:`_lca_table` of
+    the original tree and then the converted ones.
 
-    Returns ``(kin, weights)``.  ``kin`` holds kinship sums as Python
-    ints: ``[sa, saa]`` of the original, then ``[sb, sbb, sab]`` per
-    converted tree.  ``weights[t, d, k]`` is the sum of the original's
-    height digit ``digits[d]`` over the pairs whose lowest common
-    ancestor in converted tree t is record k, as int64; the float64
-    sums it is added up in are exact as :func:`_scores` says.  Each
-    chunk's arrays are dropped before the next chunk's pairs are made."""
-    n = original.n_leaves
-    mask = (1 << (n - 1).bit_length()) - 1
-    lca = _lca_table(original)
-    tables = [_lca_table(tree) for tree in converted]
-    kin = [[0, 0]] + [[0, 0, 0] for _ in tables]
-    weights = np.zeros((len(tables), len(digits), n - 1))
-    for _, _, i, j in _pair_chunks(n):
-        a = _lca_keys(lca, i, j)
+    The pairs are taken as positions p < q in the original's leaf order,
+    as every sum the walk makes is an integer and so the same in any
+    order.  So the original looks its keys up with no position gathers
+    (its range starts at p and spans q - p), and each converted tree
+    through the positions it gives the leaves at p and q.
+
+    Returns ``(deep, weights)``.  ``deep[t]`` is the sum, over the
+    pairs, of the depth of their lowest common ancestor in the original
+    times its depth in converted tree t, as a Python int; a key carries
+    that depth in its high bits.  ``weights[t, d, k]`` is the sum of the
+    original's height digit ``digits[d]`` over the pairs whose lowest
+    common ancestor in converted tree t is record k, as int64; the
+    float64 sums it is added up in are exact as :func:`_scores` says.
+    Each chunk's arrays are dropped before the next chunk's pairs are
+    made."""
+    pos, _, _, _, tables = lca
+    n = pos.shape[1]
+    shift = (n - 1).bit_length()
+    mask = (1 << shift) - 1
+    # The leaf at each of the original's positions, and where each
+    # converted tree puts it.
+    leaf_at = np.empty(n, dtype=np.int64)
+    leaf_at[pos[0]] = np.arange(n)
+    places = pos[1:].take(leaf_at, axis=1)
+    deep = [0] * len(places)
+    weights = np.zeros((len(places), len(digits), n - 1))
+    for _, _, p, q in _pair_chunks(n):
+        a = _range_keys(tables[0], p, q - p, n)
         ours = digits.take(a & mask, axis=1)
-        a = _path_lengths(a, lca, i, j)
-        kin[0][0] += int(a.sum())
-        kin[0][1] += int(np.dot(a, a))
-        for table, sums, tree_weights in zip(tables, kin[1:], weights):
-            b = _lca_keys(table, i, j)
+        a >>= shift
+        for t, (place, table, tree_weights) in enumerate(
+                zip(places, tables[1:], weights)):
+            b = _lca_keys(place, table, p, q)
             record = b & mask
             for w, digit in zip(tree_weights, ours):
                 w += np.bincount(record, digit, n - 1)
-            b = _path_lengths(b, table, i, j)
-            sums[0] += int(b.sum())
-            sums[1] += int(np.dot(b, b))
-            sums[2] += int(np.dot(a, b))
+            b >>= shift
+            deep[t] += int(np.dot(a, b))
             del b, record
         del a, ours
-    return kin, weights.astype(np.int64)
+    return deep, weights.astype(np.int64)
+
+
+def _wide_sums(v: np.ndarray) -> list:
+    """Exact sums along the last axis of ``v``, a 3-D array of
+    nonnegative int64 values below 2^63 in rows of fewer than 2^31, as
+    a list of lists of Python ints.  The high and low 32 bits of the
+    values are added up apart, and neither sum can reach 2^63."""
+    high = (v >> 32).sum(axis=-1).tolist()
+    low = (v & 0xFFFFFFFF).sum(axis=-1).tolist()
+    return [[(h << 32) + lo for h, lo in zip(hs, los)]
+            for hs, los in zip(high, low)]
+
+
+def _kinship_sums(trees, depth: np.ndarray, r: np.ndarray,
+                  deep) -> list:
+    """The kinship sums that :func:`_exact_pearson` takes, ``[sa, saa,
+    sb, sbb, sab]``, of ``trees[0]`` against each later tree, all over
+    the same n leaves, as Python ints: O(n) expressions in each tree's
+    :func:`_layout` ``depth`` and ``r`` rows and the walk's ``deep``.
+
+    A pair's kinship value is d_i + d_j - 2 D_ij, with d the leaf
+    depths and D_ij the depth of the pair's lowest common ancestor.
+    Over all pairs i < j,
+
+    * sum (d_i + d_j) = (n - 1) sum d, and sum (d_i + d_j)^2 =
+      (n - 2) sum d^2 + (sum d)^2; the same with a second tree's
+      depths e gives sum (d_i + d_j)(e_i + e_j) = (n - 2) sum d e +
+      sum d sum e;
+    * sum (d_i + d_j) D'_ij = sum_l d_l r'_l for any tree's D' and r',
+      as r'_l adds D'_lj up over the other leaves j;
+    * sum (D_ij + 1) = G, the sum of |u| (|u| - 1) / 2 over the internal
+      nodes u, as D_ij + 1 counts the internal nodes that hold both i
+      and j; and sum D_ij (D_ij + 1) / 2 = sum over u of
+      |u| (|u| - 1) / 2 depth[u], as those nodes' depths are
+      0, 1, ..., D_ij;
+    * sum D_ij D'_ij over two trees is the walk's ``deep``.
+
+    All trees are summed at once, one row each.  The int64 bounds are
+    in :func:`_scores`."""
+    n = depth.shape[1] // 2 + 1
+    m = n * (n - 1) // 2
+    d = depth[:, :n]
+    # |u| (|u| - 1) / 2 of each internal node u: the pairs it holds.
+    held = np.array([tree.size for tree in trees])
+    held *= held - 1
+    held >>= 1
+    # Rows: d r, trees[0]'s d times r, d times trees[0]'s r, and the
+    # pairs each internal node holds times its depth.
+    wide = np.zeros((4, len(trees), n), dtype=np.int64)
+    np.multiply(d, r, out=wide[0])
+    np.multiply(d[0], r, out=wide[1])
+    np.multiply(d, r[0], out=wide[2])
+    np.multiply(held, depth[:, n:], out=wide[3, :, 1:])
+    dr, ar, ra, held_depth = _wide_sums(wide)
+    s = d.sum(axis=1).tolist()
+    ss = np.einsum("ij,ij->i", d, d).tolist()
+    cross = (d @ d[0]).tolist()
+    # The sum of D_ij over the pairs.
+    lca_depth = (held.sum(axis=1) - m).tolist()
+    kin = [((n - 1) * s[t] - 2 * lca_depth[t],
+            (n - 2) * ss[t] + s[t] * s[t] - 4 * dr[t]
+            + 4 * (2 * held_depth[t] - lca_depth[t]))
+           for t in range(len(trees))]
+    return [[*kin[0], *kin[t],
+             (n - 2) * cross[t] + s[0] * s[t] - 2 * ar[t] - 2 * ra[t]
+             + 4 * deep[t - 1]]
+            for t in range(1, len(trees))]
 
 
 def _scores(original: Dendrogram, converted) -> np.ndarray:
@@ -174,21 +266,35 @@ def _scores(original: Dendrogram, converted) -> np.ndarray:
     needs the pairs: the walk (:func:`_pair_walk`) adds the original's
     height digits up per converted record, and int64 products with the
     converted tree's digits finish it.  Kinship values are integer path
-    lengths, summed per chunk in int64.  So scoring holds chunk arrays,
-    the LCA tables and the digit sums, and no pair vector.
+    lengths, and all their sums but one come from each tree's leaf
+    depths and per-leaf sums of LCA depths (:func:`_kinship_sums`); the
+    walk adds up the one left, the products of the two trees' LCA
+    depths.  So scoring holds chunk arrays, the LCA tables and the digit
+    sums, and no pair vector.
 
-    No int64 sum can wrap.  A chunk holds at most
-    max(_PAIR_CHUNK, n - 1) pairs, and a kinship value is at most
-    2n - 2, so a chunk's kinship sum of products stays below
-    max(_PAIR_CHUNK, n - 1) (2n - 2)^2, which is 4 (n - 1)^3 for the n
-    where it matters.  That is below 2^63 for every n below 1,321,124,
-    and for larger n :class:`ScoringOverflow` is raised before anything
-    is built (``tests/test_memory.py`` checks the arithmetic).  Below
-    that n, m < 2^40.  The walk's digits have 53 - bits(m) bits, so each
-    of its sums W stays below m 2^(53 - bits(m)) <= 2^53 and is exact in
-    float64.  The other digits have L = floor((62 - bits(m)) / 2) bits,
-    and W is split into its low L bits and the rest, so every int64 sum
-    of products stays below m 2^(2L) <= 2^62, or below the sum of W.
+    No int64 value can wrap.  For n >= 1,321,124, where 4 (n - 1)^3
+    reaches 2^63, :class:`ScoringOverflow` is raised before anything is
+    built (``tests/test_memory.py`` checks the arithmetic), and below
+    that n every int64 value stays under 4 (n - 1)^3:
+
+    * A chunk holds at most max(_PAIR_CHUNK, n - 1) pairs and an LCA is
+      at most n - 2 deep, so a chunk's sum of LCA depth products stays
+      below max(_PAIR_CHUNK, n - 1) (n - 2)^2; the walk adds the chunks
+      up in Python ints.
+    * A leaf is at most n - 1 deep, its sum r of LCA depths is at most
+      (n - 1)(n - 2), and an internal node holds at most m pairs, so
+      the products d r and pairs times depth stay below (n - 1)^3.
+      Their sums over the leaves do not: a caterpillar's sum of d r is
+      about 5 n^4 / 24, past 2^63 from n of about 82,000.  So
+      :func:`_wide_sums` adds them in 32-bit halves, each sum below
+      n 2^32.  The sums taken whole, of d, d^2, the two trees' d d' and
+      the pairs held, stay below n (n - 1)^2.
+    * Below that n, m < 2^40.  The walk's digits have 53 - bits(m) bits,
+      so each of its sums W stays below m 2^(53 - bits(m)) <= 2^53 and
+      is exact in float64.  The other digits have
+      L = floor((62 - bits(m)) / 2) bits, and W is split into its low L
+      bits and the rest, so every int64 sum of products stays below
+      m 2^(2L) <= 2^62, or below the sum of W.
 
     Returns a ``(len(converted), 2)`` array of ``(r_c, r_k)`` rows, NaN
     where a converted tree's vector is constant.  Raises
@@ -201,18 +307,24 @@ def _scores(original: Dendrogram, converted) -> np.ndarray:
         raise ScoringOverflow(n)
     m = n * (n - 1) // 2
     bits = (62 - m.bit_length()) // 2
-    sa, saa, _ = _height_sums(original, bits)
-    if m * saa == sa * sa:
+    trees = [original, *converted]
+    sums, squares, digits = _height_sums(trees, bits)
+    if m * squares[0] == sums[0] * sums[0]:
         raise ZeroVariance(_CONSTANT)
     wide = 53 - m.bit_length()
-    kin, weights = _pair_walk(original, converted, _digits(original, wide))
+    lca = _lca_table(*trees)
+    deep, weights = _pair_walk(lca, _digits([original], wide)[0])
+    kin = _kinship_sums(trees, lca[1], lca[2], deep)
+    theirs = digits[1:].swapaxes(1, 2)
+    high = ((weights >> bits) @ theirs).tolist()
+    low = ((weights & (1 << bits) - 1) @ theirs).tolist()
     out = np.empty((len(converted), 2))
-    for t, (tree, w) in enumerate(zip(converted, weights)):
-        sb, sbb, theirs = _height_sums(tree, bits)
-        sab = ((_value((w >> bits) @ theirs.T, wide, bits) << bits)
-               + _value((w & (1 << bits) - 1) @ theirs.T, wide, bits))
-        out[t, 0] = _exact_pearson(m, sa, saa, sb, sbb, sab)
-        out[t, 1] = _exact_pearson(m, *kin[0], *kin[t + 1])
+    for t in range(len(converted)):
+        sab = ((_value(high[t], wide, bits) << bits)
+               + _value(low[t], wide, bits))
+        out[t, 0] = _exact_pearson(m, sums[0], squares[0], sums[t + 1],
+                                   squares[t + 1], sab)
+        out[t, 1] = _exact_pearson(m, *kin[t])
     return out
 
 

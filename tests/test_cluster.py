@@ -26,14 +26,18 @@ from branchembed import (
     CondensedMatrix,
     Dendrogram,
     DissimilarityOverflow,
+    DuplicateChild,
     LinkageOverflow,
     NegativeHeight,
+    NonMonotonic,
+    SizeMismatch,
     ZeroVarianceRow,
     branching_embed,
     cophenetic_matrix,
     correlation_dissimilarity,
     dissimilarity,
     euclidean_dissimilarity,
+    gaussian_matrix,
     linkage,
     validate_dendrogram,
 )
@@ -353,6 +357,47 @@ class TestLinkageSmallInstances:
         assert f"step {step}" in str(err.value)
         assert isinstance(err.value, BranchEmbedError)
         assert isinstance(err.value, ValueError)
+
+
+class TestLoopTreeCheck:
+    """The one-problem loop's records are checked as arrays, and a table
+    that fails the check raises what ``validate_dendrogram`` raises on
+    it, class and message."""
+
+    @pytest.mark.parametrize("records, error", [
+        # Record 1 claims 3 leaves for 1 + 1.
+        ([(0, 1, 1.0, 2), (2, 3, 2.0, 3), (4, 5, 3.0, 4)], SizeMismatch),
+        # Node 1 is a child of records 0 and 1.
+        ([(0, 1, 1.0, 2), (1, 2, 2.0, 2), (4, 3, 3.0, 3)], DuplicateChild),
+        # Record 1 sits below its child, record 0.
+        ([(0, 1, 2.0, 2), (4, 2, 1.0, 3), (5, 3, 3.0, 4)], NonMonotonic),
+    ])
+    def test_errors_are_named(self, monkeypatch, records, error):
+        with pytest.raises(error) as want:
+            validate_dendrogram(records, 4)
+        monkeypatch.setattr(cluster, "_linkage_square",
+                            lambda dm, method: list(records))
+        x = np.arange(8.0).reshape(4, 2) ** 2
+        for call in (lambda: linkage(euclidean_dissimilarity(x), "average"),
+                     lambda: cluster._cluster_data(x, "euclidean",
+                                                   "average")):
+            with pytest.raises(type(want.value)) as got:
+                call()
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+            assert got.value.record == want.value.record
+
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    def test_same_tree(self, method):
+        x = gaussian_matrix(60, 3, 5)
+        merges = cluster._linkage_square(
+            euclidean_dissimilarity(x).to_square(), method)
+        tree = dendrogram._checked_tree(merges, 60)
+        assert tree == validate_dendrogram(merges, 60)
+        for arr in (tree.left, tree.right, tree.height, tree.size):
+            assert not arr.flags.writeable
+        assert (tree.left.dtype, tree.height.dtype) == (np.int64,
+                                                        np.float64)
 
 
 class TestTieBreaking:

@@ -37,7 +37,7 @@ from branchembed import (
 from branchembed import cluster, dendrogram, metrics
 from branchembed.dendrogram import Dendrogram, _pair_matrices
 from branchembed.metrics import _scores
-from helpers import exact_r_c, exact_r_k
+from helpers import caterpillar_dendrogram, exact_r_c, exact_r_k
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -182,6 +182,43 @@ class TestScorerPasses:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if largest(mid) >= 2 ** 63 else (mid + 1, hi)
         assert lo == 1_321_124
+        # Below that n, every int64 value of the walk and the kinship sums
+        # stays under 4 (n - 1)^3: a chunk's sum of LCA depth products,
+        # a leaf's depth times its sum r of LCA depths, an internal
+        # node's pairs times its depth, and the sums taken whole (of d,
+        # d^2, d d' and the pairs held); the sums over leaves that can
+        # pass 2^63 are taken in 32-bit halves, over rows of n < 2^31.
+        n = lo - 1
+        m = n * (n - 1) // 2
+        assert 4 * (n - 1) ** 3 < 2 ** 63
+        for value in (max(dendrogram._PAIR_CHUNK, n - 1) * (n - 2) ** 2,
+                      (n - 1) * (n - 1) * (n - 2), m * (n - 2),
+                      n * (n - 1) ** 2, (n - 1) * m):
+            assert value < 4 * (n - 1) ** 3
+        assert n < 2 ** 31
+        big = np.full((1, 2, n), 2 ** 63 - 1, dtype=np.int64)
+        assert metrics._wide_sums(big) == [[n * (2 ** 63 - 1)] * 2]
+        # At n = 100,000 a caterpillar's sum of d r passes 2^63, and the
+        # kinship sums still equal its closed forms.  On either spine,
+        # pair i < j meets at record j - 1, at depth n - 1 - j, and its
+        # path length is j + 1 if i = 0, else j - i + 2.
+        n = 100_000
+        trees = [caterpillar_dendrogram(n),
+                 caterpillar_dendrogram(n, left_spine=False)]
+        _, depth, r, _ = dendrogram._layout(*trees)
+        assert sum(int(a) * int(b) for a, b in zip(depth[0, :n], r[0])) \
+            >= 2 ** 63
+        total = squares = deep = 0
+        tail = tail_squares = 0   # over t = 3 .. j + 1
+        for j in range(1, n):
+            if j >= 2:
+                tail += j + 1
+                tail_squares += (j + 1) ** 2
+            total += j + 1 + tail
+            squares += (j + 1) ** 2 + tail_squares
+            deep += j * (n - 1 - j) ** 2
+        assert metrics._kinship_sums(trees, depth, r, [deep]) == [
+            [total, squares, total, squares, squares]]
         # Scoring refuses that n and every larger one by name, before it
         # builds anything, and no smaller one: a tree of n leaves with no
         # records stands in, and one leaf fewer reaches the first step
@@ -192,6 +229,7 @@ class TestScorerPasses:
         monkeypatch.setattr(metrics, "_height_sums", built)
         monkeypatch.setattr(metrics, "_lca_table", built)
         empty = np.empty(0, dtype=np.int64)
+        lo = 1_321_124
         for n in (lo, 2 * lo):
             with pytest.raises(ScoringOverflow) as err:
                 _scores(Dendrogram(n, empty, empty, empty, empty), [])

@@ -33,7 +33,13 @@ from branchembed import (
 )
 from branchembed import dendrogram
 from branchembed.metrics import _exact_pearson, _scores
-from helpers import exact_r_c, exact_r_k, random_dendrogram
+from helpers import (
+    balanced_dendrogram,
+    caterpillar_dendrogram,
+    exact_r_c,
+    exact_r_k,
+    random_dendrogram,
+)
 
 
 def _integers(v):
@@ -190,6 +196,25 @@ class TestExactScores:
             original = random_dendrogram(n, rng)
             self.check(original, [random_dendrogram(n, rng)
                                   for _ in range(3)])
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("n", [40, 97])
+    def test_deepest_and_shallowest_trees(self, monkeypatch, n, chunk):
+        # Caterpillars of depth n - 1 on either spine, the deepest trees
+        # there are, and balanced ones, scored in one call beside a
+        # random tree and a tie grid, so that one call mixes depth
+        # profiles.
+        if chunk is not None:
+            monkeypatch.setattr(dendrogram, "_PAIR_CHUNK", chunk)
+        spines = [caterpillar_dendrogram(n),
+                  caterpillar_dendrogram(n, left_spine=False)]
+        balanced = balanced_dendrogram(n)
+        grid, grid_trees = _grid_trees(n)
+        mixed = (spines + [balanced, grid]
+                 + [random_dendrogram(n, np.random.default_rng(n))]
+                 + grid_trees)
+        for original in (spines[0], balanced):
+            self.check(original, mixed)
 
     def test_three_leaves(self):
         # Every topology and child order over three leaves, tied or not.
