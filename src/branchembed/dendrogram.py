@@ -507,8 +507,7 @@ def _path_lengths(key: np.ndarray, leaf_depth: np.ndarray, i: np.ndarray,
     return key
 
 
-def _pair_matrices(d: Dendrogram, kinship: bool,
-                   lca: tuple | None = None) -> np.ndarray:
+def _pair_matrices(d: Dendrogram, kinship: bool) -> np.ndarray:
     """Fill the cophenetic condensed vector, or the kinship one if
     ``kinship``.
 
@@ -523,10 +522,9 @@ def _pair_matrices(d: Dendrogram, kinship: bool,
     Revisited*, 2000), made by :func:`_lca_keys`.  The pairs are filled
     in the chunks of :func:`_pair_chunks`, each with a fixed number of
     numpy calls, so the cost is O(n^2) time with the condensed vector
-    plus O(n log n) and chunk temporaries of memory.  A caller that fills
-    both vectors of a tree passes its :func:`_lca_table` to both calls.
-    Cophenetic values are the stored merge heights and kinship values
-    the integer path lengths of :func:`_path_lengths`, exactly.  Raises
+    plus O(n log n) and chunk temporaries of memory.  Cophenetic values
+    are the stored merge heights and kinship values the integer path
+    lengths of :func:`_path_lengths`, exactly.  Raises
     :class:`SizeLimit` before allocating a vector larger than physical
     memory.
     """
@@ -534,9 +532,7 @@ def _pair_matrices(d: Dendrogram, kinship: bool,
     m = n * (n - 1) // 2
     _check_size("the pair vector", 8 * m)
     out = np.empty(m)
-    if lca is None:
-        lca = _lca_table(d)
-    pos, depth, _, _, table = lca
+    pos, depth, _, _, table = _lca_table(d)
     pos, leaf_depth, table = pos[0], depth[0, :n], table[0]
     mask = (1 << (n - 1).bit_length()) - 1
     # Each chunk's temporaries are dropped before the walk makes the

@@ -39,8 +39,11 @@ from branchembed.dendrogram import _pair_chunks, _pair_matrices
 from helpers import (
     balanced_dendrogram,
     brute_cophenetic,
+    brute_depths,
     brute_kinship,
+    brute_lca,
     caterpillar_dendrogram,
+    parents_and_heights,
     random_dendrogram,
     scatter_pair_matrices,
     stack_leaves_and_gaps,
@@ -322,10 +325,6 @@ class TestPairMatrices:
         ref_coph, ref_kin = scatter_pair_matrices(d)
         assert np.array_equal(coph, ref_coph)
         assert np.array_equal(kin, ref_kin)
-        # One LCA table serves both fills.
-        lca = dendrogram._lca_table(d)
-        assert np.array_equal(_pair_matrices(d, False, lca), coph)
-        assert np.array_equal(_pair_matrices(d, True, lca), kin)
         if brute:
             assert np.array_equal(coph, brute_cophenetic(d))
             assert np.array_equal(kin, brute_kinship(d))
@@ -494,6 +493,57 @@ class TestLeafOrder:
                 assert sq[u, later] >= h - EPS
             for earlier in order[:k]:
                 assert sq[earlier, v] >= h - EPS
+
+
+class TestLayout:
+    """``_layout`` of a stack of trees equals, row by row, what parent
+    walks give for each tree on its own."""
+
+    @staticmethod
+    def walked(d):
+        order, _ = stack_leaves_and_gaps(d)
+        n = d.n_leaves
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+        parent, _ = parents_and_heights(d)
+        depth = brute_depths(parent, d.n_nodes)
+        r = [sum(int(depth[brute_lca(parent, i, j)])
+                 for j in range(n) if j != i) for i in range(n)]
+        # Record k's blocks meet just left of its right child's first
+        # leaf.
+        first = {}
+        for leaf in range(n):
+            node = leaf
+            while node != -1:
+                first[node] = min(first.get(node, n), int(pos[leaf]))
+                node = parent[node]
+        gap = [first[int(c)] - 1 for c in d.right]
+        return pos, depth, np.array(r), np.array(gap, dtype=np.int64)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_parent_walks(self, seed):
+        trees = list(_reclustered_trees(2100 + seed))
+        n = trees[0].n_leaves
+        rng = np.random.default_rng(2200 + seed)
+        trees += [caterpillar_dendrogram(n), balanced_dendrogram(n),
+                  caterpillar_dendrogram(n, left_spine=False),
+                  random_dendrogram(n, rng)]
+        stacked = dendrogram._layout(*trees)
+        for t, d in enumerate(trees):
+            alone = dendrogram._layout(d)
+            for got, one, want in zip(stacked, alone, self.walked(d)):
+                assert np.array_equal(got[t], want)
+                assert np.array_equal(one[0], want)
+
+    @pytest.mark.parametrize("records, n", [
+        ([(1, 0, 0.5, 2)], 2),
+        ([(2, 0, 1.0, 2), (1, 3, 2.0, 3)], 3),
+    ])
+    def test_smallest_trees(self, records, n):
+        d = validate_dendrogram(records, n)
+        for got, want in zip(dendrogram._layout(d, d), self.walked(d)):
+            assert np.array_equal(got[0], want)
+            assert np.array_equal(got[1], want)
 
 
 class TestMergeTableText:
